@@ -186,7 +186,7 @@ fn print_help() {
         "  --smoke  CI sanity mode: runs table1 + devmodel + extent + faults + predictors at small scale"
     );
     eprintln!("  --workers N       alias for --threads: worker-pool size for the parallel");
-    eprintln!("                    sweeps (figure grids, devmodel/extent ablations, perf);");
+    eprintln!("                    sweeps (figure grids, devmodel/extent ablations);");
     eprintln!("                    results are byte-identical for any worker count");
     eprintln!("  --bench-out FILE  write a machine-readable BENCH.json snapshot of the");
     eprintln!("                    seed scenarios (diff with `lapreport bench-diff`)");
@@ -195,7 +195,7 @@ fn print_help() {
     eprintln!("                    (registry spec, e.g. web:64,0.8,256 or strace:FILE)");
     eprintln!("  --plans N         seeded random fault plans for the chaos sweep (default 500)");
     eprintln!(
-        "ids: all, table1, fallback-share, mispredict, ablations, cooperation, robustness, devmodel, extent, faults, predictors, zoo, mithril-sweep, chaos, perf, or any of:"
+        "ids: all, table1, fallback-share, mispredict, ablations, cooperation, robustness, devmodel, extent, faults, predictors, zoo, mithril-sweep, chaos, or any of:"
     );
     for e in EXPERIMENTS {
         eprintln!("  {:<8} {}", e.id, e.title);
@@ -223,7 +223,6 @@ fn main() {
             ids.push("predictors".into());
             ids.push("zoo".into());
             ids.push("mithril-sweep".into());
-            ids.push("perf".into());
         } else {
             ids.push(id.clone());
         }
@@ -244,7 +243,6 @@ fn main() {
             "zoo" => zoo_ablation(&opts),
             "mithril-sweep" => mithril_sweep(&opts),
             "chaos" => chaos(&opts),
-            "perf" => perf_profile(&opts),
             id => {
                 let Some(exp) = experiment(id) else {
                     eprintln!("unknown experiment {id:?}");
@@ -319,15 +317,14 @@ fn bench_scenarios() -> [(&'static str, WorkloadKind, CacheSystem, PrefetchConfi
     ]
 }
 
-/// Write a machine-readable benchmark snapshot (schema 2): one
+/// Write a machine-readable benchmark snapshot (schema 3): one
 /// scenario object per line (so `lapreport bench-diff` can scan it
-/// without a JSON parser). Simulated results and the integer `perf`
-/// counters are deterministic and gated exactly; everything
-/// wall-clock-derived (`wall_ms`, `reads_per_sec`, `events_per_sec`)
-/// lives inside `perf` and is warn-only in the differ.
+/// without a JSON parser). Every field is deterministic, so a same-seed
+/// regeneration is byte-identical and the differ compares each field
+/// exactly. Host speed is measured by `perfbench`, not here.
 fn bench_json(opts: &Options, path: &PathBuf) {
     use std::fmt::Write as _;
-    let mut out = String::from("{\n\"schema\": 2,\n\"scenarios\": [\n");
+    let mut out = String::from("{\n\"schema\": 3,\n\"scenarios\": [\n");
     for (i, (name, kind, system, pf, mb)) in bench_scenarios().into_iter().enumerate() {
         let wl = build_workload(kind, opts.scale, opts.seed);
         let cfg = build_config(kind, opts.scale, system, pf, mb);
@@ -347,10 +344,8 @@ fn bench_json(opts: &Options, path: &PathBuf) {
     println!("wrote {}", path.display());
 }
 
-/// The `perf` object of one BENCH.json scenario line. Integer
-/// counters first (compared exactly by `lapreport bench-diff`), then
-/// deterministic ratios (ratio-gated), then wall-clock data
-/// (warn-only).
+/// The `perf` object of one BENCH.json scenario line: the integer
+/// cost counters, then the ratios derived from them.
 fn perf_json(p: &lap_core::SimProfile) -> String {
     let c = &p.counters;
     let mut s = format!(
@@ -370,93 +365,8 @@ fn perf_json(p: &lap_core::SimProfile) -> String {
     if let Some(apr) = p.allocs_per_read() {
         s.push_str(&format!(",\"allocs_per_read\":{apr}"));
     }
-    s.push_str(&format!(
-        ",\"wall_ms\":{},\"reads_per_sec\":{:.0},\"events_per_sec\":{:.0}}}",
-        p.wall.total().as_millis(),
-        p.reads_per_sec(),
-        p.events_per_sec(),
-    ));
+    s.push('}');
     s
-}
-
-/// `experiments perf`: self-profiling sweep over the four BENCH.json
-/// seed scenarios plus one zoo workload at scaled-up size, so the hot
-/// path is actually hot and the per-subsystem counter shares mean
-/// something.
-fn perf_profile(opts: &Options) {
-    println!(
-        "perf — simulator self-profile: seed scenarios + one scaled-up zoo workload \
-         (seed {}, scale {:?}, {} worker(s); counters deterministic, wall informational \
-         — overlapped runs inflate per-run wall time)",
-        opts.seed, opts.scale, opts.threads
-    );
-    println!(
-        "{:<28} {:>8} {:>9} {:>8} {:>5} {:>6} {:>9} {:>9} {:>9} {:>8} {:>9} {:>10}",
-        "scenario",
-        "reads",
-        "events",
-        "ev/read",
-        "peak",
-        "mean-q",
-        "dispatch",
-        "pred-ops",
-        "probes",
-        "wall ms",
-        "reads/s",
-        "events/s"
-    );
-    let row = |name: &str, r: &lap_core::SimReport, p: &lap_core::SimProfile| {
-        let c = &p.counters;
-        assert!(
-            c.events > 0 && c.queue_pushes >= c.events && r.reads > 0,
-            "degenerate perf cell: {name}"
-        );
-        println!(
-            "{:<28} {:>8} {:>9} {:>8.2} {:>5} {:>6.2} {:>9} {:>9} {:>9} {:>8} {:>9.0} {:>10.0}{}",
-            name,
-            r.reads,
-            c.events,
-            c.events_per_read(r.reads),
-            c.peak_queue_depth,
-            c.mean_queue_depth(),
-            c.station_dispatches,
-            c.pred_lookups + c.pred_updates,
-            c.cache_probes,
-            p.wall.total().as_millis(),
-            p.reads_per_sec(),
-            p.events_per_sec(),
-            match p.allocs_per_read() {
-                Some(apr) => format!("  ({apr:.1} allocs/read)"),
-                None => String::new(),
-            }
-        );
-    };
-    // Build every profile job first (workload generation is cheap),
-    // then fan the simulations out over the worker pool. Results come
-    // back in job order, so the counter columns are byte-identical for
-    // any `--workers` value; only the wall columns move.
-    let mut jobs = Vec::new();
-    for (name, kind, system, pf, mb) in bench_scenarios() {
-        jobs.push((
-            name.to_string(),
-            build_config(kind, opts.scale, system, pf, mb),
-            build_workload(kind, opts.scale, opts.seed),
-        ));
-    }
-    // One zoo workload well past the seed scenarios' size: a web
-    // session mix big enough to overflow the aggregate cache.
-    let spec = WorkloadSpec::parse("web:64,0.8,512").expect("zoo perf spec parses");
-    let wl = spec.build(opts.seed).expect("zoo perf workload builds");
-    let mut cfg = lap_core::SimConfig::now(CacheSystem::Pafs, PrefetchConfig::ln_agr_is_ppm(1), 1);
-    cfg.fit_to_workload(&wl);
-    jobs.push((format!("{}/pafs/ln_agr_is_ppm:1/1MB", wl.name), cfg, wl));
-    let results = bench::par_map(&jobs, opts.threads, |(_, cfg, wl)| {
-        run_simulation_profiled(cfg.clone(), wl.clone())
-    });
-    for ((name, _, _), (r, p)) in jobs.iter().zip(&results) {
-        row(name, r, p);
-    }
-    println!();
 }
 
 /// Flatten every cell's unified metrics registry into one long-format

@@ -1,10 +1,9 @@
-//! Experiment harness shared by the `experiments` binary and the
-//! timing benchmarks: the figure/table definitions of the paper's
-//! evaluation (§5) and a parallel sweep runner.
+//! Experiment harness behind the `experiments` binary: the
+//! figure/table definitions of the paper's evaluation (§5) and a
+//! parallel sweep runner.
 
 pub mod plot;
 pub mod sweep;
-pub mod timing;
 
 pub use sweep::par_map;
 

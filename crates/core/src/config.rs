@@ -342,6 +342,30 @@ impl SimConfig {
         }
     }
 
+    /// Check that `workload` can run on this machine: consistent in
+    /// itself, needing no more nodes than the machine has, and using
+    /// the same block size. [`Simulation::new`](crate::Simulation::new)
+    /// panics with this message; a front end can report it instead.
+    ///
+    /// # Errors
+    /// A description of the first problem found.
+    pub fn check_workload(&self, workload: &ioworkload::Workload) -> Result<(), String> {
+        workload.check()?;
+        if workload.nodes > self.machine.nodes {
+            return Err(format!(
+                "workload needs {} nodes, machine has {}",
+                workload.nodes, self.machine.nodes
+            ));
+        }
+        if workload.block_size != self.machine.block_size {
+            return Err(format!(
+                "workload and machine disagree on block size: {} vs {} bytes",
+                workload.block_size, self.machine.block_size
+            ));
+        }
+        Ok(())
+    }
+
     /// A descriptive label: `"PAFS/Ln_Agr_IS_PPM:1 @ 4MB"`.
     pub fn label(&self) -> String {
         format!(

@@ -308,9 +308,9 @@ impl Simulation {
     /// Build a simulation of `workload` under `config`.
     ///
     /// # Panics
-    /// Panics if the workload's node count exceeds the machine's, or if
-    /// block sizes disagree — mixing those up would silently invalidate
-    /// every result.
+    /// Panics if [`SimConfig::check_workload`] rejects the workload:
+    /// an inconsistent trace, more nodes than the machine has, or a
+    /// different block size would silently invalidate every result.
     pub fn new(config: SimConfig, workload: Workload) -> Self {
         Self::new_shared(config, Arc::new(workload))
     }
@@ -330,17 +330,9 @@ impl<R: Recorder> Simulation<R> {
     /// # Panics
     /// Same contract as [`Simulation::new`].
     pub fn with_recorder(config: SimConfig, workload: Arc<Workload>, rec: R) -> Self {
-        workload.validate();
-        assert!(
-            workload.nodes <= config.machine.nodes,
-            "workload needs {} nodes, machine has {}",
-            workload.nodes,
-            config.machine.nodes
-        );
-        assert_eq!(
-            workload.block_size, config.machine.block_size,
-            "workload and machine disagree on block size"
-        );
+        if let Err(e) = config.check_workload(&workload) {
+            panic!("{e}");
+        }
         assert!(config.machine.disks > 0, "machine needs at least one disk");
         let cache: Box<dyn CooperativeCache> = match config.system {
             CacheSystem::Pafs => Box::new(PafsCache::with_layout(

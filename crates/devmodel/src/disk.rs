@@ -26,15 +26,6 @@ impl DiskModelStats {
         reg.gauge(format!("{prefix}.seek_s"), self.seek_time.as_secs_f64());
         reg.gauge(format!("{prefix}.rot_wait_s"), self.rot_wait.as_secs_f64());
     }
-
-    /// Mean seek distance per operation, in cylinders.
-    pub fn mean_seek_cylinders(&self) -> f64 {
-        if self.services == 0 {
-            0.0
-        } else {
-            self.seek_cylinders as f64 / self.services as f64
-        }
-    }
 }
 
 /// A geometry-aware disk: prices each operation from the arm position

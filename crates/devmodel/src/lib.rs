@@ -51,11 +51,6 @@ pub enum DiskModelKind {
 }
 
 impl DiskModelKind {
-    /// True for the fixed (constant-cost) model.
-    pub fn is_fixed(&self) -> bool {
-        matches!(self, DiskModelKind::Fixed)
-    }
-
     /// Name used in reports and CLI round-trips.
     pub fn name(&self) -> &'static str {
         match self {

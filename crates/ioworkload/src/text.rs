@@ -27,7 +27,7 @@ use crate::types::{FileId, NodeId, ProcId};
 /// Parsing failure with its line number.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ParseError {
-    /// 1-based line number.
+    /// 1-based line number; 0 for a problem with the file as a whole.
     pub line: usize,
     /// What went wrong.
     pub message: String,
@@ -35,7 +35,11 @@ pub struct ParseError {
 
 impl std::fmt::Display for ParseError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "line {}: {}", self.line, self.message)
+        if self.line == 0 {
+            f.write_str(&self.message)
+        } else {
+            write!(f, "line {}: {}", self.line, self.message)
+        }
     }
 }
 
@@ -68,7 +72,7 @@ impl Workload {
         out
     }
 
-    /// Parse a workload from the text format and validate it.
+    /// Parse a workload from the text format and [`check`](Workload::check) it.
     pub fn from_text(text: &str) -> Result<Workload, ParseError> {
         let mut name = None;
         let mut block_size = None;
@@ -176,7 +180,8 @@ impl Workload {
             files,
             processes,
         };
-        wl.validate();
+        wl.check()
+            .map_err(|message| ParseError { line: 0, message })?;
         Ok(wl)
     }
 }

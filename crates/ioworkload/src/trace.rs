@@ -79,45 +79,72 @@ impl Workload {
         size.div_ceil(self.block_size)
     }
 
-    /// Validate internal consistency: dense ids, in-bounds accesses,
-    /// non-empty operations. Generators call this before returning and
-    /// the text loader calls it after parsing.
+    /// Check internal consistency: dense ids, in-bounds accesses,
+    /// non-empty operations. The text loader calls this after parsing.
     ///
-    /// # Panics
-    /// Panics with a description of the first inconsistency found.
-    pub fn validate(&self) {
-        assert!(self.block_size > 0, "zero block size");
-        assert!(self.nodes > 0, "zero nodes");
+    /// # Errors
+    /// A description of the first inconsistency found.
+    pub fn check(&self) -> Result<(), String> {
+        if self.block_size == 0 {
+            return Err("zero block size".into());
+        }
+        if self.nodes == 0 {
+            return Err("zero nodes".into());
+        }
         for (i, f) in self.files.iter().enumerate() {
-            assert_eq!(f.id.0 as usize, i, "file ids must be dense");
-            assert!(f.size > 0, "empty file {i}");
+            if f.id.0 as usize != i {
+                return Err(format!(
+                    "file ids must be dense: file {i} has id {}",
+                    f.id.0
+                ));
+            }
+            if f.size == 0 {
+                return Err(format!("empty file {i}"));
+            }
         }
         for (i, p) in self.processes.iter().enumerate() {
-            assert_eq!(p.proc.0 as usize, i, "process ids must be dense");
-            assert!(
-                p.node.0 < self.nodes,
-                "process {i} on out-of-range node {}",
-                p.node
-            );
+            if p.proc.0 as usize != i {
+                return Err(format!(
+                    "process ids must be dense: process {i} has id {}",
+                    p.proc.0
+                ));
+            }
+            if p.node.0 >= self.nodes {
+                return Err(format!("process {i} on out-of-range node {}", p.node));
+            }
             for op in &p.ops {
                 if let Op::Read { file, offset, len } | Op::Write { file, offset, len } = op {
                     let meta = self
                         .files
                         .get(file.0 as usize)
-                        .unwrap_or_else(|| panic!("process {i} touches unknown {file}"));
-                    assert!(*len > 0, "zero-length access in process {i}");
-                    let end = offset.checked_add(*len).unwrap_or_else(|| {
-                        panic!("process {i} access offset+len overflows on {file}")
-                    });
-                    assert!(
-                        end <= meta.size,
-                        "process {i} accesses past EOF of {file}: {}+{} > {}",
-                        offset,
-                        len,
-                        meta.size
-                    );
+                        .ok_or_else(|| format!("process {i} touches unknown {file}"))?;
+                    if *len == 0 {
+                        return Err(format!("zero-length access in process {i}"));
+                    }
+                    let end = offset.checked_add(*len).ok_or_else(|| {
+                        format!("process {i} access offset+len overflows on {file}")
+                    })?;
+                    if end > meta.size {
+                        return Err(format!(
+                            "process {i} accesses past EOF of {file}: {offset}+{len} > {}",
+                            meta.size
+                        ));
+                    }
                 }
             }
+        }
+        Ok(())
+    }
+
+    /// [`check`](Self::check) for workloads that must be consistent by
+    /// construction. Generators call this before returning.
+    ///
+    /// # Panics
+    /// Panics with [`check`](Self::check)'s description of the first
+    /// inconsistency found.
+    pub fn validate(&self) {
+        if let Err(e) = self.check() {
+            panic!("{e}");
         }
     }
 

@@ -347,14 +347,6 @@ impl<E> EventQueue<E> {
         }
     }
 
-    /// Which backend this queue runs on.
-    pub fn backend_kind(&self) -> QueueBackend {
-        match self.backend {
-            Backend::Heap(_) => QueueBackend::Heap,
-            Backend::Calendar(_) => QueueBackend::Calendar,
-        }
-    }
-
     /// Start collecting occupancy statistics. Off by default so the
     /// hot loop stays free of accounting work; profiled runs switch it
     /// on before the first event is scheduled.

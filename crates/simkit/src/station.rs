@@ -197,11 +197,6 @@ impl<T> Station<T> {
         self.sid
     }
 
-    /// Name of the within-class dispatch order (`"fifo"`, `"sstf"`, ...).
-    pub fn scheduler_name(&self) -> &'static str {
-        self.sched.name()
-    }
-
     /// True if a job is currently in service.
     pub fn is_busy(&self) -> bool {
         self.current.is_some()
@@ -210,11 +205,6 @@ impl<T> Station<T> {
     /// Number of jobs waiting (not counting the one in service).
     pub fn queue_len(&self) -> usize {
         self.queued_len
-    }
-
-    /// Number of jobs waiting at exactly `prio`.
-    pub fn queue_len_at(&self, prio: Priority) -> usize {
-        self.queues.get(&prio).map_or(0, VecDeque::len)
     }
 
     /// Statistics accumulated so far.
@@ -517,27 +507,6 @@ impl<T> Station<T> {
         self.queued_len -= out.len();
         self.stats.cancelled += out.len() as u64;
         self.queue_track.set(now, self.queued_len as f64);
-        out
-    }
-
-    /// [`cancel_where`](Self::cancel_where), emitting one
-    /// [`Event::Cancelled`] with the removal count into `rec`.
-    pub fn cancel_where_obs<R: Recorder>(
-        &mut self,
-        now: SimTime,
-        pred: impl FnMut(&T) -> bool,
-        rec: &mut R,
-    ) -> Vec<T> {
-        let out = self.cancel_where(now, pred);
-        if !out.is_empty() && rec.enabled() {
-            rec.record(
-                now.as_nanos(),
-                Event::Cancelled {
-                    station: self.sid,
-                    count: out.len() as u32,
-                },
-            );
-        }
         out
     }
 

@@ -94,12 +94,6 @@ impl Counters {
             self.events as f64 / reads as f64
         }
     }
-
-    /// Total subsystem operations (station + predictor + cache), used
-    /// for per-subsystem share columns.
-    pub fn subsystem_total(&self) -> u64 {
-        self.station_dispatches + self.pred_lookups + self.pred_updates + self.cache_probes
-    }
 }
 
 /// Wall-clock time spent in each phase of a run.
@@ -322,7 +316,6 @@ mod tests {
         let p = sample();
         assert_eq!(p.counters.events_per_read(p.reads), 4.0);
         assert_eq!(p.counters.mean_queue_depth(), 4.0);
-        assert_eq!(p.counters.subsystem_total(), 300 + 200 + 150 + 900);
         assert!(p.events_per_sec() > 0.0);
         assert!(p.reads_per_sec() > 0.0);
     }

@@ -12,10 +12,10 @@
 //! # Skim a Chrome trace produced with `--trace-out`:
 //! lapreport trace trace.json
 //!
-//! # Compare two BENCH.json files (wall-clock warns, counters gate):
+//! # Compare two BENCH.json files field by field, exactly:
 //! lapreport bench-diff BENCH.json new.json
 //!
-//! # Render the simulator self-profile of a schema-2 BENCH.json:
+//! # Render the simulator self-profile of a BENCH.json:
 //! lapreport perf BENCH.json
 //!
 //! # Summarize a chaos-sweep CSV (experiments chaos --out DIR):
@@ -729,99 +729,73 @@ fn cmd_trace(args: &[String]) -> i32 {
 // bench-diff
 // ---------------------------------------------------------------------------
 
-/// One scenario row parsed out of a BENCH.json file.
-#[derive(Debug, PartialEq)]
-struct BenchRow {
-    avg_read_ms: f64,
-    reads: u64,
-    disk_accesses: u64,
-    /// The schema-2 `perf` section; `None` for schema-1 files, which
-    /// `bench-diff` tolerates (with a note) and `perf` rejects.
-    perf: Option<PerfRow>,
+/// One BENCH.json scenario: its name and every other field as
+/// `(key, value)` pairs in file order. Keys inside the nested `perf`
+/// object carry a `perf.` prefix. Values keep their printed text, so
+/// comparing them is exact.
+struct Scenario {
+    name: String,
+    fields: Vec<(String, String)>,
 }
 
-/// The schema-2 `perf` section of one scenario: deterministic integer
-/// counters (compared exactly), deterministic ratios (ratio-gated),
-/// and wall-clock throughput (warn-only).
-#[derive(Debug, PartialEq)]
-struct PerfRow {
-    events: u64,
-    queue_pushes: u64,
-    peak_queue_depth: u64,
-    station_dispatches: u64,
-    pred_lookups: u64,
-    pred_updates: u64,
-    cache_probes: u64,
-    events_per_read: f64,
-    mean_queue_depth: f64,
-    wall_ms: f64,
-    reads_per_sec: f64,
-    events_per_sec: f64,
-    /// Present only when the writer was built with `count-alloc`.
-    allocs_per_read: Option<f64>,
-}
-
-impl PerfRow {
-    /// `(label, value)` pairs of the exactly-gated integer counters.
-    fn exact_counters(&self) -> [(&'static str, u64); 7] {
-        [
-            ("events", self.events),
-            ("queue_pushes", self.queue_pushes),
-            ("peak_queue_depth", self.peak_queue_depth),
-            ("station_dispatches", self.station_dispatches),
-            ("pred_lookups", self.pred_lookups),
-            ("pred_updates", self.pred_updates),
-            ("cache_probes", self.cache_probes),
-        ]
+impl Scenario {
+    fn get(&self, key: &str) -> Option<&str> {
+        self.fields
+            .iter()
+            .find(|(k, _)| k == key)
+            .map(|(_, v)| v.as_str())
     }
 }
 
-fn load_perf(line: &str, path: &str, name: &str) -> Result<Option<PerfRow>, String> {
-    if !line.contains("\"perf\":") {
-        return Ok(None);
+/// Flatten one scenario line (`{"name":"…","reads":825,…,"perf":{…}}`)
+/// into `(key, value)` pairs. The writer puts one scenario object per
+/// line, so this scanner is all the JSON the snapshot needs.
+fn scenario_fields(line: &str) -> Vec<(String, String)> {
+    let mut fields = Vec::new();
+    let mut prefix = String::new();
+    let mut rest = line;
+    while let Some(q) = rest.find('"') {
+        if rest[..q].contains('}') {
+            prefix.clear();
+        }
+        let after = &rest[q + 1..];
+        let Some(end) = after.find("\":") else { break };
+        let key = format!("{prefix}{}", &after[..end]);
+        let val = &after[end + 2..];
+        if let Some(inner) = val.strip_prefix('{') {
+            prefix = format!("{key}.");
+            rest = inner;
+            continue;
+        }
+        let len = match val.strip_prefix('"') {
+            Some(s) => s.find('"').map_or(val.len(), |i| i + 2),
+            None => val.find([',', '}']).unwrap_or(val.len()),
+        };
+        fields.push((key, val[..len].trim_matches('"').to_string()));
+        rest = &val[len..];
     }
-    // Once a perf section exists, every key is mandatory: a missing
-    // counter is schema drift, the same hard error `metrics` raises.
-    let need = |key: &str| {
-        num_field(line, key).ok_or_else(|| format!("{path}: scenario {name:?} missing perf.{key}"))
-    };
-    Ok(Some(PerfRow {
-        events: need("events")? as u64,
-        queue_pushes: need("queue_pushes")? as u64,
-        peak_queue_depth: need("peak_queue_depth")? as u64,
-        station_dispatches: need("station_dispatches")? as u64,
-        pred_lookups: need("pred_lookups")? as u64,
-        pred_updates: need("pred_updates")? as u64,
-        cache_probes: need("cache_probes")? as u64,
-        events_per_read: need("events_per_read")?,
-        mean_queue_depth: need("mean_queue_depth")?,
-        wall_ms: need("wall_ms")?,
-        reads_per_sec: need("reads_per_sec")?,
-        events_per_sec: need("events_per_sec")?,
-        allocs_per_read: num_field(line, "allocs_per_read"),
-    }))
+    fields
 }
 
-fn load_bench(path: &str) -> Result<Vec<(String, BenchRow)>, String> {
+/// Load every scenario of a BENCH.json file. A scenario without a
+/// `perf` object (a schema-1 file) is an error: the counters are half
+/// of what the snapshot gates.
+fn load_bench(path: &str) -> Result<Vec<Scenario>, String> {
     let text = fs::read_to_string(path).map_err(|e| format!("{path}: cannot read: {e}"))?;
     let mut rows = Vec::new();
-    // The writer puts one scenario object per line; scan for them.
     for line in text.lines() {
-        let Some(name) = str_field(line, "name") else {
+        let mut fields = scenario_fields(line);
+        let Some(i) = fields.iter().position(|(k, _)| k == "name") else {
             continue;
         };
-        let row = BenchRow {
-            avg_read_ms: num_field(line, "avg_read_ms")
-                .ok_or_else(|| format!("{path}: scenario {name:?} missing avg_read_ms"))?,
-            reads: num_field(line, "reads")
-                .ok_or_else(|| format!("{path}: scenario {name:?} missing reads"))?
-                as u64,
-            disk_accesses: num_field(line, "disk_accesses")
-                .ok_or_else(|| format!("{path}: scenario {name:?} missing disk_accesses"))?
-                as u64,
-            perf: load_perf(line, path, name)?,
-        };
-        rows.push((name.to_string(), row));
+        let name = fields.remove(i).1;
+        if !fields.iter().any(|(k, _)| k.starts_with("perf.")) {
+            return Err(format!(
+                "{path}: scenario {name:?} has no perf section \
+                 (schema-1 file? regenerate with experiments --bench-out)"
+            ));
+        }
+        rows.push(Scenario { name, fields });
     }
     if rows.is_empty() {
         return Err(format!("{path}: no scenarios found"));
@@ -829,6 +803,9 @@ fn load_bench(path: &str) -> Result<Vec<(String, BenchRow)>, String> {
     Ok(rows)
 }
 
+/// `lapreport bench-diff OLD NEW`: every field of every scenario must
+/// match exactly as printed. Each drifted, missing or extra field is
+/// named; any drift exits 1.
 fn cmd_bench_diff(args: &[String]) -> i32 {
     let [old_path, new_path] = args else { usage() };
     let (old, new) = match (load_bench(old_path), load_bench(new_path)) {
@@ -838,45 +815,35 @@ fn cmd_bench_diff(args: &[String]) -> i32 {
             return 1;
         }
     };
-    let old_map: HashMap<_, _> = old.iter().map(|(n, r)| (n.as_str(), r)).collect();
-    let new_map: HashMap<_, _> = new.iter().map(|(n, r)| (n.as_str(), r)).collect();
     let mut drift = false;
-    let mut schema1_noted = false;
-    for (name, o) in &old {
-        match new_map.get(name.as_str()) {
-            None => {
-                println!("- {name}: removed");
+    for o in &old {
+        let Some(n) = new.iter().find(|n| n.name == o.name) else {
+            println!("- {}: removed", o.name);
+            drift = true;
+            continue;
+        };
+        let new_only = n.fields.iter().filter(|(k, _)| o.get(k).is_none());
+        for (key, _) in o.fields.iter().chain(new_only) {
+            let (ov, nv) = (o.get(key), n.get(key));
+            if ov != nv {
+                println!(
+                    "! {}: {key} {} -> {}",
+                    o.name,
+                    ov.unwrap_or("(missing)"),
+                    nv.unwrap_or("(missing)")
+                );
                 drift = true;
-            }
-            Some(n) => {
-                // Simulated results must match exactly (determinism).
-                let same = o.reads == n.reads
-                    && o.disk_accesses == n.disk_accesses
-                    && (o.avg_read_ms - n.avg_read_ms).abs() <= o.avg_read_ms.abs() * 1e-9;
-                if !same {
-                    println!(
-                        "! {name}: avg_read_ms {} -> {}, reads {} -> {}, disk_accesses {} -> {}",
-                        o.avg_read_ms,
-                        n.avg_read_ms,
-                        o.reads,
-                        n.reads,
-                        o.disk_accesses,
-                        n.disk_accesses
-                    );
-                    drift = true;
-                }
-                drift |= diff_perf(name, o.perf.as_ref(), n.perf.as_ref(), &mut schema1_noted);
             }
         }
     }
-    for (name, _) in &new {
-        if !old_map.contains_key(name.as_str()) {
-            println!("+ {name}: added");
+    for n in &new {
+        if !old.iter().any(|o| o.name == n.name) {
+            println!("+ {}: added", n.name);
             drift = true;
         }
     }
     if drift {
-        eprintln!("lapreport: benchmark results drifted (wall-clock warns only, never gates)");
+        eprintln!("lapreport: benchmark results drifted");
         eprintln!(
             "lapreport: if the drift is intentional, regenerate the snapshot with:\n\
              lapreport:   ./target/debug/experiments --smoke --bench-out BENCH.json"
@@ -891,140 +858,71 @@ fn cmd_bench_diff(args: &[String]) -> i32 {
     }
 }
 
-/// Compare the schema-2 `perf` sections of one scenario. Returns true
-/// on (hard) drift. Three tiers:
-/// * integer cost counters — deterministic, compared exactly;
-/// * `events_per_read` / `mean_queue_depth` — deterministic ratios,
-///   gated at 10% so an intentional counter change that also moves
-///   the ratio reads as one failure, not two contradictory ones;
-/// * `wall_ms` / `reads_per_sec` / `events_per_sec` — machine noise,
-///   warn at a >30% regression, never gate.
-fn diff_perf(
-    name: &str,
-    old: Option<&PerfRow>,
-    new: Option<&PerfRow>,
-    schema1_noted: &mut bool,
-) -> bool {
-    let (o, n) = match (old, new) {
-        (Some(o), Some(n)) => (o, n),
-        // A side without a perf section is a schema-1 file: note it
-        // once and skip — upgrading the snapshot must not hard-fail.
-        _ => {
-            if !*schema1_noted {
-                println!("  (schema-1 side without a perf section — perf comparison skipped)");
-                *schema1_noted = true;
-            }
-            return false;
-        }
-    };
-    let mut drift = false;
-    for ((key, ov), (_, nv)) in o.exact_counters().into_iter().zip(n.exact_counters()) {
-        if ov != nv {
-            println!("! {name}: perf.{key} {ov} -> {nv} (deterministic counter drifted)");
-            drift = true;
-        }
-    }
-    for (key, ov, nv) in [
-        ("events_per_read", o.events_per_read, n.events_per_read),
-        ("mean_queue_depth", o.mean_queue_depth, n.mean_queue_depth),
-    ] {
-        if (nv - ov).abs() > ov.abs() * 0.10 {
-            println!("! {name}: perf.{key} {ov:.3} -> {nv:.3} (beyond 10% ratio tolerance)");
-            drift = true;
-        }
-    }
-    // Wall-clock tier: a regression is *more* wall time or *less*
-    // throughput. Improvements never warn.
-    if n.wall_ms > o.wall_ms * 1.30 && n.wall_ms - o.wall_ms > 1.0 {
-        println!(
-            "warning: {name}: perf.wall_ms {:.0} -> {:.0} (>30% slower; informational)",
-            o.wall_ms, n.wall_ms
-        );
-    }
-    for (key, ov, nv) in [
-        ("reads_per_sec", o.reads_per_sec, n.reads_per_sec),
-        ("events_per_sec", o.events_per_sec, n.events_per_sec),
-    ] {
-        if ov > 0.0 && nv < ov * 0.70 {
-            println!(
-                "warning: {name}: perf.{key} {ov:.0} -> {nv:.0} (>30% regression; informational)"
-            );
-        }
-    }
-    drift
-}
-
 /// `lapreport perf FILE...`: render the simulator self-profile table
-/// of one or more schema-2 BENCH.json files. Hard-fails (like
-/// `metrics`) when a scenario has no perf section or a counter is
-/// missing — this subcommand is the schema tripwire for the profile.
+/// of one or more BENCH.json files. Hard-fails (like `metrics`) when a
+/// scenario has no perf section or a counter is missing — this
+/// subcommand is the schema tripwire for the profile.
 fn cmd_perf(args: &[String]) -> i32 {
     if args.is_empty() {
         usage();
     }
     for path in args {
-        let rows = match load_bench(path) {
-            Ok(r) => r,
+        match render_perf(path) {
+            Ok(table) => print!("{table}"),
             Err(e) => {
                 eprintln!("lapreport: {e}");
                 return 1;
             }
-        };
-        println!("{path}:");
-        println!(
-            "  {:<32} {:>8} {:>8} {:>6} {:>7} {:>18} {:>7} {:>8} {:>9} {:>10}",
-            "scenario",
-            "ev/read",
-            "pushes",
-            "peak",
-            "mean-q",
-            "stn%/pred%/cache%",
-            "alloc/r",
-            "wall ms",
-            "reads/s",
-            "events/s"
-        );
-        for (name, row) in &rows {
-            let Some(p) = &row.perf else {
-                eprintln!(
-                    "lapreport: {path}: scenario {name:?} has no perf section \
-                     (schema-1 file? regenerate with experiments --bench-out)"
-                );
-                return 1;
-            };
-            let subsystem = p.station_dispatches + p.pred_lookups + p.pred_updates + p.cache_probes;
-            let share = |part: u64| {
-                if subsystem == 0 {
-                    0.0
-                } else {
-                    part as f64 / subsystem as f64 * 100.0
-                }
-            };
-            println!(
-                "  {:<32} {:>8.2} {:>8} {:>6} {:>7.2} {:>18} {:>7} {:>8.0} {:>9.0} {:>10.0}",
-                name,
-                p.events_per_read,
-                p.queue_pushes,
-                p.peak_queue_depth,
-                p.mean_queue_depth,
-                format!(
-                    "{:.0}/{:.0}/{:.0}",
-                    share(p.station_dispatches),
-                    share(p.pred_lookups + p.pred_updates),
-                    share(p.cache_probes)
-                ),
-                match p.allocs_per_read {
-                    Some(a) => format!("{a:.1}"),
-                    None => "-".into(),
-                },
-                p.wall_ms,
-                p.reads_per_sec,
-                p.events_per_sec
-            );
         }
-        println!("  (counters deterministic and CI-gated; wall/throughput informational)");
     }
     0
+}
+
+fn render_perf(path: &str) -> Result<String, String> {
+    let mut out = format!("{path}:\n");
+    let _ = writeln!(
+        out,
+        "  {:<32} {:>8} {:>8} {:>6} {:>7} {:>18} {:>7}",
+        "scenario", "ev/read", "pushes", "peak", "mean-q", "stn%/pred%/cache%", "alloc/r"
+    );
+    for s in load_bench(path)? {
+        let need = |key: &str| {
+            s.get(&format!("perf.{key}"))
+                .and_then(|v| v.parse::<f64>().ok())
+                .ok_or_else(|| format!("{path}: scenario {:?} missing perf.{key}", s.name))
+        };
+        let stations = need("station_dispatches")?;
+        let pred = need("pred_lookups")? + need("pred_updates")?;
+        let cache = need("cache_probes")?;
+        let share = |part: f64| {
+            let subsystem = stations + pred + cache;
+            if subsystem == 0.0 {
+                0.0
+            } else {
+                part / subsystem * 100.0
+            }
+        };
+        let _ = writeln!(
+            out,
+            "  {:<32} {:>8.2} {:>8} {:>6} {:>7.2} {:>18} {:>7}",
+            s.name,
+            need("events_per_read")?,
+            need("queue_pushes")?,
+            need("peak_queue_depth")?,
+            need("mean_queue_depth")?,
+            format!(
+                "{:.0}/{:.0}/{:.0}",
+                share(stations),
+                share(pred),
+                share(cache)
+            ),
+            s.get("perf.allocs_per_read")
+                .and_then(|v| v.parse::<f64>().ok())
+                .map_or("-".into(), |a| format!("{a:.1}")),
+        );
+    }
+    out.push_str("  (deterministic counters; bench-diff compares them exactly)\n");
+    Ok(out)
 }
 
 // ---------------------------------------------------------------------------

@@ -257,7 +257,7 @@ fn main() {
         });
         Workload::from_text(&text).unwrap_or_else(|e| {
             eprintln!("{path}: {e}");
-            exit(1);
+            exit(2);
         })
     } else {
         // The workload registry: bare `charisma`/`sprite` pick up
@@ -322,6 +322,12 @@ fn main() {
     config.event_queue = args.event_queue;
     config.meta_layout = args.meta_layout;
     config.check = args.check;
+    // A trace that does not fit the machine is bad input, not a bug:
+    // report it instead of letting the simulator's assert panic.
+    if let Err(e) = config.check_workload(&workload) {
+        eprintln!("bad workload for --machine {}: {e}", args.machine);
+        exit(2);
+    }
 
     let t0 = std::time::Instant::now();
     let mut profile: Option<SimProfile> = None;

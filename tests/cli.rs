@@ -236,3 +236,37 @@ fn lapsim_supports_every_documented_algorithm() {
         );
     }
 }
+
+/// A trace that cannot run on the chosen machine is bad input: lapsim
+/// exits 2 and says what is wrong instead of panicking.
+#[test]
+fn lapsim_rejects_traces_that_do_not_fit_the_machine() {
+    let dir = std::env::temp_dir().join(format!("lap-cli-bad-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    for (name, block_size, nodes, offset, machine, problem) in [
+        ("blocksize", 4096, 1, 0, "pm", "block size"),
+        ("nodes-pm", 8192, 200, 0, "pm", "200 nodes"),
+        ("nodes-now", 8192, 200, 0, "now", "200 nodes"),
+        ("eof", 8192, 1, 100_000, "pm", "past EOF"),
+    ] {
+        let trace = dir.join(format!("{name}.trace"));
+        let text = format!(
+            "workload t\nblocksize {block_size}\nnodes {nodes}\nfile 0 8192\nproc 0 0\nr 0 {offset} 10\n"
+        );
+        std::fs::write(&trace, text).unwrap();
+        let out = lapsim()
+            .arg("--trace")
+            .arg(&trace)
+            .args(["--machine", machine])
+            .output()
+            .expect("run lapsim");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{name}: stderr: {err}");
+        assert!(
+            err.contains(problem),
+            "{name}: stderr names the problem: {err}"
+        );
+        assert!(!err.contains("panicked"), "{name}: stderr: {err}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}

@@ -308,36 +308,49 @@ fn lapreport_fails_loudly_on_missing_metric() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// `bench-diff` accepts identical results (modulo wall-clock) and
-/// rejects drifted ones.
+/// `bench-diff` compares every field of a schema-3 snapshot exactly,
+/// names each field that drifted, and rejects a file without counters.
 #[test]
 fn lapreport_bench_diff_detects_drift() {
     let dir = std::env::temp_dir().join(format!("lap-report-bench-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
-    let a = dir.join("a.json");
-    let b = dir.join("b.json");
-    let row = |read: f64, wall: u64| {
-        format!(
-            "{{\n\"schema\": 1,\n\"scenarios\": [\n{{\"name\":\"s1\",\"avg_read_ms\":{read},\"reads\":100,\"disk_accesses\":42,\"wall_ms\":{wall}}}\n]\n}}\n"
-        )
+    let (a, b) = (dir.join("a.json"), dir.join("b.json"));
+    let line = "{\"name\":\"s1\",\"avg_read_ms\":1.25,\"reads\":100,\"disk_accesses\":42,\
+                \"perf\":{\"events\":400,\"cache_probes\":900,\"events_per_read\":4}}";
+    let file = |line: &str| format!("{{\n\"schema\": 3,\n\"scenarios\": [\n{line}\n]\n}}\n");
+    let diff = || {
+        lapreport()
+            .arg("bench-diff")
+            .args([&a, &b])
+            .output()
+            .unwrap()
     };
-    std::fs::write(&a, row(1.25, 10)).unwrap();
-    std::fs::write(&b, row(1.25, 99)).unwrap();
-    let ok = lapreport()
-        .arg("bench-diff")
-        .args([&a, &b])
-        .output()
-        .unwrap();
-    assert!(ok.status.success(), "wall-clock drift must be ignored");
+    std::fs::write(&a, file(line)).unwrap();
+    std::fs::write(&b, file(line)).unwrap();
+    assert!(diff().status.success(), "identical snapshots must match");
 
-    std::fs::write(&b, row(1.26, 10)).unwrap();
-    let bad = lapreport()
-        .arg("bench-diff")
-        .args([&a, &b])
-        .output()
-        .unwrap();
-    assert!(!bad.status.success(), "result drift must fail");
-    let stdout = String::from_utf8_lossy(&bad.stdout);
-    assert!(stdout.contains("s1"), "diff names the scenario: {stdout}");
+    for (key, old, new) in [
+        ("events", "400", "401"),
+        ("events_per_read", "4", "4.0001"),
+        ("avg_read_ms", "1.25", "1.2500001"),
+    ] {
+        let edited = line.replace(&format!("\"{key}\":{old}"), &format!("\"{key}\":{new}"));
+        std::fs::write(&b, file(&edited)).unwrap();
+        let out = diff();
+        assert!(!out.status.success(), "{key} drift must fail");
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        assert!(stdout.contains("s1"), "diff names the scenario: {stdout}");
+        assert!(
+            stdout.contains(&format!("{key} {old} -> {new}")),
+            "diff names {key}: {stdout}"
+        );
+    }
+
+    let no_perf = &line[..line.find(",\"perf\"").unwrap()];
+    std::fs::write(&b, file(&format!("{no_perf}}}"))).unwrap();
+    let out = diff();
+    assert!(!out.status.success(), "a snapshot without perf must fail");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("no perf section"), "stderr: {stderr}");
     std::fs::remove_dir_all(&dir).ok();
 }
