@@ -10,20 +10,29 @@
 //! experiments --out results          # also write CSVs
 //! experiments all --out results --obs  # plus per-cell unified metrics
 //! ```
+//!
+//! Every ablation is a list of labelled cells: [`sweep`] runs them on
+//! the worker pool and checks each one, the ablation scores and prints
+//! the results in cell order, and [`write_out`] writes its files.
+//! [`IDS`] is the one table of runnable ids.
 
+use std::fmt::{Debug, Display, Write as _};
 use std::fs;
 use std::path::PathBuf;
+use std::process::exit;
+use std::sync::Arc;
 
 use bench::{
-    build_config, build_workload, experiment, render_csv, render_table, run_grid, Scale,
-    WorkloadKind, CACHE_MBS, EXPERIMENTS,
+    build_config, build_workload, experiment, render_csv, render_table, run_grid, Experiment,
+    Scale, WorkloadKind, CACHE_MBS, EXPERIMENTS,
 };
 use coopcache::MetaLayout;
 use devmodel::DiskSched;
 use faultkit::FaultPlan;
+use ioworkload::Workload;
 use lap_core::{
-    run_simulation, run_simulation_profiled, CacheSystem, CheckMode, MachineConfig,
-    PrefetchGranularity, Replacement,
+    run_simulation_profiled, run_simulation_shared, CacheSystem, CheckMode, MachineConfig,
+    PrefetchGranularity, Replacement, SimConfig, SimReport,
 };
 use lapobs::MetricValue;
 use prefetch::{AggressiveLimit, EdgeChoice, PredictorSpec, PrefetchConfig};
@@ -31,11 +40,11 @@ use simkit::QueueBackend;
 use workzoo::WorkloadSpec;
 
 struct Options {
-    ids: Vec<String>,
+    ids: Vec<&'static str>,
     scale: Scale,
     seed: u64,
     out: Option<PathBuf>,
-    threads: usize,
+    workers: usize,
     obs: bool,
     bench_out: Option<PathBuf>,
     /// Restrict the `predictors` ablation to one registry spec.
@@ -46,11 +55,49 @@ struct Options {
     plans: usize,
 }
 
+type IdEntry = (&'static str, fn(&Options), bool, bool);
+
+/// Every runnable id besides the figure grids of [`EXPERIMENTS`], in
+/// run order: `(id, entry point, part of all, part of --smoke)`. `all`
+/// runs the figures and then every id marked for it; `--smoke` runs
+/// the ids marked for it at small scale.
+const IDS: [IdEntry; 13] = [
+    ("table1", print_table1, false, true),
+    ("fallback-share", fallback_share, true, false),
+    ("mispredict", mispredict, true, false),
+    ("ablations", ablations, true, false),
+    ("cooperation", cooperation, true, false),
+    ("robustness", robustness, true, false),
+    ("devmodel", devmodel_ablation, true, true),
+    ("extent", extent_ablation, true, true),
+    ("faults", faults_ablation, true, true),
+    ("predictors", predictors_ablation, true, true),
+    ("zoo", zoo_ablation, true, true),
+    ("mithril-sweep", mithril_sweep, true, false),
+    ("chaos", chaos, false, false),
+];
+
 fn scale_name(s: Scale) -> &'static str {
     match s {
         Scale::Small => "small",
         Scale::Paper => "paper",
     }
+}
+
+/// Report a command-line error on stderr and exit 2.
+fn bad_usage(msg: impl Display) -> ! {
+    eprintln!("{}", msg.to_string().trim_end());
+    exit(2)
+}
+
+/// The value after a flag, or a usage error.
+fn value(args: &mut impl Iterator<Item = String>, err: &str) -> String {
+    args.next().unwrap_or_else(|| bad_usage(err))
+}
+
+/// The numeric value after a flag, or a usage error.
+fn number<T: std::str::FromStr>(args: &mut impl Iterator<Item = String>, err: &str) -> T {
+    value(args, err).parse().unwrap_or_else(|_| bad_usage(err))
 }
 
 fn parse_args() -> Options {
@@ -59,13 +106,14 @@ fn parse_args() -> Options {
         scale: Scale::Paper,
         seed: 42,
         out: None,
-        threads: std::thread::available_parallelism().map_or(4, |n| n.get()),
+        workers: std::thread::available_parallelism().map_or(4, |n| n.get()),
         obs: false,
         bench_out: None,
         predictor: None,
         workload: None,
         plans: 500,
     };
+    let mut ids: Vec<String> = Vec::new();
     let mut workload_raw: Option<String> = None;
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
@@ -75,128 +123,111 @@ fn parse_args() -> Options {
                 // scale. Any panic (bad table, broken invariant) fails
                 // the run.
                 opts.scale = Scale::Small;
-                opts.ids = vec![
-                    "table1".into(),
-                    "devmodel".into(),
-                    "extent".into(),
-                    "faults".into(),
-                    "predictors".into(),
-                    "zoo".into(),
-                ];
+                ids = IDS.iter().filter(|e| e.3).map(|e| e.0.into()).collect();
             }
             "--workload" => {
-                workload_raw = Some(args.next().unwrap_or_else(|| {
-                    eprintln!("--workload needs a registry SPEC");
-                    eprint!("{}", workzoo::registry_help());
-                    std::process::exit(2);
-                }));
+                let err = format!(
+                    "--workload needs a registry SPEC\n{}",
+                    workzoo::registry_help()
+                );
+                workload_raw = Some(value(&mut args, &err));
             }
             "--predictor" => {
-                let spec = args.next().unwrap_or_else(|| {
-                    eprintln!("--predictor needs a registry SPEC");
-                    eprint!("{}", prefetch::registry_help());
-                    std::process::exit(2);
-                });
-                match PredictorSpec::parse(&spec) {
+                let err = format!(
+                    "--predictor needs a registry SPEC\n{}",
+                    prefetch::registry_help()
+                );
+                // The parse error's Display carries the full registry
+                // listing (names, syntax, examples).
+                match PredictorSpec::parse(&value(&mut args, &err)) {
                     Ok(s) => opts.predictor = Some(s),
-                    Err(e) => {
-                        // The error's Display carries the full registry
-                        // listing (names, syntax, examples).
-                        eprint!("bad --predictor: {e}");
-                        std::process::exit(2);
-                    }
+                    Err(e) => bad_usage(format!("bad --predictor: {e}")),
                 }
             }
             "--scale" => {
                 opts.scale = match args.next().as_deref() {
                     Some("small") => Scale::Small,
                     Some("paper") => Scale::Paper,
-                    other => {
-                        eprintln!("--scale needs small|paper, got {other:?}");
-                        std::process::exit(2);
-                    }
+                    other => bad_usage(format!("--scale needs small|paper, got {other:?}")),
                 }
             }
-            "--seed" => {
-                opts.seed = args.next().and_then(|s| s.parse().ok()).unwrap_or_else(|| {
-                    eprintln!("--seed needs an integer");
-                    std::process::exit(2);
-                })
-            }
-            "--out" => {
-                opts.out = Some(PathBuf::from(args.next().unwrap_or_else(|| {
-                    eprintln!("--out needs a directory");
-                    std::process::exit(2);
-                })))
-            }
-            "--threads" | "--workers" => {
-                opts.threads = args.next().and_then(|s| s.parse().ok()).unwrap_or_else(|| {
-                    eprintln!("--threads/--workers needs an integer");
-                    std::process::exit(2);
-                })
-            }
-            "--plans" => {
-                opts.plans = args.next().and_then(|s| s.parse().ok()).unwrap_or_else(|| {
-                    eprintln!("--plans needs an integer");
-                    std::process::exit(2);
-                })
-            }
+            "--seed" => opts.seed = number(&mut args, "--seed needs an integer"),
+            "--out" => opts.out = Some(value(&mut args, "--out needs a directory").into()),
+            "--workers" => opts.workers = number(&mut args, "--workers needs an integer"),
+            "--plans" => opts.plans = number(&mut args, "--plans needs an integer"),
             "--obs" => opts.obs = true,
             "--bench-out" => {
-                opts.bench_out = Some(PathBuf::from(args.next().unwrap_or_else(|| {
-                    eprintln!("--bench-out needs a file path");
-                    std::process::exit(2);
-                })))
+                opts.bench_out = Some(value(&mut args, "--bench-out needs a file path").into())
             }
             "--help" | "-h" => {
                 print_help();
-                std::process::exit(0);
+                exit(0);
             }
-            id => opts.ids.push(id.to_string()),
+            flag if flag.starts_with('-') => {
+                eprintln!("unknown option {flag:?}");
+                print_help();
+                exit(2);
+            }
+            id => ids.push(id.to_string()),
         }
     }
-    if opts.ids.is_empty() && opts.bench_out.is_none() {
+    if ids.is_empty() && opts.bench_out.is_none() {
         print_help();
-        std::process::exit(2);
+        exit(2);
     }
     if opts.obs && opts.out.is_none() {
-        eprintln!("--obs writes per-cell metrics CSVs and needs --out DIR");
-        std::process::exit(2);
+        bad_usage("--obs writes per-cell metrics CSVs and needs --out DIR");
+    }
+    // Expand `all` and reject an unknown id before anything runs.
+    for id in &ids {
+        if id == "all" {
+            opts.ids.extend(EXPERIMENTS.iter().map(|e| e.id));
+            opts.ids.extend(IDS.iter().filter(|e| e.2).map(|e| e.0));
+        } else if let Some(known) = EXPERIMENTS
+            .iter()
+            .map(|e| e.id)
+            .chain(IDS.iter().map(|e| e.0))
+            .find(|k| *k == id.as_str())
+        {
+            opts.ids.push(known);
+        } else {
+            eprintln!("unknown experiment {id:?}");
+            print_help();
+            exit(2);
+        }
     }
     // Parse --workload after the loop so a later --scale still applies
-    // to a bare charisma/sprite spec.
+    // to a bare charisma/sprite spec. The error's Display carries the
+    // full registry listing.
     if let Some(raw) = workload_raw {
         match WorkloadSpec::parse_cli(&raw, scale_name(opts.scale)) {
             Ok(s) => opts.workload = Some(s),
-            Err(e) => {
-                // The error's Display carries the full registry listing.
-                eprint!("bad --workload: {e}");
-                std::process::exit(2);
-            }
+            Err(e) => bad_usage(format!("bad --workload: {e}")),
         }
     }
     opts
 }
 
 fn print_help() {
+    let ids: Vec<&str> = IDS.iter().map(|e| e.0).collect();
+    let smoke: Vec<&str> = IDS.iter().filter(|e| e.3).map(|e| e.0).collect();
     eprintln!(
-        "usage: experiments <ids...> [--scale small|paper] [--seed N] [--out DIR] [--threads N] [--obs] [--smoke]"
+        "usage: experiments <ids...> [--scale small|paper] [--seed N] [--out DIR] [--workers N] [--obs] [--smoke]"
     );
     eprintln!(
-        "  --smoke  CI sanity mode: runs table1 + devmodel + extent + faults + predictors at small scale"
+        "  --smoke           CI sanity mode: runs {} at small scale",
+        smoke.join(" + ")
     );
-    eprintln!("  --workers N       alias for --threads: worker-pool size for the parallel");
-    eprintln!("                    sweeps (figure grids, devmodel/extent ablations);");
-    eprintln!("                    results are byte-identical for any worker count");
+    eprintln!("  --workers N       worker-pool size for the parallel sweeps (every figure");
+    eprintln!("                    grid and ablation); results are byte-identical for any");
+    eprintln!("                    worker count");
     eprintln!("  --bench-out FILE  write a machine-readable BENCH.json snapshot of the");
     eprintln!("                    seed scenarios (diff with `lapreport bench-diff`)");
     eprintln!("  --predictor SPEC  restrict the predictors ablation to one registry spec");
     eprintln!("  --workload SPEC   restrict the zoo/mithril-sweep ablations to one workload");
     eprintln!("                    (registry spec, e.g. web:64,0.8,256 or strace:FILE)");
     eprintln!("  --plans N         seeded random fault plans for the chaos sweep (default 500)");
-    eprintln!(
-        "ids: all, table1, fallback-share, mispredict, ablations, cooperation, robustness, devmodel, extent, faults, predictors, zoo, mithril-sweep, chaos, or any of:"
-    );
+    eprintln!("ids: all, {}, or any of:", ids.join(", "));
     for e in EXPERIMENTS {
         eprintln!("  {:<8} {}", e.id, e.title);
     }
@@ -207,77 +238,73 @@ fn main() {
     if let Some(dir) = &opts.out {
         fs::create_dir_all(dir).expect("create output directory");
     }
-
-    let mut ids: Vec<String> = Vec::new();
-    for id in &opts.ids {
-        if id == "all" {
-            ids.extend(EXPERIMENTS.iter().map(|e| e.id.to_string()));
-            ids.push("fallback-share".into());
-            ids.push("mispredict".into());
-            ids.push("ablations".into());
-            ids.push("cooperation".into());
-            ids.push("robustness".into());
-            ids.push("devmodel".into());
-            ids.push("extent".into());
-            ids.push("faults".into());
-            ids.push("predictors".into());
-            ids.push("zoo".into());
-            ids.push("mithril-sweep".into());
-        } else {
-            ids.push(id.clone());
+    for &id in &opts.ids {
+        match experiment(id) {
+            Some(exp) => figure(&opts, exp),
+            None => (IDS.iter().find(|e| e.0 == id).expect("ids are validated").1)(&opts),
         }
     }
-
-    for id in ids {
-        match id.as_str() {
-            "table1" => print_table1(),
-            "fallback-share" => fallback_share(&opts),
-            "mispredict" => mispredict(&opts),
-            "ablations" => ablations(&opts),
-            "cooperation" => cooperation(&opts),
-            "robustness" => robustness(&opts),
-            "devmodel" => devmodel_ablation(&opts),
-            "extent" => extent_ablation(&opts),
-            "faults" => faults_ablation(&opts),
-            "predictors" => predictors_ablation(&opts),
-            "zoo" => zoo_ablation(&opts),
-            "mithril-sweep" => mithril_sweep(&opts),
-            "chaos" => chaos(&opts),
-            id => {
-                let Some(exp) = experiment(id) else {
-                    eprintln!("unknown experiment {id:?}");
-                    std::process::exit(2);
-                };
-                let t0 = std::time::Instant::now();
-                let cells = run_grid(exp, opts.scale, opts.seed, &CACHE_MBS, opts.threads);
-                println!("{}", render_table(exp, &cells, &CACHE_MBS));
-                println!(
-                    "({} runs, {:.1}s wall, seed {}, scale {:?})\n",
-                    cells.len(),
-                    t0.elapsed().as_secs_f64(),
-                    opts.seed,
-                    opts.scale
-                );
-                if let Some(dir) = &opts.out {
-                    let path = dir.join(format!("{id}.csv"));
-                    fs::write(&path, render_csv(exp, &cells)).expect("write CSV");
-                    println!("wrote {}", path.display());
-                    let svg = dir.join(format!("{id}.svg"));
-                    fs::write(&svg, bench::plot::render_svg(exp, &cells, &CACHE_MBS))
-                        .expect("write SVG");
-                    println!("wrote {}", svg.display());
-                    if opts.obs {
-                        let path = dir.join(format!("{id}.metrics.csv"));
-                        fs::write(&path, obs_csv(&cells)).expect("write metrics CSV");
-                        println!("wrote {}", path.display());
-                    }
-                }
-            }
-        }
-    }
-
     if let Some(path) = &opts.bench_out {
         bench_json(&opts, path);
+    }
+}
+
+/// The one output sink: write `name` into the `--out` directory, when
+/// one was given, and say so on stdout.
+fn write_out(opts: &Options, name: &str, contents: impl FnOnce() -> String) {
+    if let Some(dir) = &opts.out {
+        let path = dir.join(name);
+        fs::write(&path, contents()).unwrap_or_else(|e| panic!("write {}: {e}", path.display()));
+        println!("wrote {}", path.display());
+    }
+}
+
+/// The one sweep: run an ablation's labelled cells on the worker pool
+/// and check that each did real work — a finite, positive read time
+/// over at least one read. Results come back in cell order, so every
+/// table and CSV is byte-identical for any `--workers`.
+fn sweep<K: Debug + Sync>(
+    opts: &Options,
+    cells: Vec<(K, SimConfig, Arc<Workload>)>,
+) -> Vec<(K, SimReport)> {
+    let reports = bench::par_map(&cells, opts.workers, |(key, cfg, wl)| {
+        let r = run_simulation_shared(cfg.clone(), Arc::clone(wl));
+        assert!(
+            r.avg_read_ms.is_finite() && r.avg_read_ms > 0.0 && r.reads > 0,
+            "degenerate cell: {key:?}"
+        );
+        r
+    });
+    cells
+        .into_iter()
+        .map(|(key, ..)| key)
+        .zip(reports)
+        .collect()
+}
+
+fn workload(opts: &Options, kind: WorkloadKind) -> Arc<Workload> {
+    Arc::new(build_workload(kind, opts.scale, opts.seed))
+}
+
+/// One figure or table of §5: its grid, rendered as the paper prints
+/// it, plus CSV, SVG and (with `--obs`) per-cell metrics files.
+fn figure(opts: &Options, exp: Experiment) {
+    let t0 = std::time::Instant::now();
+    let cells = run_grid(exp, opts.scale, opts.seed, &CACHE_MBS, opts.workers);
+    println!("{}", render_table(exp, &cells, &CACHE_MBS));
+    println!(
+        "({} runs, {:.1}s wall, seed {}, scale {:?})\n",
+        cells.len(),
+        t0.elapsed().as_secs_f64(),
+        opts.seed,
+        opts.scale
+    );
+    write_out(opts, &format!("{}.csv", exp.id), || render_csv(exp, &cells));
+    write_out(opts, &format!("{}.svg", exp.id), || {
+        bench::plot::render_svg(exp, &cells, &CACHE_MBS)
+    });
+    if opts.obs {
+        write_out(opts, &format!("{}.metrics.csv", exp.id), || obs_csv(&cells));
     }
 }
 
@@ -321,9 +348,10 @@ fn bench_scenarios() -> [(&'static str, WorkloadKind, CacheSystem, PrefetchConfi
 /// scenario object per line (so `lapreport bench-diff` can scan it
 /// without a JSON parser). Every field is deterministic, so a same-seed
 /// regeneration is byte-identical and the differ compares each field
-/// exactly. Host speed is measured by `perfbench`, not here.
+/// exactly. Host speed is measured by `perfbench`, not here. The four
+/// runs stay serial on purpose: the `count-alloc` counter is
+/// process-wide, so parallel runs would mix their allocation counts.
 fn bench_json(opts: &Options, path: &PathBuf) {
-    use std::fmt::Write as _;
     let mut out = String::from("{\n\"schema\": 3,\n\"scenarios\": [\n");
     for (i, (name, kind, system, pf, mb)) in bench_scenarios().into_iter().enumerate() {
         let wl = build_workload(kind, opts.scale, opts.seed);
@@ -372,7 +400,6 @@ fn perf_json(p: &lap_core::SimProfile) -> String {
 /// Flatten every cell's unified metrics registry into one long-format
 /// CSV (`algorithm,cache_mb,metric,value`).
 fn obs_csv(cells: &[bench::Cell]) -> String {
-    use std::fmt::Write;
     let mut out = String::from("algorithm,cache_mb,metric,value\n");
     for c in cells {
         for line in c.report.obs.to_csv().lines().skip(1) {
@@ -383,76 +410,46 @@ fn obs_csv(cells: &[bench::Cell]) -> String {
 }
 
 /// Table 1: the simulation parameters, verbatim.
-fn print_table1() {
-    println!("table1 — Simulation parameters");
-    let pm = MachineConfig::pm();
-    let now = MachineConfig::now();
-    let rows: Vec<(&str, String, String)> = vec![
-        ("Nodes", pm.nodes.to_string(), now.nodes.to_string()),
-        (
-            "Buffer Size",
-            format!("{} KB", pm.block_size / 1024),
-            format!("{} KB", now.block_size / 1024),
-        ),
-        (
-            "Memory Bandwidth",
-            format!("{:.0} MB/s", pm.memory_bandwidth / 1e6),
-            format!("{:.0} MB/s", now.memory_bandwidth / 1e6),
-        ),
-        (
-            "Network Bandwidth",
-            format!("{:.1} MB/s", pm.network_bandwidth / 1e6),
-            format!("{:.1} MB/s", now.network_bandwidth / 1e6),
-        ),
-        (
-            "Local-Port Startup",
-            format!("{} us", pm.local_startup.as_micros()),
-            format!("{} us", now.local_startup.as_micros()),
-        ),
-        (
-            "Remote-Port Startup",
-            format!("{} us", pm.remote_startup.as_micros()),
-            format!("{} us", now.remote_startup.as_micros()),
-        ),
-        (
-            "Local Memory copy Startup",
-            format!("{} us", pm.local_copy_startup.as_micros()),
-            format!("{} us", now.local_copy_startup.as_micros()),
-        ),
-        (
-            "Remote Memory copy Startup",
-            format!("{} us", pm.remote_copy_startup.as_micros()),
-            format!("{} us", now.remote_copy_startup.as_micros()),
-        ),
-        (
-            "Number of Disks",
-            pm.disks.to_string(),
-            now.disks.to_string(),
-        ),
-        (
-            "Disk-Block Size",
-            format!("{} KB", pm.block_size / 1024),
-            format!("{} KB", now.block_size / 1024),
-        ),
-        (
-            "Disk Bandwidth",
-            format!("{:.0} MB/s", pm.disk_bandwidth / 1e6),
-            format!("{:.0} MB/s", now.disk_bandwidth / 1e6),
-        ),
-        (
-            "Disk Read Seek",
-            format!("{:.1} ms", pm.disk_read_seek.as_millis_f64()),
-            format!("{:.1} ms", now.disk_read_seek.as_millis_f64()),
-        ),
-        (
-            "Disk Write Seek",
-            format!("{:.1} ms", pm.disk_write_seek.as_millis_f64()),
-            format!("{:.1} ms", now.disk_write_seek.as_millis_f64()),
-        ),
+fn print_table1(_: &Options) {
+    type Row = (&'static str, fn(&MachineConfig) -> String);
+    let rows: [Row; 13] = [
+        ("Nodes", |m| m.nodes.to_string()),
+        ("Buffer Size", |m| format!("{} KB", m.block_size / 1024)),
+        ("Memory Bandwidth", |m| {
+            format!("{:.0} MB/s", m.memory_bandwidth / 1e6)
+        }),
+        ("Network Bandwidth", |m| {
+            format!("{:.1} MB/s", m.network_bandwidth / 1e6)
+        }),
+        ("Local-Port Startup", |m| {
+            format!("{} us", m.local_startup.as_micros())
+        }),
+        ("Remote-Port Startup", |m| {
+            format!("{} us", m.remote_startup.as_micros())
+        }),
+        ("Local Memory copy Startup", |m| {
+            format!("{} us", m.local_copy_startup.as_micros())
+        }),
+        ("Remote Memory copy Startup", |m| {
+            format!("{} us", m.remote_copy_startup.as_micros())
+        }),
+        ("Number of Disks", |m| m.disks.to_string()),
+        ("Disk-Block Size", |m| format!("{} KB", m.block_size / 1024)),
+        ("Disk Bandwidth", |m| {
+            format!("{:.0} MB/s", m.disk_bandwidth / 1e6)
+        }),
+        ("Disk Read Seek", |m| {
+            format!("{:.1} ms", m.disk_read_seek.as_millis_f64())
+        }),
+        ("Disk Write Seek", |m| {
+            format!("{:.1} ms", m.disk_write_seek.as_millis_f64())
+        }),
     ];
+    let (pm, now) = (MachineConfig::pm(), MachineConfig::now());
+    println!("table1 — Simulation parameters");
     println!("{:<28} {:>12} {:>12}", "", "PM", "NOW");
-    for (name, pm_v, now_v) in rows {
-        println!("{name:<28} {pm_v:>12} {now_v:>12}");
+    for (name, value) in rows {
+        println!("{name:<28} {:>12} {:>12}", value(&pm), value(&now));
     }
     println!();
 }
@@ -462,27 +459,44 @@ fn print_table1() {
 /// (CHARISMA) and around 25% when the files were small (Sprite)".
 fn fallback_share(opts: &Options) {
     println!("fallback-share — blocks prefetched via OBA fallback inside IS_PPM (\u{a7}2.2)");
-    for (kind, label) in [
-        (WorkloadKind::CharismaPm, "CHARISMA"),
-        (WorkloadKind::SpriteNow, "Sprite"),
-    ] {
-        let wl = build_workload(kind, opts.scale, opts.seed);
-        let cfg = build_config(
-            kind,
-            opts.scale,
-            CacheSystem::Pafs,
-            PrefetchConfig::ln_agr_is_ppm(1),
-            4,
-        );
-        let r = run_simulation(cfg, wl);
+    let pf = PrefetchConfig::ln_agr_is_ppm(1);
+    let cells = [
+        (WorkloadKind::CharismaPm, "CHARISMA", "<1%"),
+        (WorkloadKind::SpriteNow, "Sprite", "~25%"),
+    ]
+    .map(|(kind, label, paper)| {
+        let cfg = build_config(kind, opts.scale, CacheSystem::Pafs, pf, 4);
+        ((label, paper), cfg, workload(opts, kind))
+    });
+    for ((label, paper), r) in sweep(opts, cells.into()) {
         println!(
-            "  {label:<10} {:>6.2}%  (paper: {} )",
-            r.prefetch.fallback_share() * 100.0,
-            if kind == WorkloadKind::CharismaPm {
-                "<1%"
-            } else {
-                "~25%"
-            }
+            "  {label:<10} {:>6.2}%  (paper: {paper} )",
+            r.prefetch.fallback_share() * 100.0
+        );
+    }
+    println!();
+}
+
+/// §5.2: miss-prediction ratios on Sprite at 4 MB — "Ln_Agr_OBA has a
+/// miss-prediction ratio of 32% while Ln_Agr_IS_PPM only miss-predicts
+/// 15% of the prefetched blocks".
+fn mispredict(opts: &Options) {
+    println!("mispredict — Sprite on PAFS at 4 MB (\u{a7}5.2)");
+    let kind = WorkloadKind::SpriteNow;
+    let wl = workload(opts, kind);
+    let cells = [
+        (PrefetchConfig::ln_agr_oba(), "32%"),
+        (PrefetchConfig::ln_agr_is_ppm(1), "15%"),
+        (PrefetchConfig::ln_agr_is_ppm(3), "~15%"),
+    ]
+    .map(|(pf, paper)| {
+        let cfg = build_config(kind, opts.scale, CacheSystem::Pafs, pf, 4);
+        ((pf.paper_name(), paper), cfg, Arc::clone(&wl))
+    });
+    for ((name, paper), r) in sweep(opts, cells.into()) {
+        println!(
+            "  {name:<18} {:>6.2}%  (paper: {paper})",
+            r.mispredict_ratio * 100.0
         );
     }
     println!();
@@ -492,17 +506,17 @@ fn fallback_share(opts: &Options) {
 /// workload seeds and report mean ± standard deviation — the shape
 /// claims should not hinge on one synthetic trace.
 fn robustness(opts: &Options) {
-    use bench::{run_grid, CACHE_MBS};
     const SEEDS: [u64; 5] = [1, 2, 3, 42, 1999];
     let exp = experiment("fig4").unwrap();
     println!(
         "robustness — fig4 across seeds {:?} (mean ± sd of avg read ms, scale {:?})",
         SEEDS, opts.scale
     );
-    // Collect per-seed grids.
+    // Every grid lists its cells in the same roster order (algorithm,
+    // then cache size), so cell i is the same cell on every seed.
     let grids: Vec<Vec<bench::Cell>> = SEEDS
         .iter()
-        .map(|&seed| run_grid(exp, opts.scale, seed, &CACHE_MBS, opts.threads))
+        .map(|&seed| run_grid(exp, opts.scale, seed, &CACHE_MBS, opts.workers))
         .collect();
 
     print!("{:<18}", "algorithm");
@@ -510,29 +524,18 @@ fn robustness(opts: &Options) {
         print!(" {mb:>15}MB");
     }
     println!();
-    let mut algos: Vec<String> = Vec::new();
-    for c in &grids[0] {
-        if !algos.contains(&c.algorithm) {
-            algos.push(c.algorithm.clone());
+    for (i, c) in grids[0].iter().enumerate() {
+        if c.cache_mb == CACHE_MBS[0] {
+            print!("{:<18}", c.algorithm);
         }
-    }
-    for algo in &algos {
-        print!("{algo:<18}");
-        for mb in CACHE_MBS {
-            let vals: Vec<f64> = grids
-                .iter()
-                .filter_map(|g| {
-                    g.iter()
-                        .find(|c| &c.algorithm == algo && c.cache_mb == mb)
-                        .map(|c| c.report.avg_read_ms)
-                })
-                .collect();
-            let n = vals.len() as f64;
-            let mean = vals.iter().sum::<f64>() / n;
-            let var = vals.iter().map(|v| (v - mean) * (v - mean)).sum::<f64>() / n;
-            print!(" {:>9.3}±{:<7.3}", mean, var.sqrt());
+        let vals: Vec<f64> = grids.iter().map(|g| g[i].report.avg_read_ms).collect();
+        let n = vals.len() as f64;
+        let mean = vals.iter().sum::<f64>() / n;
+        let var = vals.iter().map(|v| (v - mean) * (v - mean)).sum::<f64>() / n;
+        print!(" {:>9.3}±{:<7.3}", mean, var.sqrt());
+        if c.cache_mb == CACHE_MBS[CACHE_MBS.len() - 1] {
+            println!();
         }
-        println!();
     }
     println!();
 }
@@ -543,23 +546,33 @@ fn robustness(opts: &Options) {
 /// prefetching.
 fn cooperation(opts: &Options) {
     let kind = WorkloadKind::CharismaPm;
-    let wl = build_workload(kind, opts.scale, opts.seed);
+    let wl = workload(opts, kind);
+    let pfs = [PrefetchConfig::np(), PrefetchConfig::ln_agr_is_ppm(1)];
+    let systems = [CacheSystem::Pafs, CacheSystem::Xfs, CacheSystem::LocalOnly];
+    let mut cells = Vec::new();
+    for pf in pfs {
+        for system in systems {
+            for mb in CACHE_MBS {
+                let cfg = build_config(kind, opts.scale, system, pf, mb);
+                cells.push(((pf.paper_name(), system.name(), mb), cfg, Arc::clone(&wl)));
+            }
+        }
+    }
     println!(
         "cooperation — CHARISMA, read time in ms (seed {}, scale {:?})",
         opts.seed, opts.scale
     );
-    for pf in [PrefetchConfig::np(), PrefetchConfig::ln_agr_is_ppm(1)] {
+    let mut results = sweep(opts, cells).into_iter();
+    for pf in pfs {
         println!("\n[{}]", pf.paper_name());
         print!("{:<22}", "system");
-        for mb in bench::CACHE_MBS {
+        for mb in CACHE_MBS {
             print!(" {:>8}MB", mb);
         }
         println!();
-        for system in [CacheSystem::Pafs, CacheSystem::Xfs, CacheSystem::LocalOnly] {
+        for system in systems {
             print!("{:<22}", system.name());
-            for mb in bench::CACHE_MBS {
-                let cfg = build_config(kind, opts.scale, system, pf, mb);
-                let r = run_simulation(cfg, wl.clone());
+            for (_, r) in results.by_ref().take(CACHE_MBS.len()) {
                 print!(" {:>9.3}", r.avg_read_ms);
             }
             println!();
@@ -579,129 +592,122 @@ fn cooperation(opts: &Options) {
 /// * the aggressive-walk lead cap (this reproduction's read-ahead
 ///   window; `None` is the paper-pure unbounded walk).
 fn ablations(opts: &Options) {
+    use AggressiveLimit::{One, Unlimited, Window};
     let kind = WorkloadKind::CharismaPm;
-    let wl = build_workload(kind, opts.scale, opts.seed);
-    let run = |pf: PrefetchConfig, mb: u64| {
-        let cfg = build_config(kind, opts.scale, CacheSystem::Pafs, pf, mb);
-        run_simulation(cfg, wl.clone())
+    let wl = workload(opts, kind);
+    let ln1 = PrefetchConfig::ln_agr_is_ppm(1);
+    let on = |system, pf| build_config(kind, opts.scale, system, pf, 4);
+    let pafs = |pf| on(CacheSystem::Pafs, pf);
+    let edge = |edge_choice| pafs(PrefetchConfig { edge_choice, ..ln1 });
+    let limit = |l| {
+        pafs(PrefetchConfig {
+            aggressive: Some(l),
+            ..ln1
+        })
     };
-    let show = |name: &str, r: &lap_core::SimReport| {
+    let order = |j| pafs(PrefetchConfig::ln_agr_is_ppm(j));
+    let cap = |lead_cap| pafs(PrefetchConfig { lead_cap, ..ln1 });
+    let priority = |prefetch_priority| SimConfig {
+        prefetch_priority,
+        ..pafs(ln1)
+    };
+    let replacement = |replacement| SimConfig {
+        replacement,
+        ..pafs(ln1)
+    };
+    let sections = [
+        (
+            "edge selection in IS_PPM — the paper argues most-recent beats most-frequent",
+            vec![
+                ("MRU (paper)", edge(EdgeChoice::MostRecent)),
+                ("most-frequent", edge(EdgeChoice::MostFrequent)),
+            ],
+        ),
+        (
+            "aggressiveness limit — the paper argues for the linear (one-block) limit",
+            vec![
+                ("linear (paper)", limit(One)),
+                ("window 4", limit(Window(4))),
+                ("window 16", limit(Window(16))),
+                ("unlimited", limit(Unlimited)),
+            ],
+        ),
+        (
+            "Markov order j — the paper finds it barely matters",
+            vec![
+                ("IS_PPM:1", order(1)),
+                ("IS_PPM:2", order(2)),
+                ("IS_PPM:3", order(3)),
+                ("IS_PPM:4", order(4)),
+            ],
+        ),
+        (
+            "walk lead cap — this reproduction's read-ahead window; None = paper-pure",
+            vec![
+                ("cap 256", cap(Some(256))),
+                ("cap 1024 (default)", cap(Some(1024))),
+                ("cap 4096", cap(Some(4096))),
+                ("unbounded (paper)", cap(None)),
+            ],
+        ),
+        (
+            "order back-off — extension: escape to lower orders instead of straight to OBA",
+            vec![
+                ("IS_PPM:3 (paper)", order(3)),
+                (
+                    "IS_PPM*:3 (back-off)",
+                    pafs(PrefetchConfig::ln_agr_is_ppm_backoff(3)),
+                ),
+            ],
+        ),
+        (
+            "prefetch disk priority — the paper's \"never delay other operations\" rule",
+            vec![
+                ("lowest priority (paper)", priority(true)),
+                ("demand priority", priority(false)),
+            ],
+        ),
+        (
+            "replacement policy — both systems assume LRU",
+            vec![
+                ("global LRU (paper)", replacement(Replacement::Lru)),
+                ("global FIFO", replacement(Replacement::Fifo)),
+            ],
+        ),
+        (
+            "cooperation — cooperative caches vs independent per-node caches",
+            vec![
+                ("PAFS (cooperative)", on(CacheSystem::Pafs, ln1)),
+                ("xFS (cooperative)", on(CacheSystem::Xfs, ln1)),
+                ("local-only (none)", on(CacheSystem::LocalOnly, ln1)),
+            ],
+        ),
+    ];
+    let cells = sections
+        .into_iter()
+        .flat_map(|(title, rows)| {
+            rows.into_iter()
+                .map(move |(name, cfg)| ((title, name), cfg))
+        })
+        .map(|(key, cfg)| (key, cfg, Arc::clone(&wl)))
+        .collect();
+
+    println!(
+        "ablations — CHARISMA on PAFS at 4 MB (seed {}, scale {:?})",
+        opts.seed, opts.scale
+    );
+    let mut section = "";
+    for ((title, name), r) in sweep(opts, cells) {
+        if title != section {
+            println!("\n[{title}]");
+            section = title;
+        }
         println!(
             "  {name:<28} read {:>7.3} ms   disk {:>9}   mispred {:>5.1}%",
             r.avg_read_ms,
             r.disk_accesses(),
             r.mispredict_ratio * 100.0
         );
-    };
-
-    println!(
-        "ablations — CHARISMA on PAFS at 4 MB (seed {}, scale {:?})",
-        opts.seed, opts.scale
-    );
-
-    println!("\n[edge selection in IS_PPM — the paper argues most-recent beats most-frequent]");
-    for (name, choice) in [
-        ("MRU (paper)", EdgeChoice::MostRecent),
-        ("most-frequent", EdgeChoice::MostFrequent),
-    ] {
-        let pf = PrefetchConfig {
-            edge_choice: choice,
-            ..PrefetchConfig::ln_agr_is_ppm(1)
-        };
-        show(name, &run(pf, 4));
-    }
-
-    println!("\n[aggressiveness limit — the paper argues for the linear (one-block) limit]");
-    for (name, limit) in [
-        ("linear (paper)", AggressiveLimit::One),
-        ("window 4", AggressiveLimit::Window(4)),
-        ("window 16", AggressiveLimit::Window(16)),
-        ("unlimited", AggressiveLimit::Unlimited),
-    ] {
-        let pf = PrefetchConfig {
-            aggressive: Some(limit),
-            ..PrefetchConfig::ln_agr_is_ppm(1)
-        };
-        show(name, &run(pf, 4));
-    }
-
-    println!("\n[Markov order j — the paper finds it barely matters]");
-    for order in [1usize, 2, 3, 4] {
-        let pf = PrefetchConfig::ln_agr_is_ppm(order);
-        show(&format!("IS_PPM:{order}"), &run(pf, 4));
-    }
-
-    println!("\n[walk lead cap — this reproduction's read-ahead window; None = paper-pure]");
-    for (name, cap) in [
-        ("cap 256", Some(256)),
-        ("cap 1024 (default)", Some(1024)),
-        ("cap 4096", Some(4096)),
-        ("unbounded (paper)", None),
-    ] {
-        let pf = PrefetchConfig {
-            lead_cap: cap,
-            ..PrefetchConfig::ln_agr_is_ppm(1)
-        };
-        show(name, &run(pf, 4));
-    }
-
-    println!("\n[order back-off — extension: escape to lower orders instead of straight to OBA]");
-    for (name, pf) in [
-        ("IS_PPM:3 (paper)", PrefetchConfig::ln_agr_is_ppm(3)),
-        (
-            "IS_PPM*:3 (back-off)",
-            PrefetchConfig::ln_agr_is_ppm_backoff(3),
-        ),
-    ] {
-        show(name, &run(pf, 4));
-    }
-
-    println!("\n[prefetch disk priority — the paper's \"never delay other operations\" rule]");
-    for (name, prio) in [
-        ("lowest priority (paper)", true),
-        ("demand priority", false),
-    ] {
-        let mut cfg = build_config(
-            kind,
-            opts.scale,
-            CacheSystem::Pafs,
-            PrefetchConfig::ln_agr_is_ppm(1),
-            4,
-        );
-        cfg.prefetch_priority = prio;
-        show(name, &run_simulation(cfg, wl.clone()));
-    }
-
-    println!("\n[replacement policy — both systems assume LRU]");
-    for (name, policy) in [
-        ("global LRU (paper)", Replacement::Lru),
-        ("global FIFO", Replacement::Fifo),
-    ] {
-        let mut cfg = build_config(
-            kind,
-            opts.scale,
-            CacheSystem::Pafs,
-            PrefetchConfig::ln_agr_is_ppm(1),
-            4,
-        );
-        cfg.replacement = policy;
-        show(name, &run_simulation(cfg, wl.clone()));
-    }
-
-    println!("\n[cooperation — cooperative caches vs independent per-node caches]");
-    for (name, system) in [
-        ("PAFS (cooperative)", CacheSystem::Pafs),
-        ("xFS (cooperative)", CacheSystem::Xfs),
-        ("local-only (none)", CacheSystem::LocalOnly),
-    ] {
-        let cfg = build_config(
-            kind,
-            opts.scale,
-            system,
-            PrefetchConfig::ln_agr_is_ppm(1),
-            4,
-        );
-        show(name, &run_simulation(cfg, wl.clone()));
     }
     println!();
 }
@@ -715,7 +721,7 @@ fn ablations(opts: &Options) {
 /// requests give the scheduler something to reorder.
 fn devmodel_ablation(opts: &Options) {
     let kind = WorkloadKind::CharismaPm;
-    let wl = std::sync::Arc::new(build_workload(kind, opts.scale, opts.seed));
+    let wl = workload(opts, kind);
     println!(
         "devmodel — CHARISMA on PAFS at 4 MB: disk model × scheduler, read time in ms \
          (seed {}, scale {:?})",
@@ -738,40 +744,26 @@ fn devmodel_ablation(opts: &Options) {
         print!(" {:>9}", format!("geom/{}", sched.name()));
     }
     println!();
-    // One job per table cell (`None` is the fixed-model column); the
-    // sweep fans out and returns cells in job order, so the printed
-    // table is byte-identical for any worker count.
-    let jobs: Vec<(&str, PrefetchConfig, Option<DiskSched>)> = algos
-        .iter()
-        .flat_map(|&(name, pf)| {
-            std::iter::once((name, pf, None))
-                .chain(DiskSched::ALL.iter().map(move |&s| (name, pf, Some(s))))
-        })
-        .collect();
-    let reports = bench::par_map(&jobs, opts.threads, |&(_, pf, sched)| {
-        let mut cfg = build_config(kind, opts.scale, CacheSystem::Pafs, pf, 4);
-        if let Some(s) = sched {
-            cfg.machine = cfg.machine.with_geometry();
-            cfg.machine.disk_sched = s;
-        }
-        lap_core::run_simulation_shared(cfg, std::sync::Arc::clone(&wl))
-    });
-    let per_row = 1 + DiskSched::ALL.len();
-    for (i, ((name, _, sched), r)) in jobs.iter().zip(&reports).enumerate() {
-        match sched {
-            None => print!("{name:<18} {:>9.3}", r.avg_read_ms),
-            Some(s) => {
-                print!(" {:>9.3}", r.avg_read_ms);
-                // Smoke-level sanity: the simulation must have done
-                // real work and produced a finite, positive read time.
-                assert!(
-                    r.avg_read_ms.is_finite() && r.avg_read_ms > 0.0 && r.reads > 0,
-                    "degenerate devmodel cell: {name} geom/{}",
-                    s.name()
-                );
+    // One cell per table cell; `None` is the fixed-model column.
+    let scheds = std::iter::once(None).chain(DiskSched::ALL.map(Some));
+    let mut cells = Vec::new();
+    for (name, pf) in algos {
+        for sched in scheds.clone() {
+            let mut cfg = build_config(kind, opts.scale, CacheSystem::Pafs, pf, 4);
+            if let Some(s) = sched {
+                cfg.machine = cfg.machine.with_geometry();
+                cfg.machine.disk_sched = s;
             }
+            cells.push(((name, sched), cfg, Arc::clone(&wl)));
         }
-        if i % per_row == per_row - 1 {
+    }
+    let last = DiskSched::ALL.last().copied();
+    for ((name, sched), r) in sweep(opts, cells) {
+        if sched.is_none() {
+            print!("{name:<18}");
+        }
+        print!(" {:>9.3}", r.avg_read_ms);
+        if sched == last {
             println!();
         }
     }
@@ -789,7 +781,7 @@ fn devmodel_ablation(opts: &Options) {
 /// double as a bit-identity sanity gate.
 fn extent_ablation(opts: &Options) {
     let kind = WorkloadKind::CharismaPm;
-    let wl = std::sync::Arc::new(build_workload(kind, opts.scale, opts.seed));
+    let wl = workload(opts, kind);
     println!(
         "extent — CHARISMA on PAFS at 4 MB: prefetch granularity × extent size, geometry \
          disks (seed {}, scale {:?})",
@@ -799,83 +791,51 @@ fn extent_ablation(opts: &Options) {
         "{:<22} {:>4} {:>9} {:>9} {:>8} {:>9} {:>8}",
         "algorithm", "ext", "blk ms", "ext ms", "delta%", "covered%", "blk/iss"
     );
-    let covered_rate = |r: &lap_core::SimReport| {
-        let covered = match r.obs.get("span.outcome_covered_by_prefetch") {
-            Some(MetricValue::Counter(v)) => *v,
-            _ => 0,
-        };
-        covered as f64 / r.reads.max(1) as f64
-    };
+    // Each (algorithm, extent size) runs as two adjacent cells, block-
+    // then extent-granular, on the same geometry.
+    let mut cells = Vec::new();
+    for pf in PrefetchConfig::paper_suite() {
+        for n in [1u64, 4, 8, 16] {
+            for gran in [PrefetchGranularity::Block, PrefetchGranularity::Extent] {
+                let mut cfg = build_config(kind, opts.scale, CacheSystem::Pafs, pf, 4);
+                cfg.machine = cfg.machine.with_geometry_extent(n);
+                cfg.machine.prefetch_granularity = gran;
+                cells.push(((pf, n, gran), cfg, Arc::clone(&wl)));
+            }
+        }
+    }
     let mut csv = String::from(
         "algorithm,extent_blocks,block_read_ms,extent_read_ms,delta_pct,extent_covered_rate,blocks_per_issue\n",
     );
-    // One job per (algorithm, extent size): both granularities of a
-    // pair stay in one job so the comparison logic below reads them
-    // together; the sweep returns pairs in job order, so the table and
-    // CSV are byte-identical for any worker count.
-    let jobs: Vec<(PrefetchConfig, u64)> = PrefetchConfig::paper_suite()
-        .iter()
-        .flat_map(|&pf| [1u64, 4, 8, 16].into_iter().map(move |n| (pf, n)))
-        .collect();
-    let pairs = bench::par_map(&jobs, opts.threads, |&(pf, n)| {
-        let run_with = |gran: PrefetchGranularity| {
-            let mut cfg = build_config(kind, opts.scale, CacheSystem::Pafs, pf, 4);
-            cfg.machine = cfg.machine.with_geometry_extent(n);
-            cfg.machine.prefetch_granularity = gran;
-            lap_core::run_simulation_shared(cfg, std::sync::Arc::clone(&wl))
-        };
-        (
-            run_with(PrefetchGranularity::Block),
-            run_with(PrefetchGranularity::Extent),
-        )
-    });
-    {
-        for (&(pf, n), (blk, ext)) in jobs.iter().zip(&pairs) {
-            assert!(
-                blk.avg_read_ms.is_finite() && blk.avg_read_ms > 0.0 && blk.reads > 0,
-                "degenerate extent cell: {} n={n}",
-                pf.paper_name()
-            );
-            if n == 1 || !pf.is_aggressive() {
-                // One-block extents (or a non-aggressive engine) must
-                // reduce extent mode to exactly the per-block simulator.
-                assert_eq!(
-                    (blk.avg_read_ms, blk.reads, blk.disk_accesses()),
-                    (ext.avg_read_ms, ext.reads, ext.disk_accesses()),
-                    "extent mode must degenerate to block mode: {} n={n}",
-                    pf.paper_name()
-                );
-            }
-            let delta = (ext.avg_read_ms - blk.avg_read_ms) / blk.avg_read_ms * 100.0;
-            println!(
-                "{:<22} {:>4} {:>9.3} {:>9.3} {:>+8.2} {:>9.2} {:>8.2}",
-                pf.paper_name(),
-                n,
-                blk.avg_read_ms,
-                ext.avg_read_ms,
-                delta,
-                covered_rate(ext) * 100.0,
-                ext.prefetch.blocks_per_issue(),
-            );
-            use std::fmt::Write as _;
-            let _ = writeln!(
-                csv,
-                "{},{n},{:.6},{:.6},{:.4},{:.6},{:.4}",
-                pf.paper_name(),
-                blk.avg_read_ms,
-                ext.avg_read_ms,
-                delta,
-                covered_rate(ext),
-                ext.prefetch.blocks_per_issue(),
+    for pair in sweep(opts, cells).chunks(2) {
+        let (((pf, n, _), blk), (_, ext)) = (&pair[0], &pair[1]);
+        let name = pf.paper_name();
+        if *n == 1 || !pf.is_aggressive() {
+            // One-block extents (or a non-aggressive engine) must
+            // reduce extent mode to exactly the per-block simulator.
+            assert_eq!(
+                (blk.avg_read_ms, blk.reads, blk.disk_accesses()),
+                (ext.avg_read_ms, ext.reads, ext.disk_accesses()),
+                "extent mode must degenerate to block mode: {name} n={n}"
             );
         }
+        let delta = (ext.avg_read_ms - blk.avg_read_ms) / blk.avg_read_ms * 100.0;
+        let covered = ext.counter("span.outcome_covered_by_prefetch") as f64 / ext.reads as f64;
+        let per_issue = ext.prefetch.blocks_per_issue();
+        println!(
+            "{name:<22} {n:>4} {:>9.3} {:>9.3} {delta:>+8.2} {:>9.2} {per_issue:>8.2}",
+            blk.avg_read_ms,
+            ext.avg_read_ms,
+            covered * 100.0,
+        );
+        let _ = writeln!(
+            csv,
+            "{name},{n},{:.6},{:.6},{delta:.4},{covered:.6},{per_issue:.4}",
+            blk.avg_read_ms, ext.avg_read_ms,
+        );
     }
     println!();
-    if let Some(dir) = &opts.out {
-        let path = dir.join("extent.csv");
-        fs::write(&path, csv).expect("write extent CSV");
-        println!("wrote {}", path.display());
-    }
+    write_out(opts, "extent.csv", || csv);
 }
 
 /// Fault-injection ablation: the seven paper configurations under
@@ -896,7 +856,7 @@ fn extent_ablation(opts: &Options) {
 ///   extended to fault handling.
 fn faults_ablation(opts: &Options) {
     let kind = WorkloadKind::CharismaPm;
-    let wl = build_workload(kind, opts.scale, opts.seed);
+    let wl = workload(opts, kind);
     let plans: [(&str, Option<&str>); 4] = [
         ("none", None),
         (
@@ -930,94 +890,66 @@ fn faults_ablation(opts: &Options) {
         "{:<22} {:<6} {:>9} {:>7} {:>8} {:>9} {:>8} {:>10}",
         "algorithm", "plan", "read ms", "reads", "injected", "failovers", "pf-supp", "degraded-s"
     );
-    let suppressed = |r: &lap_core::SimReport| match r.obs.get("fault.prefetch_suppressed") {
-        Some(MetricValue::Counter(v)) => *v,
-        _ => 0,
-    };
-    let mut csv = String::from(
-        "algorithm,plan,read_ms,reads,writes,faults_injected,failovers,prefetch_suppressed,degraded_s\n",
-    );
-    let mut recovery: Vec<(String, f64, f64)> = Vec::new();
+    let mut cells = Vec::new();
     for pf in PrefetchConfig::paper_suite() {
-        let mut baseline: Option<(u64, u64)> = None;
-        let mut heavy_ms = 0.0;
-        for (plan_name, spec) in plans {
+        for (plan, spec) in plans {
             let mut cfg = build_config(kind, opts.scale, CacheSystem::Pafs, pf, 4);
             cfg.fault_plan = spec.map(|s| {
                 FaultPlan::parse(&s.replace(char::is_whitespace, ""))
                     .expect("ablation fault plan parses")
             });
-            let r = run_simulation(cfg, wl.clone());
-            assert!(
-                r.avg_read_ms.is_finite() && r.avg_read_ms > 0.0 && r.reads > 0,
-                "degenerate faults cell: {} plan={plan_name}",
-                pf.paper_name()
+            cells.push(((pf, plan), cfg, Arc::clone(&wl)));
+        }
+    }
+    let mut csv = String::from(
+        "algorithm,plan,read_ms,reads,writes,faults_injected,failovers,prefetch_suppressed,degraded_s\n",
+    );
+    let mut recovery: Vec<(String, f64, f64)> = Vec::new();
+    for runs in sweep(opts, cells).chunks(plans.len()) {
+        let name = runs[0].0 .0.paper_name();
+        // Conservation must compare warm + warm-up totals: fault
+        // delays shift when later requests *start*, so a request
+        // near the warm-up boundary can migrate between the two
+        // buckets across plans even though none is lost.
+        let totals = |r: &SimReport| (r.reads + r.warmup_reads, r.writes + r.warmup_writes);
+        for ((pf, plan), r) in runs {
+            assert_eq!(
+                totals(&runs[0].1),
+                totals(r),
+                "fault injection lost or double-counted requests: {name} plan={plan}"
             );
-            // Conservation must compare warm + warm-up totals: fault
-            // delays shift when later requests *start*, so a request
-            // near the warm-up boundary can migrate between the two
-            // buckets across plans even though none is lost.
-            let totals = (r.reads + r.warmup_reads, r.writes + r.warmup_writes);
-            match baseline {
-                None => baseline = Some(totals),
-                Some(base) => assert_eq!(
-                    base,
-                    totals,
-                    "fault injection lost or double-counted requests: {} plan={plan_name}",
-                    pf.paper_name()
-                ),
-            }
-            if plan_name == "heavy" && pf.is_aggressive() {
-                assert!(
-                    suppressed(&r) > 0,
-                    "{}: aggressive walk never stood down during heavy error bursts",
-                    pf.paper_name()
-                );
-            }
-            if plan_name == "none" {
-                assert_eq!(
+            let suppressed = r.counter("fault.prefetch_suppressed");
+            match *plan {
+                "none" => assert_eq!(
                     (r.faults_injected, r.failovers, r.degraded_s),
                     (0, 0, 0.0),
-                    "{}: fault counters nonzero without a plan",
-                    pf.paper_name()
-                );
-            }
-            if plan_name == "heavy" {
-                heavy_ms = r.avg_read_ms;
-            }
-            if plan_name == "wipe" {
-                assert!(
+                    "{name}: fault counters nonzero without a plan"
+                ),
+                "heavy" => assert!(
+                    suppressed > 0 || !pf.is_aggressive(),
+                    "{name}: aggressive walk never stood down during heavy error bursts"
+                ),
+                "wipe" => assert!(
                     r.degraded_s > 0.0,
-                    "{}: wipe plan never degraded a node",
-                    pf.paper_name()
-                );
-                recovery.push((pf.paper_name(), heavy_ms, r.avg_read_ms));
+                    "{name}: wipe plan never degraded a node"
+                ),
+                _ => {}
             }
             println!(
-                "{:<22} {:<6} {:>9.3} {:>7} {:>8} {:>9} {:>8} {:>10.3}",
-                pf.paper_name(),
-                plan_name,
-                r.avg_read_ms,
-                r.reads,
-                r.faults_injected,
-                r.failovers,
-                suppressed(&r),
-                r.degraded_s
+                "{name:<22} {plan:<6} {:>9.3} {:>7} {:>8} {:>9} {suppressed:>8} {:>10.3}",
+                r.avg_read_ms, r.reads, r.faults_injected, r.failovers, r.degraded_s
             );
-            use std::fmt::Write as _;
             let _ = writeln!(
                 csv,
-                "{},{plan_name},{:.6},{},{},{},{},{},{:.6}",
-                pf.paper_name(),
-                r.avg_read_ms,
-                r.reads,
-                r.writes,
-                r.faults_injected,
-                r.failovers,
-                suppressed(&r),
-                r.degraded_s
+                "{name},{plan},{:.6},{},{},{},{},{suppressed},{:.6}",
+                r.avg_read_ms, r.reads, r.writes, r.faults_injected, r.failovers, r.degraded_s
             );
         }
+        let read_ms = |plan| {
+            let run = runs.iter().find(|(k, _)| k.1 == plan);
+            run.expect("every plan ran").1.avg_read_ms
+        };
+        recovery.push((name, read_ms("heavy"), read_ms("wipe")));
     }
     println!();
     println!("recovery cost of cold rejoin (wipe vs heavy, same fault schedule):");
@@ -1031,11 +963,47 @@ fn faults_ablation(opts: &Options) {
         );
     }
     println!();
-    if let Some(dir) = &opts.out {
-        let path = dir.join("faults.csv");
-        fs::write(&path, csv).expect("write faults CSV");
-        println!("wrote {}", path.display());
+    write_out(opts, "faults.csv", || csv);
+}
+
+/// The header over [`score_cols`]' stdout columns.
+fn score_header(with_tml: bool) -> String {
+    let tml = if with_tml {
+        format!(" {:>6}", "tml%")
+    } else {
+        String::new()
+    };
+    format!(
+        "{:>8} {:>6} {:>6}{tml} {:>7} {:>7} {:>6}",
+        "read ms", "cov%", "acc%", "table", "emits", "mined"
+    )
+}
+
+/// The span-model columns of the predictors, zoo and mithril-sweep
+/// tables — read time, coverage, accuracy, timeliness (left out when
+/// `with_tml` is false), predictor table size, emits and mined — as a
+/// stdout row tail and a CSV row tail.
+fn score_cols(r: &SimReport, with_tml: bool) -> (String, String) {
+    let s = r.span_score();
+    let table = match r.obs.get("pred.table_size") {
+        Some(MetricValue::Gauge(v)) => *v,
+        _ => 0.0,
+    };
+    let (emits, mined) = (r.counter("pred.emits"), r.counter("pred.mined"));
+    let mut row = format!(
+        "{:>8.3} {:>6.2} {:>6.2}",
+        r.avg_read_ms,
+        s.coverage * 100.0,
+        s.accuracy * 100.0
+    );
+    let mut csv = format!("{:.6},{:.6},{:.6}", r.avg_read_ms, s.coverage, s.accuracy);
+    if with_tml {
+        let _ = write!(row, " {:>6.2}", s.timeliness * 100.0);
+        let _ = write!(csv, ",{:.6}", s.timeliness);
     }
+    let _ = write!(row, " {table:>7.0} {emits:>7} {mined:>6}");
+    let _ = write!(csv, ",{table:.0},{emits},{mined}");
+    (row, csv)
 }
 
 /// Predictor-zoo ablation: every registry predictor under every
@@ -1049,35 +1017,26 @@ fn faults_ablation(opts: &Options) {
 /// * the MITHRIL miner actually mines associations on both workloads;
 /// * at least one aggressive MITHRIL cell covers reads.
 fn predictors_ablation(opts: &Options) {
-    let workloads: [(&str, WorkloadKind, CacheSystem, u64); 2] = [
-        (
-            "charisma/pafs/4MB",
-            WorkloadKind::CharismaPm,
-            CacheSystem::Pafs,
-            4,
-        ),
-        (
-            "sprite/xfs/2MB",
-            WorkloadKind::SpriteNow,
-            CacheSystem::Xfs,
-            2,
-        ),
-    ];
-    let all_specs = [
-        "oba",
-        "is_ppm:1",
-        "is_ppm:3",
-        "markov:1",
-        "markov:2",
-        "mithril",
-        "mithril+oba",
+    use CacheSystem::{Pafs, Xfs};
+    use WorkloadKind::{CharismaPm, SpriteNow};
+    let workloads = [
+        ("charisma/pafs/4MB", CharismaPm, Pafs, 4),
+        ("sprite/xfs/2MB", SpriteNow, Xfs, 2),
     ];
     let specs: Vec<PredictorSpec> = match &opts.predictor {
         Some(s) => vec![*s],
-        None => all_specs
-            .iter()
-            .map(|s| PredictorSpec::parse(s).expect("ablation spec parses"))
-            .collect(),
+        None => [
+            "oba",
+            "is_ppm:1",
+            "is_ppm:3",
+            "markov:1",
+            "markov:2",
+            "mithril",
+            "mithril+oba",
+        ]
+        .iter()
+        .map(|s| PredictorSpec::parse(s).expect("ablation spec parses"))
+        .collect(),
     };
     let modes: [(&str, Option<AggressiveLimit>); 5] = [
         ("simple", None),
@@ -1091,108 +1050,51 @@ fn predictors_ablation(opts: &Options) {
          (seed {}, scale {:?})",
         opts.seed, opts.scale
     );
+    let header = score_header(true);
     println!(
-        "{:<18} {:<14} {:<9} {:>8} {:>6} {:>6} {:>6} {:>7} {:>7} {:>6}",
-        "workload",
-        "predictor",
-        "mode",
-        "read ms",
-        "cov%",
-        "acc%",
-        "tml%",
-        "table",
-        "emits",
-        "mined"
+        "{:<18} {:<14} {:<9} {header}",
+        "workload", "predictor", "mode"
     );
-    let counter = |r: &lap_core::SimReport, key: &str| match r.obs.get(key) {
-        Some(MetricValue::Counter(v)) => *v,
-        _ => 0,
-    };
-    let gauge = |r: &lap_core::SimReport, key: &str| match r.obs.get(key) {
-        Some(MetricValue::Gauge(v)) => *v,
-        _ => 0.0,
-    };
+    let mut cells = Vec::new();
+    for (wl_name, kind, system, mb) in workloads {
+        let wl = workload(opts, kind);
+        let np = ("np".to_string(), "-", PrefetchConfig::np());
+        let rows = specs.iter().flat_map(|spec| {
+            modes.map(|(mode, aggressive)| {
+                let pf = PrefetchConfig::with_predictor(spec.kind, aggressive);
+                (spec.canonical(), mode, pf)
+            })
+        });
+        for (pred, mode, pf) in std::iter::once(np).chain(rows) {
+            let cfg = build_config(kind, opts.scale, system, pf, mb);
+            cells.push(((wl_name, pred, mode), cfg, Arc::clone(&wl)));
+        }
+    }
     let mut csv = String::from(
         "workload,predictor,mode,read_ms,coverage,accuracy,timeliness,table_size,emits,mined\n",
     );
     let mut saw_mithril = false;
     let mut mithril_covered = false;
-    for (wl_name, kind, system, mb) in workloads {
-        let wl = build_workload(kind, opts.scale, opts.seed);
-        let mut rows: Vec<(String, String, PrefetchConfig)> =
-            vec![("np".into(), "-".into(), PrefetchConfig::np())];
-        for spec in &specs {
-            for (mode_name, aggressive) in modes {
-                rows.push((
-                    spec.canonical(),
-                    mode_name.into(),
-                    PrefetchConfig::with_predictor(spec.kind, aggressive),
-                ));
-            }
+    for ((wl_name, pred, mode), r) in sweep(opts, cells) {
+        let coverage = r.span_score().coverage;
+        if pred == "np" {
+            assert_eq!(
+                (coverage, r.counter("pred.emits")),
+                (0.0, 0),
+                "NP covered reads or emitted predictions on {wl_name}"
+            );
         }
-        for (pred_name, mode_name, pf) in rows {
-            let cfg = build_config(kind, opts.scale, system, pf, mb);
-            let r = run_simulation(cfg, wl.clone());
+        if pred.starts_with("mithril") {
+            saw_mithril = true;
             assert!(
-                r.avg_read_ms.is_finite() && r.avg_read_ms > 0.0 && r.reads > 0,
-                "degenerate predictors cell: {wl_name} {pred_name} {mode_name}"
+                r.counter("pred.mined") > 0,
+                "MITHRIL mined no associations: {wl_name} {mode}"
             );
-            let covered = counter(&r, "span.outcome_covered_by_prefetch") as f64;
-            let late = counter(&r, "span.outcome_late_prefetch") as f64;
-            let used = (counter(&r, "cache.prefetch_used")
-                + counter(&r, "prefetch.absorbed_in_flight")) as f64;
-            let wasted = counter(&r, "cache.prefetch_wasted") as f64;
-            let coverage = (covered + late) / r.reads.max(1) as f64;
-            let accuracy = if used + wasted == 0.0 {
-                0.0
-            } else {
-                used / (used + wasted)
-            };
-            let timeliness = if covered + late == 0.0 {
-                0.0
-            } else {
-                covered / (covered + late)
-            };
-            let table = gauge(&r, "pred.table_size");
-            let emits = counter(&r, "pred.emits");
-            let mined = counter(&r, "pred.mined");
-            if pred_name == "np" {
-                assert_eq!(
-                    (coverage, emits),
-                    (0.0, 0),
-                    "NP covered reads or emitted predictions on {wl_name}"
-                );
-            }
-            if pred_name.starts_with("mithril") {
-                saw_mithril = true;
-                assert!(
-                    mined > 0,
-                    "MITHRIL mined no associations: {wl_name} {mode_name}"
-                );
-                if mode_name != "simple" && coverage > 0.0 {
-                    mithril_covered = true;
-                }
-            }
-            println!(
-                "{:<18} {:<14} {:<9} {:>8.3} {:>6.2} {:>6.2} {:>6.2} {:>7.0} {:>7} {:>6}",
-                wl_name,
-                pred_name,
-                mode_name,
-                r.avg_read_ms,
-                coverage * 100.0,
-                accuracy * 100.0,
-                timeliness * 100.0,
-                table,
-                emits,
-                mined
-            );
-            use std::fmt::Write as _;
-            let _ = writeln!(
-                csv,
-                "{wl_name},{pred_name},{mode_name},{:.6},{:.6},{:.6},{:.6},{:.0},{emits},{mined}",
-                r.avg_read_ms, coverage, accuracy, timeliness, table
-            );
+            mithril_covered |= mode != "simple" && coverage > 0.0;
         }
+        let (row, csv_row) = score_cols(&r, true);
+        println!("{wl_name:<18} {pred:<14} {mode:<9} {row}");
+        let _ = writeln!(csv, "{wl_name},{pred},{mode},{csv_row}");
     }
     if saw_mithril {
         assert!(
@@ -1201,26 +1103,38 @@ fn predictors_ablation(opts: &Options) {
         );
     }
     println!();
-    if let Some(dir) = &opts.out {
-        let path = dir.join("predictors.csv");
-        fs::write(&path, csv).expect("write predictors CSV");
-        println!("wrote {}", path.display());
-    }
+    write_out(opts, "predictors.csv", || csv);
 }
 
-/// The default workload-zoo grid: the three synthetic generators at
-/// their cache-overflow presets, each run with 1 MB of cache per node
-/// so the working set genuinely exceeds the aggregate cooperative
-/// cache (web ≈ 20 MB over 8 MB aggregate; db ≈ 33 MB and mltrain =
-/// 16 MB over 4 MB). `--workload SPEC` narrows the grid to one entry.
-fn zoo_grid(opts: &Options) -> Vec<(WorkloadSpec, u64)> {
-    match &opts.workload {
-        Some(s) => vec![(s.clone(), 1)],
+/// The workloads of the zoo grid: the three synthetic generators at
+/// their cache-overflow presets, or the one `--workload SPEC`. Each
+/// runs with 1 MB of cache per node (see [`zoo_config`]), so the
+/// working set genuinely exceeds the aggregate cooperative cache
+/// (web ≈ 20 MB over 8 MB aggregate; db ≈ 33 MB and mltrain = 16 MB
+/// over 4 MB).
+fn zoo_workloads(opts: &Options) -> Vec<Arc<Workload>> {
+    let specs = match &opts.workload {
+        Some(s) => vec![s.clone()],
         None => ["web:64,0.8,256", "db:0.3,4096", "mltrain:4,2048"]
             .iter()
-            .map(|s| (WorkloadSpec::parse(s).expect("zoo grid spec parses"), 1))
+            .map(|s| WorkloadSpec::parse(s).expect("zoo grid spec parses"))
             .collect(),
-    }
+    };
+    specs
+        .iter()
+        .map(|spec| match spec.build(opts.seed) {
+            Ok(wl) => Arc::new(wl),
+            Err(e) => bad_usage(format!("bad --workload: {e}")),
+        })
+        .collect()
+}
+
+/// A zoo cell: PAFS on the NOW machine at 1 MB per node, shrunk to the
+/// workload's node count.
+fn zoo_config(pf: PrefetchConfig, wl: &Workload) -> SimConfig {
+    let mut cfg = SimConfig::now(CacheSystem::Pafs, pf, 1);
+    cfg.fit_to_workload(wl);
+    cfg
 }
 
 /// Workload-zoo ablation: the paper's seven configurations plus the
@@ -1228,123 +1142,69 @@ fn zoo_grid(opts: &Options) -> Vec<(WorkloadSpec, u64)> {
 /// (markov, MITHRIL) on the modern synthetic workloads, scored with
 /// the span model. The point of the zoo: the stock CHARISMA/Sprite
 /// pair never re-reads evicted data, so history-replay predictors are
-/// degenerate there (PR 6's open finding); the zoo's overflow
-/// workloads make them bite, and re-ask the paper's central question —
-/// does the linear limit still beat unlimited aggressiveness? — per
-/// workload (the `verdict` lines).
+/// degenerate there; the zoo's overflow workloads make them bite, and
+/// re-ask the paper's central question — does the linear limit still
+/// beat unlimited aggressiveness? — per workload (the `verdict` lines).
 fn zoo_ablation(opts: &Options) {
+    let workloads = zoo_workloads(opts);
     println!(
         "zoo — workload zoo × predictors on PAFS/NOW at 1 MB per node, span-model scoring \
          (seed {}, workload sizes fixed by spec)",
         opts.seed
     );
     println!(
-        "{:<22} {:<20} {:>8} {:>6} {:>6} {:>6} {:>7} {:>7} {:>6}",
-        "workload", "algorithm", "read ms", "cov%", "acc%", "tml%", "table", "emits", "mined"
+        "{:<22} {:<20} {}",
+        "workload",
+        "algorithm",
+        score_header(true)
     );
-    let counter = |r: &lap_core::SimReport, key: &str| match r.obs.get(key) {
-        Some(MetricValue::Counter(v)) => *v,
-        _ => 0,
-    };
-    let gauge = |r: &lap_core::SimReport, key: &str| match r.obs.get(key) {
-        Some(MetricValue::Gauge(v)) => *v,
-        _ => 0.0,
-    };
+    // The paper suite, the unlimited-aggressive IS_PPM twin of
+    // Ln_Agr_IS_PPM:1 (the verdict pair), and the history-replay
+    // predictors under both aggressiveness regimes.
+    let mut algos: Vec<PrefetchConfig> = PrefetchConfig::paper_suite().to_vec();
+    algos.push(PrefetchConfig {
+        aggressive: Some(AggressiveLimit::Unlimited),
+        ..PrefetchConfig::ln_agr_is_ppm(1)
+    });
+    for pred in ["markov:1", "mithril"] {
+        let ps = PredictorSpec::parse(pred).expect("zoo predictor spec parses");
+        for limit in [AggressiveLimit::One, AggressiveLimit::Unlimited] {
+            algos.push(PrefetchConfig::with_predictor(ps.kind, Some(limit)));
+        }
+    }
+    let mut cells = Vec::new();
+    for wl in &workloads {
+        for &pf in &algos {
+            let key = (wl.name.clone(), pf.paper_name());
+            cells.push((key, zoo_config(pf, wl), Arc::clone(wl)));
+        }
+    }
     let mut csv = String::from(
         "workload,algorithm,read_ms,coverage,accuracy,timeliness,table_size,emits,mined\n",
     );
     let mut replay_covered = false;
     let mut verdicts: Vec<String> = Vec::new();
-    for (spec, mb) in zoo_grid(opts) {
-        let wl = spec.build(opts.seed).unwrap_or_else(|e| {
-            eprintln!("bad --workload: {e}");
-            std::process::exit(2);
-        });
-        // The paper suite, the unlimited-aggressive IS_PPM twin of
-        // Ln_Agr_IS_PPM:1 (the verdict pair), and the history-replay
-        // predictors under both aggressiveness regimes.
-        let mut rows: Vec<PrefetchConfig> = PrefetchConfig::paper_suite().to_vec();
-        rows.push(PrefetchConfig {
-            aggressive: Some(AggressiveLimit::Unlimited),
-            ..PrefetchConfig::ln_agr_is_ppm(1)
-        });
-        for pred in ["markov:1", "mithril"] {
-            let ps = PredictorSpec::parse(pred).expect("zoo predictor spec parses");
-            for limit in [AggressiveLimit::One, AggressiveLimit::Unlimited] {
-                rows.push(PrefetchConfig::with_predictor(ps.kind, Some(limit)));
-            }
-        }
-        let (mut ln_ms, mut agr_ms) = (None, None);
-        for pf in rows {
-            let name = pf.paper_name();
-            let mut cfg = lap_core::SimConfig::now(CacheSystem::Pafs, pf, mb);
-            cfg.fit_to_workload(&wl);
-            let r = run_simulation(cfg, wl.clone());
-            assert!(
-                r.avg_read_ms.is_finite() && r.avg_read_ms > 0.0 && r.reads > 0,
-                "degenerate zoo cell: {} {name}",
-                wl.name
-            );
-            let covered = counter(&r, "span.outcome_covered_by_prefetch") as f64;
-            let late = counter(&r, "span.outcome_late_prefetch") as f64;
-            let used = (counter(&r, "cache.prefetch_used")
-                + counter(&r, "prefetch.absorbed_in_flight")) as f64;
-            let wasted = counter(&r, "cache.prefetch_wasted") as f64;
-            let coverage = (covered + late) / r.reads.max(1) as f64;
-            let accuracy = if used + wasted == 0.0 {
-                0.0
-            } else {
-                used / (used + wasted)
-            };
-            let timeliness = if covered + late == 0.0 {
-                0.0
-            } else {
-                covered / (covered + late)
-            };
-            if name == "Ln_Agr_IS_PPM:1" {
-                ln_ms = Some(r.avg_read_ms);
-            } else if name == "Agr_IS_PPM:1" {
-                agr_ms = Some(r.avg_read_ms);
-            }
-            if (name.contains("MARKOV") || name.contains("MITHRIL")) && coverage > 0.0 {
-                replay_covered = true;
-            }
-            println!(
-                "{:<22} {:<20} {:>8.3} {:>6.2} {:>6.2} {:>6.2} {:>7.0} {:>7} {:>6}",
-                wl.name,
-                name,
-                r.avg_read_ms,
-                coverage * 100.0,
-                accuracy * 100.0,
-                timeliness * 100.0,
-                gauge(&r, "pred.table_size"),
-                counter(&r, "pred.emits"),
-                counter(&r, "pred.mined")
-            );
-            use std::fmt::Write as _;
-            let _ = writeln!(
-                csv,
-                "{},{name},{:.6},{:.6},{:.6},{:.6},{:.0},{},{}",
-                wl.name,
-                r.avg_read_ms,
-                coverage,
-                accuracy,
-                timeliness,
-                gauge(&r, "pred.table_size"),
-                counter(&r, "pred.emits"),
-                counter(&r, "pred.mined")
-            );
+    for runs in sweep(opts, cells).chunks(algos.len()) {
+        for ((wl_name, name), r) in runs {
+            let replay = name.contains("MARKOV") || name.contains("MITHRIL");
+            replay_covered |= replay && r.span_score().coverage > 0.0;
+            let (row, csv_row) = score_cols(r, true);
+            println!("{wl_name:<22} {name:<20} {row}");
+            let _ = writeln!(csv, "{wl_name},{name},{csv_row}");
         }
         // The paper's central claim, re-asked per workload: does the
         // linear (one-block-per-file) limit still beat the unlimited
         // aggressive walk once the working set overflows the cache?
-        let (ln, agr) = (
-            ln_ms.expect("zoo rows include Ln_Agr_IS_PPM:1"),
-            agr_ms.expect("zoo rows include Agr_IS_PPM:1"),
-        );
+        let ms = |algo: &str| {
+            let run = runs.iter().find(|(k, _)| k.1 == algo);
+            run.expect("zoo rows include the verdict pair")
+                .1
+                .avg_read_ms
+        };
+        let (ln, agr) = (ms("Ln_Agr_IS_PPM:1"), ms("Agr_IS_PPM:1"));
         verdicts.push(format!(
             "verdict {}: Ln_Agr_IS_PPM:1 {ln:.3} ms vs Agr_IS_PPM:1 {agr:.3} ms — {}",
-            wl.name,
+            runs[0].0 .0,
             if ln <= agr {
                 "linear limit wins (paper ordering preserved)"
             } else {
@@ -1365,11 +1225,7 @@ fn zoo_ablation(opts: &Options) {
         );
     }
     println!();
-    if let Some(dir) = &opts.out {
-        let path = dir.join("zoo.csv");
-        fs::write(&path, csv).expect("write zoo CSV");
-        println!("wrote {}", path.display());
-    }
+    write_out(opts, "zoo.csv", || csv);
 }
 
 /// MITHRIL parameter sweep on the zoo workloads: association-window W
@@ -1378,91 +1234,46 @@ fn zoo_ablation(opts: &Options) {
 /// noise (visible as accuracy loss). Results feed
 /// docs/CALIBRATION.md's choice of the registry defaults.
 fn mithril_sweep(opts: &Options) {
+    let workloads = zoo_workloads(opts);
     println!(
         "mithril-sweep — MITHRIL W×S on the zoo workloads, Ln_Agr:1 on PAFS/NOW at 1 MB \
          per node (seed {})",
         opts.seed
     );
     println!(
-        "{:<22} {:>4} {:>3} {:>8} {:>6} {:>6} {:>7} {:>7} {:>6}",
-        "workload", "W", "S", "read ms", "cov%", "acc%", "table", "emits", "mined"
+        "{:<22} {:>4} {:>3} {}",
+        "workload",
+        "W",
+        "S",
+        score_header(false)
     );
-    let counter = |r: &lap_core::SimReport, key: &str| match r.obs.get(key) {
-        Some(MetricValue::Counter(v)) => *v,
-        _ => 0,
-    };
-    let gauge = |r: &lap_core::SimReport, key: &str| match r.obs.get(key) {
-        Some(MetricValue::Gauge(v)) => *v,
-        _ => 0.0,
-    };
-    let mut csv =
-        String::from("workload,window,support,read_ms,coverage,accuracy,table_size,emits,mined\n");
-    for (spec, mb) in zoo_grid(opts) {
-        let wl = spec.build(opts.seed).unwrap_or_else(|e| {
-            eprintln!("bad --workload: {e}");
-            std::process::exit(2);
-        });
+    let mut cells = Vec::new();
+    for wl in &workloads {
         for w in [4usize, 16, 64] {
             for s in [1usize, 2, 4] {
                 let ps =
                     PredictorSpec::parse(&format!("mithril:{w},{s}")).expect("sweep spec parses");
                 let pf = PrefetchConfig::with_predictor(ps.kind, Some(AggressiveLimit::One));
-                let mut cfg = lap_core::SimConfig::now(CacheSystem::Pafs, pf, mb);
-                cfg.fit_to_workload(&wl);
-                let r = run_simulation(cfg, wl.clone());
-                assert!(
-                    r.avg_read_ms.is_finite() && r.avg_read_ms > 0.0 && r.reads > 0,
-                    "degenerate sweep cell: {} W={w} S={s}",
-                    wl.name
-                );
-                let covered = counter(&r, "span.outcome_covered_by_prefetch") as f64;
-                let late = counter(&r, "span.outcome_late_prefetch") as f64;
-                let used = (counter(&r, "cache.prefetch_used")
-                    + counter(&r, "prefetch.absorbed_in_flight")) as f64;
-                let wasted = counter(&r, "cache.prefetch_wasted") as f64;
-                let coverage = (covered + late) / r.reads.max(1) as f64;
-                let accuracy = if used + wasted == 0.0 {
-                    0.0
-                } else {
-                    used / (used + wasted)
-                };
-                println!(
-                    "{:<22} {:>4} {:>3} {:>8.3} {:>6.2} {:>6.2} {:>7.0} {:>7} {:>6}",
-                    wl.name,
-                    w,
-                    s,
-                    r.avg_read_ms,
-                    coverage * 100.0,
-                    accuracy * 100.0,
-                    gauge(&r, "pred.table_size"),
-                    counter(&r, "pred.emits"),
-                    counter(&r, "pred.mined")
-                );
-                use std::fmt::Write as _;
-                let _ = writeln!(
-                    csv,
-                    "{},{w},{s},{:.6},{:.6},{:.6},{:.0},{},{}",
-                    wl.name,
-                    r.avg_read_ms,
-                    coverage,
-                    accuracy,
-                    gauge(&r, "pred.table_size"),
-                    counter(&r, "pred.emits"),
-                    counter(&r, "pred.mined")
-                );
+                cells.push(((wl.name.clone(), w, s), zoo_config(pf, wl), Arc::clone(wl)));
             }
         }
     }
-    println!();
-    if let Some(dir) = &opts.out {
-        let path = dir.join("mithril_sweep.csv");
-        fs::write(&path, csv).expect("write mithril-sweep CSV");
-        println!("wrote {}", path.display());
+    let mut csv =
+        String::from("workload,window,support,read_ms,coverage,accuracy,table_size,emits,mined\n");
+    for ((wl_name, w, s), r) in sweep(opts, cells) {
+        let (row, csv_row) = score_cols(&r, false);
+        println!("{wl_name:<22} {w:>4} {s:>3} {row}");
+        let _ = writeln!(csv, "{wl_name},{w},{s},{csv_row}");
     }
+    println!();
+    write_out(opts, "mithril_sweep.csv", || csv);
 }
 
 /// One (plan × system) outcome of the chaos sweep.
 struct ChaosCell {
+    plan: usize,
+    seed: u64,
+    spec: String,
     system: &'static str,
     /// `"ok"`, `"violation"` (an invariant-oracle panic) or
     /// `"mismatch"` (layout/backend variants disagreed).
@@ -1473,14 +1284,6 @@ struct ChaosCell {
     reads: u64,
     injected: u64,
     failovers: u64,
-}
-
-/// One seeded random fault plan's outcomes across both systems.
-struct ChaosRow {
-    plan: usize,
-    seed: u64,
-    spec: String,
-    cells: Vec<ChaosCell>,
 }
 
 /// `experiments chaos`: the seeded chaos sweep (DESIGN.md §15). Each
@@ -1494,12 +1297,11 @@ struct ChaosRow {
 /// Always runs at small scale on the stock CHARISMA/Sprite pair — the
 /// point is plan count, not workload size; workload, algorithm and
 /// cache size rotate with the plan index so the sweep crosses fault
-/// plans with simulator states, not just with each other. Plans fan
-/// out over `bench::par_map`, so stdout and the `--out` CSV are
-/// byte-identical for any `--workers` value.
+/// plans with simulator states, not just with each other. The
+/// (plan × system) cells fan out over `bench::par_map`, so stdout and
+/// the `--out` CSV are byte-identical for any `--workers` value.
 fn chaos(opts: &Options) {
     use std::panic::{catch_unwind, AssertUnwindSafe};
-    use std::sync::Arc;
 
     let systems = [CacheSystem::Pafs, CacheSystem::Xfs];
     let variants: [(MetaLayout, QueueBackend); 4] = [
@@ -1516,7 +1318,7 @@ fn chaos(opts: &Options) {
     ];
     let kinds = [WorkloadKind::CharismaPm, WorkloadKind::SpriteNow];
     let mbs = [1u64, 2, 4];
-    let workloads: Vec<Arc<ioworkload::Workload>> = kinds
+    let workloads: Vec<Arc<Workload>> = kinds
         .iter()
         .map(|&k| Arc::new(build_workload(k, Scale::Small, opts.seed)))
         .collect();
@@ -1534,160 +1336,107 @@ fn chaos(opts: &Options) {
             .or_else(|| e.downcast_ref::<&str>().map(|s| s.to_string()))
             .unwrap_or_else(|| "non-string panic payload".into())
     };
-    let jobs: Vec<usize> = (0..opts.plans).collect();
-    let rows: Vec<ChaosRow> = bench::par_map(&jobs, opts.threads, |&i| {
-        let plan_seed = opts.seed.wrapping_add(i as u64);
-        let spec = FaultPlan::random_spec(plan_seed);
-        let plan = FaultPlan::parse(&spec).expect("random_spec emits valid specs");
-        let kind = kinds[i % kinds.len()];
-        let wl = &workloads[i % kinds.len()];
-        let pf = algos[i % algos.len()];
-        let mb = mbs[i % mbs.len()];
-        let mut cells = Vec::with_capacity(systems.len());
-        for system in systems {
-            let mut reports = Vec::with_capacity(variants.len());
-            let mut cell = ChaosCell {
-                system: system.name(),
-                status: "ok",
-                detail: String::new(),
-                read_ms: 0.0,
-                reads: 0,
-                injected: 0,
-                failovers: 0,
-            };
-            for (layout, backend) in variants {
-                let mut cfg = build_config(kind, Scale::Small, system, pf, mb);
-                cfg.fault_plan = Some(plan);
-                cfg.meta_layout = layout;
-                cfg.event_queue = backend;
-                cfg.check = CheckMode::On;
-                let wl = Arc::clone(wl);
-                match catch_unwind(AssertUnwindSafe(|| {
-                    lap_core::run_simulation_shared(cfg, wl)
-                })) {
-                    Ok(r) => reports.push((layout, backend, r)),
-                    Err(e) => {
-                        cell.status = "violation";
-                        cell.detail = format!(
-                            "{}/{:?}/{:?}: {}",
-                            system.name(),
-                            layout,
-                            backend,
-                            panic_msg(e)
-                        );
-                        break;
-                    }
-                }
-            }
-            if cell.status == "ok" {
-                let (_, _, first) = &reports[0];
-                if let Some((layout, backend, _)) = reports.iter().find(|(_, _, r)| r != first) {
-                    cell.status = "mismatch";
+    let jobs: Vec<(usize, CacheSystem)> = (0..opts.plans)
+        .flat_map(|plan| systems.map(|system| (plan, system)))
+        .collect();
+    let cells: Vec<ChaosCell> = bench::par_map(&jobs, opts.workers, |&(plan, system)| {
+        let seed = opts.seed.wrapping_add(plan as u64);
+        let spec = FaultPlan::random_spec(seed);
+        let fault_plan = FaultPlan::parse(&spec).expect("random_spec emits valid specs");
+        let kind = kinds[plan % kinds.len()];
+        let wl = &workloads[plan % kinds.len()];
+        let pf = algos[plan % algos.len()];
+        let mb = mbs[plan % mbs.len()];
+        let mut reports = Vec::with_capacity(variants.len());
+        let mut cell = ChaosCell {
+            plan,
+            seed,
+            spec,
+            system: system.name(),
+            status: "ok",
+            detail: String::new(),
+            read_ms: 0.0,
+            reads: 0,
+            injected: 0,
+            failovers: 0,
+        };
+        for (layout, backend) in variants {
+            let mut cfg = build_config(kind, Scale::Small, system, pf, mb);
+            cfg.fault_plan = Some(fault_plan);
+            cfg.meta_layout = layout;
+            cfg.event_queue = backend;
+            cfg.check = CheckMode::On;
+            let wl = Arc::clone(wl);
+            match catch_unwind(AssertUnwindSafe(|| run_simulation_shared(cfg, wl))) {
+                Ok(r) => reports.push((layout, backend, r)),
+                Err(e) => {
+                    cell.status = "violation";
                     cell.detail = format!(
-                        "{}/{:?}/{:?} differs from {:?}/{:?}",
+                        "{}/{:?}/{:?}: {}",
                         system.name(),
                         layout,
                         backend,
-                        variants[0].0,
-                        variants[0].1
+                        panic_msg(e)
                     );
-                } else {
-                    cell.read_ms = first.avg_read_ms;
-                    cell.reads = first.reads;
-                    cell.injected = first.faults_injected;
-                    cell.failovers = first.failovers;
+                    break;
                 }
             }
-            cells.push(cell);
         }
-        ChaosRow {
-            plan: i,
-            seed: plan_seed,
-            spec,
-            cells,
+        if cell.status == "ok" {
+            let (_, _, first) = &reports[0];
+            if let Some((layout, backend, _)) = reports.iter().find(|(_, _, r)| r != first) {
+                cell.status = "mismatch";
+                cell.detail = format!(
+                    "{}/{:?}/{:?} differs from {:?}/{:?}",
+                    system.name(),
+                    layout,
+                    backend,
+                    variants[0].0,
+                    variants[0].1
+                );
+            } else {
+                cell.read_ms = first.avg_read_ms;
+                cell.reads = first.reads;
+                cell.injected = first.faults_injected;
+                cell.failovers = first.failovers;
+            }
         }
+        cell
     });
 
     let mut csv =
         String::from("plan,seed,system,status,read_ms,reads,faults_injected,failovers,spec\n");
     let (mut violations, mut mismatches, mut injected_total) = (0u64, 0u64, 0u64);
-    for row in &rows {
-        for c in &row.cells {
-            match c.status {
-                "violation" => violations += 1,
-                "mismatch" => mismatches += 1,
-                _ => {}
-            }
-            injected_total += c.injected;
-            if c.status != "ok" {
-                println!(
-                    "  plan {:>4} seed {:>8} {:<5} {}: {}\n    spec: {}",
-                    row.plan, row.seed, c.system, c.status, c.detail, row.spec
-                );
-            }
-            use std::fmt::Write as _;
-            let _ = writeln!(
-                csv,
-                "{},{},{},{},{:.6},{},{},{},{}",
-                row.plan,
-                row.seed,
-                c.system,
-                c.status,
-                c.read_ms,
-                c.reads,
-                c.injected,
-                c.failovers,
-                row.spec
+    for c in &cells {
+        match c.status {
+            "violation" => violations += 1,
+            "mismatch" => mismatches += 1,
+            _ => {}
+        }
+        injected_total += c.injected;
+        if c.status != "ok" {
+            println!(
+                "  plan {:>4} seed {:>8} {:<5} {}: {}\n    spec: {}",
+                c.plan, c.seed, c.system, c.status, c.detail, c.spec
             );
         }
+        let _ = writeln!(
+            csv,
+            "{},{},{},{},{:.6},{},{},{},{}",
+            c.plan, c.seed, c.system, c.status, c.read_ms, c.reads, c.injected, c.failovers, c.spec
+        );
     }
-    let runs = rows.len() * systems.len() * variants.len();
+    let runs = cells.len() * variants.len();
     println!(
         "  plans {:>5}   runs {:>6}   faults injected {:>8}   violations {}   mismatches {}",
-        rows.len(),
-        runs,
-        injected_total,
-        violations,
-        mismatches
+        opts.plans, runs, injected_total, violations, mismatches
     );
-    if let Some(dir) = &opts.out {
-        let path = dir.join("chaos.csv");
-        fs::write(&path, csv).expect("write chaos CSV");
-        println!("wrote {}", path.display());
-    }
+    write_out(opts, "chaos.csv", || csv);
     if violations + mismatches > 0 {
         eprintln!(
             "chaos: {violations} invariant violation(s), {mismatches} layout/backend mismatch(es)"
         );
-        std::process::exit(1);
+        exit(1);
     }
     println!("  all invariants green; classic/dense and heap/calendar bit-identical per plan\n");
-}
-
-/// §5.2: miss-prediction ratios on Sprite at 4 MB — "Ln_Agr_OBA has a
-/// miss-prediction ratio of 32% while Ln_Agr_IS_PPM only miss-predicts
-/// 15% of the prefetched blocks".
-fn mispredict(opts: &Options) {
-    println!("mispredict — Sprite on PAFS at 4 MB (\u{a7}5.2)");
-    let wl = build_workload(WorkloadKind::SpriteNow, opts.scale, opts.seed);
-    for (pf, paper) in [
-        (PrefetchConfig::ln_agr_oba(), "32%"),
-        (PrefetchConfig::ln_agr_is_ppm(1), "15%"),
-        (PrefetchConfig::ln_agr_is_ppm(3), "~15%"),
-    ] {
-        let cfg = build_config(
-            WorkloadKind::SpriteNow,
-            opts.scale,
-            CacheSystem::Pafs,
-            pf,
-            4,
-        );
-        let r = run_simulation(cfg, wl.clone());
-        println!(
-            "  {:<18} {:>6.2}%  (paper: {paper})",
-            pf.paper_name(),
-            r.mispredict_ratio * 100.0
-        );
-    }
-    println!();
 }

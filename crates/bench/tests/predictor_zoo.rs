@@ -18,16 +18,8 @@ use std::sync::Arc;
 use bench::{build_config, build_workload, Scale, WorkloadKind};
 use ioworkload::{FileId, FileMeta, NodeId, Op, ProcId, ProcessTrace, Workload};
 use lap_core::{run_simulation, run_simulation_shared, CacheSystem, SimConfig, SimReport};
-use lapobs::MetricValue;
 use prefetch::{AggressiveLimit, PredictorSpec, PrefetchConfig};
 use simkit::SimDuration;
-
-fn counter(r: &SimReport, key: &str) -> u64 {
-    match r.obs.get(key) {
-        Some(MetricValue::Counter(v)) => *v,
-        _ => 0,
-    }
-}
 
 /// One BENCH.json seed scenario: (name, workload, system, spec,
 /// aggressive limit, cache MB, snapshot read ms, reads, disk accesses).
@@ -172,7 +164,7 @@ fn mithril_covers_reads_isppm_misses_on_paired_jumps() {
     let mithril = run_paired_jump("mithril");
 
     let covered = |r: &SimReport| {
-        counter(r, "span.outcome_covered_by_prefetch") + counter(r, "span.outcome_late_prefetch")
+        r.counter("span.outcome_covered_by_prefetch") + r.counter("span.outcome_late_prefetch")
     };
     // Shown with --nocapture; the EXPERIMENTS.md paired-jump numbers
     // are regenerated from this line.
@@ -181,13 +173,13 @@ fn mithril_covers_reads_isppm_misses_on_paired_jumps() {
         mithril.avg_read_ms,
         covered(&mithril),
         mithril.reads,
-        counter(&mithril, "pred.mined"),
+        mithril.counter("pred.mined"),
         isppm.avg_read_ms,
         covered(&isppm),
         isppm.reads,
     );
     assert!(
-        counter(&mithril, "pred.mined") > 0,
+        mithril.counter("pred.mined") > 0,
         "the miner never mined an association"
     );
     assert!(

@@ -17,16 +17,8 @@
 
 use bench::{build_config, build_workload, Scale, WorkloadKind};
 use lap_core::{run_simulation, CacheSystem, SimConfig, SimReport};
-use lapobs::MetricValue;
 use prefetch::{AggressiveLimit, PredictorSpec, PrefetchConfig};
 use workzoo::WorkloadSpec;
-
-fn counter(r: &SimReport, key: &str) -> u64 {
-    match r.obs.get(key) {
-        Some(MetricValue::Counter(v)) => *v,
-        _ => 0,
-    }
-}
 
 /// Run a zoo spec at 1 MB per node on PAFS/NOW (the zoo ablation's
 /// machine), fitted to the workload.
@@ -113,10 +105,10 @@ fn mithril_covers_and_beats_np_on_the_overflow_zoo() {
         42,
     );
     assert!(
-        counter(&agr, "pred.mined") > 0,
+        agr.counter("pred.mined") > 0,
         "MITHRIL mined nothing on {SPEC}"
     );
-    let covered = counter(&agr, "span.outcome_covered_by_prefetch");
+    let covered = agr.counter("span.outcome_covered_by_prefetch");
     assert!(
         covered > 0,
         "MITHRIL covered zero reads on {SPEC} — the zoo is degenerate again"

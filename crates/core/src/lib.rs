@@ -39,7 +39,7 @@ mod sim;
 
 pub use config::{CacheSystem, MachineConfig, PrefetchGranularity, SimConfig};
 pub use coopcache::Replacement;
-pub use metrics::{SimReport, TimeBucket};
+pub use metrics::{SimReport, SpanScore, TimeBucket};
 pub use sim::Simulation;
 pub use simcheck::CheckMode;
 pub use simprof::{Counters as ProfileCounters, PhaseWall, SimProfile};

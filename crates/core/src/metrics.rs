@@ -288,6 +288,43 @@ pub struct TimeBucket {
     pub reads: u64,
 }
 
+/// The span model's prefetch score: how many reads prefetching
+/// reached, how many prefetched blocks were used, and how many of the
+/// reached reads found their block already in the cache. Each ratio is
+/// 0 when its denominator is empty.
+#[derive(Clone, Copy, Debug, PartialEq)]
+pub struct SpanScore {
+    /// `(covered + late) / reads`: share of reads a prefetch reached.
+    pub coverage: f64,
+    /// `used / (used + wasted)`: share of judged prefetches that a
+    /// read consumed.
+    pub accuracy: f64,
+    /// `covered / (covered + late)`: share of reached reads whose
+    /// prefetch had already landed.
+    pub timeliness: f64,
+}
+
+impl SpanScore {
+    /// Score the five counts: measured reads, reads covered by a
+    /// landed prefetch, reads that caught a prefetch still in flight,
+    /// prefetched blocks used (absorbed fetches included), and
+    /// prefetched blocks evicted unused.
+    pub fn new(reads: u64, covered: u64, late: u64, used: u64, wasted: u64) -> Self {
+        let ratio = |num: u64, den: u64| {
+            if den == 0 {
+                0.0
+            } else {
+                num as f64 / den as f64
+            }
+        };
+        SpanScore {
+            coverage: ratio(covered + late, reads),
+            accuracy: ratio(used, used + wasted),
+            timeliness: ratio(covered, covered + late),
+        }
+    }
+}
+
 /// Final report of one simulation run — everything the paper's figures
 /// and tables plot.
 ///
@@ -364,6 +401,25 @@ impl SimReport {
     /// Total disk accesses (the y-axis of Figures 8–11).
     pub fn disk_accesses(&self) -> u64 {
         self.disk_reads_demand + self.disk_reads_prefetch + self.disk_writes
+    }
+
+    /// A counter of the unified metrics registry, 0 when absent.
+    pub fn counter(&self, name: &str) -> u64 {
+        match self.obs.get(name) {
+            Some(lapobs::MetricValue::Counter(v)) => *v,
+            _ => 0,
+        }
+    }
+
+    /// The span model's prefetch score of this run.
+    pub fn span_score(&self) -> SpanScore {
+        SpanScore::new(
+            self.reads,
+            self.counter("span.outcome_covered_by_prefetch"),
+            self.counter("span.outcome_late_prefetch"),
+            self.counter("cache.prefetch_used") + self.counter("prefetch.absorbed_in_flight"),
+            self.counter("cache.prefetch_wasted"),
+        )
     }
 
     /// A multi-line, human-readable rendering of every metric (used by
@@ -519,6 +575,32 @@ mod tests {
         let detail = r.render_detailed();
         assert!(detail.contains("hit ratio"));
         assert!(detail.contains("disk reads"));
+    }
+
+    /// The zero cases of the one span score. `lapreport` used to guard
+    /// coverage with `reads == 0` and `experiments` divided by
+    /// `reads.max(1)`; with no reads there is nothing covered or late,
+    /// so both gave 0 and the shared definition must too.
+    #[test]
+    fn span_score_zero_cases() {
+        let zero = SpanScore {
+            coverage: 0.0,
+            accuracy: 0.0,
+            timeliness: 0.0,
+        };
+        // No reads at all.
+        assert_eq!(SpanScore::new(0, 0, 0, 0, 0), zero);
+        // No judged prefetches: accuracy is 0, the rest still scores.
+        let s = SpanScore::new(8, 2, 2, 0, 0);
+        assert_eq!((s.coverage, s.accuracy, s.timeliness), (0.5, 0.0, 0.5));
+        // No prefetch-attributed reads: coverage and timeliness are 0.
+        let s = SpanScore::new(8, 0, 0, 3, 1);
+        assert_eq!((s.coverage, s.accuracy, s.timeliness), (0.0, 0.75, 0.0));
+        // And the formula itself, against the old `reads.max(1)` form.
+        let s = SpanScore::new(7, 3, 1, 5, 2);
+        assert_eq!(s.coverage, (3.0 + 1.0) / 7f64.max(1.0));
+        assert_eq!(s.accuracy, 5.0 / 7.0);
+        assert_eq!(s.timeliness, 3.0 / 4.0);
     }
 
     #[test]

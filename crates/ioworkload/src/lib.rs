@@ -34,7 +34,6 @@
 
 pub mod charisma;
 pub mod mix;
-mod named;
 pub mod sprite;
 mod stats;
 pub mod streams;
@@ -43,7 +42,6 @@ mod trace;
 mod types;
 pub mod util;
 
-pub use named::generate_named;
 pub use stats::WorkloadStats;
 pub use text::ParseError;
 pub use trace::{FileMeta, Op, ProcessTrace, Workload};

@@ -17,15 +17,17 @@ run cargo build --offline --workspace --all-targets
 # span-sum, linear-limit, degraded-safety, and liveness check.
 run cargo test --offline --workspace
 
-# Experiment-harness smoke: table1 + the devmodel, extent, faults, and
-# predictors ablations at small scale. Catches panics and degenerate
+# Experiment-harness smoke: table1 + the devmodel, extent, faults,
+# predictors and zoo ablations at small scale (the ids marked for
+# --smoke in the binary's id table). Catches panics and degenerate
 # results the unit tests can't — the binary asserts every cell is
 # finite and did real work, the extent ablation asserts block==extent
 # for every degenerate row (extent_blocks=1 or non-aggressive
 # algorithm), the faults ablation runs all seven paper configurations
-# under three fault plans, asserting no demand read is lost or
-# double-counted and that the aggressive walkers stand down during
-# error bursts, the predictors ablation runs the registry grid,
+# under four fault plans (none, light, heavy, wipe), asserting no
+# demand read is lost or double-counted, that the aggressive walkers
+# stand down during error bursts and that the wipe plan degrades a
+# node, the predictors ablation runs the registry grid,
 # asserting NP covers nothing and the MITHRIL miner always mines and
 # (in at least one aggressive cell) covers reads, and the zoo ablation
 # runs the workload-zoo grid, asserting a history-replay predictor
@@ -91,13 +93,16 @@ run cargo build --offline --bin lapsim
 
 # Parallel-sweep determinism: the worker pool must not leak scheduling
 # into results — a 1-worker and an 8-worker run of the same ablations
-# must be byte-identical (bench::par_map writes results by job index).
+# must be byte-identical, on stdout and in every CSV (bench::par_map
+# writes results by job index; every ablation sweeps through it).
 echo "==> sweep worker byte-diff (1 vs 8 workers)"
 rm -rf target/ci_sweep_w1 target/ci_sweep_w8
-./target/debug/experiments devmodel extent --scale small --workers 1 \
-    --out target/ci_sweep_w1 > /dev/null
-./target/debug/experiments devmodel extent --scale small --workers 8 \
-    --out target/ci_sweep_w8 > /dev/null
+for w in 1 8; do
+    mkdir -p target/ci_sweep_w$w
+    ./target/debug/experiments devmodel extent ablations faults predictors \
+        --scale small --workers $w --out target/ci_sweep_w$w \
+        | sed "s#target/ci_sweep_w$w#OUT#" > target/ci_sweep_w$w/stdout.txt
+done
 run diff -r target/ci_sweep_w1 target/ci_sweep_w8
 
 # Artifact round-trip: simulate with tracing + metrics on, then make

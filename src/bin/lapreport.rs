@@ -32,6 +32,8 @@ use std::fmt::Write as _;
 use std::fs;
 use std::process::exit;
 
+use lap::lap_core::SpanScore;
+
 fn usage() -> ! {
     eprintln!("usage: lapreport metrics FILE... [--json]");
     eprintln!("       lapreport trace FILE");
@@ -144,9 +146,7 @@ struct ConfigReport {
     sum_ms: f64,
     read_mean_ms: f64,
     outcomes: Outcomes,
-    coverage: f64,
-    accuracy: f64,
-    timeliness: f64,
+    score: SpanScore,
     late_slack_ms: f64,
     pred: PredRow,
     faults: FaultRow,
@@ -228,25 +228,13 @@ fn analyze(f: &MetricsFile) -> Result<ConfigReport, String> {
         late: f.num("span.outcome_late_prefetch")? as u64,
         miss: f.num("span.outcome_miss")? as u64,
     };
-    let used = f.num("cache.prefetch_used")? + f.num("prefetch.absorbed_in_flight")?;
-    let wasted = f.num("cache.prefetch_wasted")?;
-    let covered = outcomes.covered as f64;
-    let late = outcomes.late as f64;
-    let coverage = if reads == 0 {
-        0.0
-    } else {
-        (covered + late) / reads as f64
-    };
-    let accuracy = if used + wasted == 0.0 {
-        0.0
-    } else {
-        used / (used + wasted)
-    };
-    let timeliness = if covered + late == 0.0 {
-        0.0
-    } else {
-        covered / (covered + late)
-    };
+    let score = SpanScore::new(
+        reads,
+        outcomes.covered,
+        outcomes.late,
+        f.num("cache.prefetch_used")? as u64 + f.num("prefetch.absorbed_in_flight")? as u64,
+        f.num("cache.prefetch_wasted")? as u64,
+    );
     let late_slack_ms = f.num("prefetch.late_slack_us.mean_us")? / 1e3;
 
     let pred = PredRow {
@@ -305,9 +293,7 @@ fn analyze(f: &MetricsFile) -> Result<ConfigReport, String> {
         sum_ms,
         read_mean_ms,
         outcomes,
-        coverage,
-        accuracy,
-        timeliness,
+        score,
         late_slack_ms,
         pred,
         faults,
@@ -410,9 +396,9 @@ fn render_tables(reports: &[ConfigReport]) -> String {
             r.outcomes.covered,
             r.outcomes.late,
             r.outcomes.miss,
-            r.coverage,
-            r.accuracy,
-            r.timeliness,
+            r.score.coverage,
+            r.score.accuracy,
+            r.score.timeliness,
             r.late_slack_ms
         );
     }
@@ -430,9 +416,9 @@ fn render_tables(reports: &[ConfigReport]) -> String {
             "  {:<wl$} {:>16} {:>8.4} {:>8.4} {:>8.4} {:>8} {:>8} {:>8}",
             format!("{}@{}", r.label, r.workload),
             r.pred.name,
-            r.coverage,
-            r.accuracy,
-            r.timeliness,
+            r.score.coverage,
+            r.score.accuracy,
+            r.score.timeliness,
             r.pred.table_size,
             r.pred.emits,
             r.pred.mined
@@ -534,7 +520,7 @@ fn render_json(reports: &[ConfigReport]) -> String {
         let _ = write!(
             out,
             "\"coverage\":{},\"accuracy\":{},\"timeliness\":{},\"late_slack_ms\":{},",
-            r.coverage, r.accuracy, r.timeliness, r.late_slack_ms
+            r.score.coverage, r.score.accuracy, r.score.timeliness, r.late_slack_ms
         );
         let p = &r.pred;
         let _ = write!(

@@ -42,6 +42,10 @@ struct Args {
     profile: bool,
 }
 
+/// The `--algo` names `parse_algo` accepts.
+const ALGORITHMS: &str = "algorithms: np, oba, ln_agr_oba, is_ppm:J, ln_agr_is_ppm:J,
+            is_ppm_backoff:J, ln_agr_is_ppm_backoff:J (order J >= 1)";
+
 fn usage() -> ! {
     eprintln!("usage: lapsim [--trace FILE | --workload SPEC]");
     eprintln!("              [--machine pm|now] [--system pafs|xfs|local]");
@@ -72,13 +76,11 @@ fn usage() -> ! {
     eprintln!("           pick up --scale); the registry is:");
     eprint!("{}", lap::workzoo::registry_help());
     eprintln!();
-    eprintln!("algorithms: np, oba, ln_agr_oba, is_ppm:J, ln_agr_is_ppm:J,");
-    eprintln!("            is_ppm_backoff:J, ln_agr_is_ppm_backoff:J");
+    eprintln!("{ALGORITHMS}");
     eprintln!();
     eprintln!("predictors: --predictor swaps the predictor of --algo's configuration");
-    eprintln!("            while keeping its aggressiveness mode; registry specs are");
-    eprintln!("            np, oba, is_ppm[:J], is_ppm_backoff[:J], markov[:J][+oba],");
-    eprintln!("            mithril[:W[,S]][+oba], e.g. --predictor markov:2+oba");
+    eprintln!("            while keeping its aggressiveness mode; the registry is:");
+    eprint!("{}", lap::prefetch::registry_help());
     eprintln!();
     eprintln!("disk models: fixed = the paper's constant service times (default);");
     eprintln!("             geom  = calibrated geometry (seek curve + rotation)");
@@ -95,6 +97,10 @@ fn parse_algo(name: &str) -> Option<PrefetchConfig> {
         Some((b, o)) => (b, o.parse::<usize>().ok()?),
         None => (name, 1),
     };
+    // An order-0 Markov model predicts nothing; the predictors reject it.
+    if order == 0 {
+        return None;
+    }
     Some(match base {
         "np" => PrefetchConfig::np(),
         "oba" => PrefetchConfig::oba(),
@@ -282,10 +288,9 @@ fn main() {
 
     let Some(mut prefetch) = parse_algo(&args.algo) else {
         eprintln!("unknown algorithm {:?}", args.algo);
-        eprintln!("algorithms: np, oba, ln_agr_oba, is_ppm:J, ln_agr_is_ppm:J,");
-        eprintln!("            is_ppm_backoff:J, ln_agr_is_ppm_backoff:J");
+        eprintln!("{ALGORITHMS}");
         eprintln!("or pick any registry predictor with --predictor:");
-        eprint!("{}", lap::predict::registry_help());
+        eprint!("{}", lap::prefetch::registry_help());
         exit(2);
     };
     // --predictor swaps the predictor while keeping --algo's

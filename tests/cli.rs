@@ -139,6 +139,26 @@ fn lapsim_rejects_unknown_algorithm() {
     assert!(err.contains("valid predictor specs"), "stderr: {err}");
 }
 
+/// A Markov order of 0 is bad input, not a predictor panic.
+#[test]
+fn lapsim_rejects_order_zero_algorithms() {
+    for algo in [
+        "is_ppm:0",
+        "ln_agr_is_ppm:0",
+        "is_ppm_backoff:0",
+        "ln_agr_is_ppm_backoff:0",
+    ] {
+        let out = lapsim()
+            .args(["--workload", "sprite", "--algo", algo])
+            .output()
+            .expect("run lapsim");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "algo {algo}: {err}");
+        assert!(!err.contains("panicked"), "algo {algo}: {err}");
+        assert!(err.contains("unknown algorithm"), "algo {algo}: {err}");
+    }
+}
+
 #[test]
 fn lapsim_rejects_bad_fault_plan_with_key_menu() {
     let out = lapsim()

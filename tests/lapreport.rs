@@ -26,7 +26,10 @@ fn scenario(
     prefetch: PrefetchConfig,
     cache_mb: u64,
 ) -> (SimConfig, Workload) {
-    let wl = lap::ioworkload::generate_named(workload, "small", 42).unwrap();
+    let wl = lap::workzoo::WorkloadSpec::parse_cli(workload, "small")
+        .unwrap()
+        .build(42)
+        .unwrap();
     let mut cfg = SimConfig::pm(system, prefetch, cache_mb);
     if wl.nodes < cfg.machine.nodes {
         cfg.machine.nodes = wl.nodes;
