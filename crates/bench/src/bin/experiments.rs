@@ -26,7 +26,6 @@ use bench::{
     build_config, build_workload, experiment, render_csv, render_table, run_grid, Experiment,
     Scale, WorkloadKind, CACHE_MBS, EXPERIMENTS,
 };
-use coopcache::MetaLayout;
 use devmodel::DiskSched;
 use faultkit::FaultPlan;
 use ioworkload::Workload;
@@ -36,7 +35,6 @@ use lap_core::{
 };
 use lapobs::MetricValue;
 use prefetch::{AggressiveLimit, EdgeChoice, PredictorSpec, PrefetchConfig};
-use simkit::QueueBackend;
 use workzoo::WorkloadSpec;
 
 struct Options {
@@ -111,7 +109,7 @@ fn parse_args() -> Options {
         bench_out: None,
         predictor: None,
         workload: None,
-        plans: 500,
+        plans: 2000,
     };
     let mut ids: Vec<String> = Vec::new();
     let mut workload_raw: Option<String> = None;
@@ -226,7 +224,7 @@ fn print_help() {
     eprintln!("  --predictor SPEC  restrict the predictors ablation to one registry spec");
     eprintln!("  --workload SPEC   restrict the zoo/mithril-sweep ablations to one workload");
     eprintln!("                    (registry spec, e.g. web:64,0.8,256 or strace:FILE)");
-    eprintln!("  --plans N         seeded random fault plans for the chaos sweep (default 500)");
+    eprintln!("  --plans N         seeded random fault plans for the chaos sweep (default 2000)");
     eprintln!("ids: all, {}, or any of:", ids.join(", "));
     for e in EXPERIMENTS {
         eprintln!("  {:<8} {}", e.id, e.title);
@@ -1275,11 +1273,8 @@ struct ChaosCell {
     seed: u64,
     spec: String,
     system: &'static str,
-    /// `"ok"`, `"violation"` (an invariant-oracle panic) or
-    /// `"mismatch"` (layout/backend variants disagreed).
-    status: &'static str,
-    /// Panic message / mismatch description, empty when ok.
-    detail: String,
+    /// The invariant oracle's panic message, if the run violated one.
+    violation: Option<String>,
     read_ms: f64,
     reads: u64,
     injected: u64,
@@ -1288,11 +1283,9 @@ struct ChaosCell {
 
 /// `experiments chaos`: the seeded chaos sweep (DESIGN.md §15). Each
 /// plan index derives a random-but-valid fault plan spec from
-/// `FaultPlan::random_spec(seed + index)`, and every plan runs on both
-/// cooperative systems × both cache-metadata layouts × both
-/// event-queue backends with the invariant oracle forced **on**. A
-/// plan passes when all four layout/backend variants finish without an
-/// oracle violation and produce bit-identical `SimReport`s.
+/// `FaultPlan::random_spec(seed + index)`, and every plan runs once on
+/// each cooperative system with the invariant oracle forced **on**. A
+/// plan passes when neither run trips an oracle violation.
 ///
 /// Always runs at small scale on the stock CHARISMA/Sprite pair — the
 /// point is plan count, not workload size; workload, algorithm and
@@ -1304,12 +1297,6 @@ fn chaos(opts: &Options) {
     use std::panic::{catch_unwind, AssertUnwindSafe};
 
     let systems = [CacheSystem::Pafs, CacheSystem::Xfs];
-    let variants: [(MetaLayout, QueueBackend); 4] = [
-        (MetaLayout::Classic, QueueBackend::Heap),
-        (MetaLayout::Classic, QueueBackend::Calendar),
-        (MetaLayout::Dense, QueueBackend::Heap),
-        (MetaLayout::Dense, QueueBackend::Calendar),
-    ];
     let algos = [
         PrefetchConfig::ln_agr_is_ppm(1),
         PrefetchConfig::ln_agr_oba(),
@@ -1326,8 +1313,8 @@ fn chaos(opts: &Options) {
     // No worker count in the header: chaos output must stay
     // byte-identical for any --workers (CI diffs runs).
     println!(
-        "chaos — {} seeded random fault plans × {{PAFS, xFS}} × {{classic, dense}} × \
-         {{heap, calendar}}, invariant oracle on (seed base {}, small scale)",
+        "chaos — {} seeded random fault plans × {{PAFS, xFS}}, invariant oracle on \
+         (seed base {}, small scale)",
         opts.plans, opts.seed
     );
     let panic_msg = |e: Box<dyn std::any::Any + Send>| -> String {
@@ -1342,101 +1329,80 @@ fn chaos(opts: &Options) {
     let cells: Vec<ChaosCell> = bench::par_map(&jobs, opts.workers, |&(plan, system)| {
         let seed = opts.seed.wrapping_add(plan as u64);
         let spec = FaultPlan::random_spec(seed);
-        let fault_plan = FaultPlan::parse(&spec).expect("random_spec emits valid specs");
-        let kind = kinds[plan % kinds.len()];
-        let wl = &workloads[plan % kinds.len()];
-        let pf = algos[plan % algos.len()];
-        let mb = mbs[plan % mbs.len()];
-        let mut reports = Vec::with_capacity(variants.len());
+        let mut cfg = build_config(
+            kinds[plan % kinds.len()],
+            Scale::Small,
+            system,
+            algos[plan % algos.len()],
+            mbs[plan % mbs.len()],
+        );
+        cfg.fault_plan = Some(FaultPlan::parse(&spec).expect("random_spec emits valid specs"));
+        cfg.check = CheckMode::On;
+        let wl = Arc::clone(&workloads[plan % kinds.len()]);
         let mut cell = ChaosCell {
             plan,
             seed,
             spec,
             system: system.name(),
-            status: "ok",
-            detail: String::new(),
+            violation: None,
             read_ms: 0.0,
             reads: 0,
             injected: 0,
             failovers: 0,
         };
-        for (layout, backend) in variants {
-            let mut cfg = build_config(kind, Scale::Small, system, pf, mb);
-            cfg.fault_plan = Some(fault_plan);
-            cfg.meta_layout = layout;
-            cfg.event_queue = backend;
-            cfg.check = CheckMode::On;
-            let wl = Arc::clone(wl);
-            match catch_unwind(AssertUnwindSafe(|| run_simulation_shared(cfg, wl))) {
-                Ok(r) => reports.push((layout, backend, r)),
-                Err(e) => {
-                    cell.status = "violation";
-                    cell.detail = format!(
-                        "{}/{:?}/{:?}: {}",
-                        system.name(),
-                        layout,
-                        backend,
-                        panic_msg(e)
-                    );
-                    break;
-                }
+        match catch_unwind(AssertUnwindSafe(|| run_simulation_shared(cfg, wl))) {
+            Ok(r) => {
+                cell.read_ms = r.avg_read_ms;
+                cell.reads = r.reads;
+                cell.injected = r.faults_injected;
+                cell.failovers = r.failovers;
             }
-        }
-        if cell.status == "ok" {
-            let (_, _, first) = &reports[0];
-            if let Some((layout, backend, _)) = reports.iter().find(|(_, _, r)| r != first) {
-                cell.status = "mismatch";
-                cell.detail = format!(
-                    "{}/{:?}/{:?} differs from {:?}/{:?}",
-                    system.name(),
-                    layout,
-                    backend,
-                    variants[0].0,
-                    variants[0].1
-                );
-            } else {
-                cell.read_ms = first.avg_read_ms;
-                cell.reads = first.reads;
-                cell.injected = first.faults_injected;
-                cell.failovers = first.failovers;
-            }
+            Err(e) => cell.violation = Some(panic_msg(e)),
         }
         cell
     });
 
     let mut csv =
         String::from("plan,seed,system,status,read_ms,reads,faults_injected,failovers,spec\n");
-    let (mut violations, mut mismatches, mut injected_total) = (0u64, 0u64, 0u64);
+    let (mut violations, mut injected_total) = (0u64, 0u64);
     for c in &cells {
-        match c.status {
-            "violation" => violations += 1,
-            "mismatch" => mismatches += 1,
-            _ => {}
-        }
         injected_total += c.injected;
-        if c.status != "ok" {
+        if let Some(msg) = &c.violation {
+            violations += 1;
             println!(
-                "  plan {:>4} seed {:>8} {:<5} {}: {}\n    spec: {}",
-                c.plan, c.seed, c.system, c.status, c.detail, c.spec
+                "  plan {:>4} seed {:>8} {:<5} violation: {}\n    spec: {}",
+                c.plan, c.seed, c.system, msg, c.spec
             );
         }
         let _ = writeln!(
             csv,
             "{},{},{},{},{:.6},{},{},{},{}",
-            c.plan, c.seed, c.system, c.status, c.read_ms, c.reads, c.injected, c.failovers, c.spec
+            c.plan,
+            c.seed,
+            c.system,
+            if c.violation.is_some() {
+                "violation"
+            } else {
+                "ok"
+            },
+            c.read_ms,
+            c.reads,
+            c.injected,
+            c.failovers,
+            c.spec
         );
     }
-    let runs = cells.len() * variants.len();
     println!(
-        "  plans {:>5}   runs {:>6}   faults injected {:>8}   violations {}   mismatches {}",
-        opts.plans, runs, injected_total, violations, mismatches
+        "  plans {:>5}   runs {:>6}   faults injected {:>8}   violations {}",
+        opts.plans,
+        cells.len(),
+        injected_total,
+        violations
     );
     write_out(opts, "chaos.csv", || csv);
-    if violations + mismatches > 0 {
-        eprintln!(
-            "chaos: {violations} invariant violation(s), {mismatches} layout/backend mismatch(es)"
-        );
+    if violations > 0 {
+        eprintln!("chaos: {violations} invariant violation(s)");
         exit(1);
     }
-    println!("  all invariants green; classic/dense and heap/calendar bit-identical per plan\n");
+    println!("  all invariants green\n");
 }

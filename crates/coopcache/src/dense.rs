@@ -1,60 +1,76 @@
-//! Dense cache-metadata structures (DESIGN.md §14).
+//! Cache-metadata structures (DESIGN.md §14).
 //!
-//! The classic layout ([`LruPool`]: `HashMap` + `BTreeSet`, and the
-//! xFS holder registry: `HashMap<BlockId, BTreeSet<u32>>`) pays a
-//! SipHash plus tree rebalance per probe — the dominant simulator cost
-//! on the seed scenarios (~60% of the subsystem counters). This module
-//! replaces both with open-addressed tables and an intrusive LRU list:
+//! Every cooperative cache keeps its block copies and the xFS manager
+//! keeps its block→holders registry in open-addressed tables with an
+//! intrusive LRU list, O(1) amortized per probe:
 //!
 //! * [`DensePool`] — a slab of block slots addressed through a
 //!   power-of-two, linear-probed index table (backward-shift deletion,
 //!   no tombstones), with recency as an intrusive doubly-linked list
-//!   through the slots. Every operation the classic pool offers, same
-//!   observable behaviour (victim order, sweep output, returned
-//!   metadata), O(1) amortized instead of O(log n).
-//! * [`HolderTable`] — the xFS block→holders registry on the same
+//!   through the slots.
+//! * [`DenseHolders`] — the xFS block→holders registry on the same
 //!   open-addressed scheme, holder sets kept as sorted `Vec<u32>` so
-//!   "first up holder" and invalidation order match the `BTreeSet`
-//!   iteration order of the classic layout exactly.
+//!   "first up holder" and invalidation order are ascending by node.
 //!
-//! Both layouts stay selectable ([`MetaLayout`]); the classic one is
-//! the reference implementation the equivalence tests drive against.
+//! The `reference` module keeps the classic `HashMap` + `BTreeSet`
+//! layout under `#[cfg(test)]`: it is the model the equivalence tests
+//! drive both tables against.
 
-use std::collections::{BTreeSet, HashMap};
+use std::collections::BTreeSet;
 
 use ioworkload::{BlockId, NodeId};
 
-use crate::lru::{LruPool, Meta, Replacement};
-
-/// Which metadata layout the cooperative caches use. Results are
-/// bit-identical either way; only simulator speed differs.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub enum MetaLayout {
-    /// `HashMap` + `BTreeSet` — the reference implementation.
-    Classic,
-    /// Open-addressed tables + intrusive LRU list (DESIGN.md §14).
-    Dense,
+/// Replacement policy of a pool.
+#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
+pub enum Replacement {
+    /// Least-recently-used: every access refreshes recency (the
+    /// behaviour both PAFS and xFS assume).
+    #[default]
+    Lru,
+    /// First-in-first-out: insertion order decides the victim; touches
+    /// do not refresh. Kept for the replacement-policy ablation.
+    Fifo,
 }
 
-impl MetaLayout {
-    /// Stable lowercase name (CLI/config spelling).
-    pub fn name(self) -> &'static str {
-        match self {
-            MetaLayout::Classic => "classic",
-            MetaLayout::Dense => "dense",
-        }
-    }
+/// Metadata of one resident block copy.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) struct Meta {
+    /// Node whose buffer holds the copy.
+    pub owner: NodeId,
+    /// Modified since last written to disk.
+    pub dirty: bool,
+    /// Brought in by the prefetcher.
+    pub prefetched: bool,
+    /// Used by a demand access since (last) prefetched.
+    pub used: bool,
+    /// xFS N-chance recirculation count.
+    pub recirc: u8,
+}
 
-    /// Parse the CLI/config spelling produced by [`name`].
-    ///
-    /// [`name`]: MetaLayout::name
-    pub fn parse(s: &str) -> Option<Self> {
-        match s {
-            "classic" => Some(MetaLayout::Classic),
-            "dense" => Some(MetaLayout::Dense),
-            _ => None,
+impl Meta {
+    /// A fresh metadata record for insertion: a demand copy counts as
+    /// used, a prefetched one does not until a demand access touches it.
+    pub(crate) fn fresh(owner: NodeId, dirty: bool, prefetched: bool) -> Self {
+        Meta {
+            owner,
+            dirty,
+            prefetched,
+            used: !prefetched,
+            recirc: 0,
         }
     }
+}
+
+/// The cache-metadata layout. There is one: the dense tables above.
+///
+/// Kept only so the `perfbench` package, which passes
+/// `SimConfig::meta_layout` to `PafsCache::with_layout` and
+/// `XfsCache::with_layout`, builds unchanged; the next benchmark change
+/// drops all three names.
+#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
+pub enum MetaLayout {
+    /// Open-addressed tables + intrusive LRU list.
+    Dense,
 }
 
 /// Sentinel for "no slot" in the index table and the intrusive list.
@@ -194,8 +210,8 @@ struct Slot {
     next: u32,
 }
 
-/// An LRU-ordered pool of block copies with O(1) amortized operations
-/// — the dense replacement for [`LruPool`], same observable semantics.
+/// An LRU-ordered (or, under [`Replacement::Fifo`], insertion-ordered)
+/// pool of block copies with O(1) amortized operations.
 pub(crate) struct DensePool {
     /// Open-addressed index: hash tag + slab slot per bucket (or
     /// [`TableEntry::EMPTY`]). Length is a power of two, load factor
@@ -301,12 +317,19 @@ impl DensePool {
         self.tail = s;
     }
 
-    /// See [`LruPool::touch`].
+    /// Touch a resident block for a *demand access*: bump recency
+    /// (under LRU), optionally dirty it, mark prefetch usage, and
+    /// (having just been referenced) grant forwarded blocks a fresh set
+    /// of N-chance recirculations. Returns the pre-touch metadata, or
+    /// `None` if absent.
     pub(crate) fn touch(&mut self, block: BlockId, write: bool) -> Option<Meta> {
         self.touch_inner(block, write, true)
     }
 
-    /// See [`LruPool::refresh`].
+    /// Refresh a resident block on a (racing) re-insert: bump recency
+    /// and dirtiness, and mark usage only if the re-insert was
+    /// demand-driven — a prefetch landing on an already-resident block
+    /// must not launder its never-used status.
     pub(crate) fn refresh(&mut self, block: BlockId, dirty: bool, mark_used: bool) -> Option<Meta> {
         self.touch_inner(block, dirty, mark_used)
     }
@@ -332,10 +355,8 @@ impl DensePool {
         Some(before)
     }
 
-    /// Insert (or overwrite) a block copy at MRU position — same
-    /// contract as [`LruPool::insert`]: an overwrite re-MRUs even
-    /// under FIFO, because the classic pool reassigns the sequence
-    /// number on every insert.
+    /// Insert (or overwrite) a block copy at MRU position. An
+    /// overwrite re-MRUs even under FIFO: it counts as a new insertion.
     pub(crate) fn insert(&mut self, block: BlockId, meta: Meta) {
         if let Some(i) = self.find(block) {
             let s = self.table[i].slot();
@@ -433,7 +454,7 @@ impl DensePool {
         self.table[hole] = TableEntry::EMPTY;
     }
 
-    /// See [`LruPool::remove`].
+    /// Remove a specific block, returning its metadata.
     pub(crate) fn remove(&mut self, block: BlockId) -> Option<Meta> {
         let i = self.find(block)?;
         let meta = self.slots[self.table[i].slot() as usize].meta;
@@ -441,7 +462,8 @@ impl DensePool {
         Some(meta)
     }
 
-    /// See [`LruPool::pop_lru`].
+    /// Remove and return the least-recently-used (under FIFO: the
+    /// oldest-inserted) block.
     pub(crate) fn pop_lru(&mut self) -> Option<(BlockId, Meta)> {
         if self.head == NIL {
             return None;
@@ -453,7 +475,8 @@ impl DensePool {
         Some((block, meta))
     }
 
-    /// See [`LruPool::sweep_dirty`]. Walks the slab *sequentially* —
+    /// Collect all dirty blocks, sorted, and mark them clean. Walks the
+    /// slab *sequentially* —
     /// not the recency list, whose pointer-chase order would cost one
     /// dependent DRAM miss per slot. Freed slots have `dirty` cleared
     /// at free time ([`delete_at`](Self::delete_at)), and the output
@@ -481,8 +504,9 @@ impl DensePool {
         }
     }
 
-    /// See [`LruPool::count_unused_prefetched`]. Sequential slab walk;
-    /// freed slots have `prefetched` cleared at free time.
+    /// Count resident prefetched-but-never-used blocks (for finalize).
+    /// Sequential slab walk; freed slots have `prefetched` cleared at
+    /// free time.
     pub(crate) fn count_unused_prefetched(&self) -> u64 {
         self.slots
             .iter()
@@ -491,239 +515,8 @@ impl DensePool {
     }
 }
 
-/// A block pool on either metadata layout — what [`PafsCache`] and
-/// [`XfsCache`] actually hold. Delegation is a plain enum match so the
-/// dense hot path stays free of virtual dispatch.
-///
-/// [`PafsCache`]: crate::PafsCache
-/// [`XfsCache`]: crate::XfsCache
-pub(crate) enum BlockPool {
-    Classic(LruPool),
-    Dense(DensePool),
-}
-
-impl BlockPool {
-    pub(crate) fn with_policy(layout: MetaLayout, policy: Replacement) -> Self {
-        match layout {
-            MetaLayout::Classic => BlockPool::Classic(LruPool::with_policy(policy)),
-            MetaLayout::Dense => BlockPool::Dense(DensePool::with_policy(policy)),
-        }
-    }
-
-    pub(crate) fn len(&self) -> usize {
-        match self {
-            BlockPool::Classic(p) => p.len(),
-            BlockPool::Dense(p) => p.len(),
-        }
-    }
-
-    pub(crate) fn contains(&self, block: BlockId) -> bool {
-        match self {
-            BlockPool::Classic(p) => p.contains(block),
-            BlockPool::Dense(p) => p.contains(block),
-        }
-    }
-
-    /// Consecutive resident blocks starting at `block`, capped at
-    /// `max`. The classic layout answers by point-probing block by
-    /// block (the behavioural reference); the dense layout scans its
-    /// presence bitmaps.
-    pub(crate) fn resident_run(&self, block: BlockId, max: u32) -> u32 {
-        match self {
-            BlockPool::Classic(p) => {
-                let mut n = 0;
-                while n < max && p.contains(BlockId::new(block.file, block.index + u64::from(n))) {
-                    n += 1;
-                }
-                n
-            }
-            BlockPool::Dense(p) => p.resident_run(block, max),
-        }
-    }
-
-    pub(crate) fn get(&self, block: BlockId) -> Option<&Meta> {
-        match self {
-            BlockPool::Classic(p) => p.get(block),
-            BlockPool::Dense(p) => p.get(block),
-        }
-    }
-
-    pub(crate) fn touch(&mut self, block: BlockId, write: bool) -> Option<Meta> {
-        match self {
-            BlockPool::Classic(p) => p.touch(block, write),
-            BlockPool::Dense(p) => p.touch(block, write),
-        }
-    }
-
-    pub(crate) fn refresh(&mut self, block: BlockId, dirty: bool, mark_used: bool) -> Option<Meta> {
-        match self {
-            BlockPool::Classic(p) => p.refresh(block, dirty, mark_used),
-            BlockPool::Dense(p) => p.refresh(block, dirty, mark_used),
-        }
-    }
-
-    pub(crate) fn insert(&mut self, block: BlockId, meta: Meta) {
-        match self {
-            BlockPool::Classic(p) => p.insert(block, meta),
-            BlockPool::Dense(p) => p.insert(block, meta),
-        }
-    }
-
-    pub(crate) fn remove(&mut self, block: BlockId) -> Option<Meta> {
-        match self {
-            BlockPool::Classic(p) => p.remove(block),
-            BlockPool::Dense(p) => p.remove(block),
-        }
-    }
-
-    pub(crate) fn pop_lru(&mut self) -> Option<(BlockId, Meta)> {
-        match self {
-            BlockPool::Classic(p) => p.pop_lru(),
-            BlockPool::Dense(p) => p.pop_lru(),
-        }
-    }
-
-    pub(crate) fn sweep_dirty(&mut self) -> Vec<BlockId> {
-        match self {
-            BlockPool::Classic(p) => p.sweep_dirty(),
-            BlockPool::Dense(p) => p.sweep_dirty(),
-        }
-    }
-
-    pub(crate) fn count_unused_prefetched(&self) -> u64 {
-        match self {
-            BlockPool::Classic(p) => p.count_unused_prefetched(),
-            BlockPool::Dense(p) => p.count_unused_prefetched(),
-        }
-    }
-
-    /// Visit every resident copy (arbitrary order).
-    pub(crate) fn for_each(&self, f: &mut dyn FnMut(BlockId, &Meta)) {
-        match self {
-            BlockPool::Classic(p) => p.for_each(f),
-            BlockPool::Dense(p) => p.for_each(f),
-        }
-    }
-}
-
-/// The xFS block→holders registry on either layout. The dense side
-/// keeps each holder set as a sorted `Vec<u32>`, so holder iteration
-/// order (which decides "first up holder" and invalidation order)
-/// matches the classic `BTreeSet` exactly.
-pub(crate) enum HolderTable {
-    Classic(HashMap<BlockId, BTreeSet<u32>>),
-    Dense(DenseHolders),
-}
-
-impl HolderTable {
-    pub(crate) fn new(layout: MetaLayout) -> Self {
-        match layout {
-            MetaLayout::Classic => HolderTable::Classic(HashMap::new()),
-            MetaLayout::Dense => HolderTable::Dense(DenseHolders::new()),
-        }
-    }
-
-    pub(crate) fn contains_key(&self, block: BlockId) -> bool {
-        match self {
-            HolderTable::Classic(m) => m.contains_key(&block),
-            HolderTable::Dense(m) => m.find(block).is_some(),
-        }
-    }
-
-    pub(crate) fn insert(&mut self, block: BlockId, node: NodeId) {
-        match self {
-            HolderTable::Classic(m) => {
-                m.entry(block).or_default().insert(node.0);
-            }
-            HolderTable::Dense(m) => m.insert(block, node.0),
-        }
-    }
-
-    pub(crate) fn remove(&mut self, block: BlockId, node: NodeId) {
-        match self {
-            HolderTable::Classic(m) => {
-                if let Some(set) = m.get_mut(&block) {
-                    set.remove(&node.0);
-                    if set.is_empty() {
-                        m.remove(&block);
-                    }
-                }
-            }
-            HolderTable::Dense(m) => m.remove(block, node.0),
-        }
-    }
-
-    /// Consecutive registered blocks starting at `block`, capped at
-    /// `max` — the `contains_key` run, range-queried.
-    pub(crate) fn resident_run(&self, block: BlockId, max: u32) -> u32 {
-        match self {
-            HolderTable::Classic(m) => {
-                let mut n = 0;
-                while n < max
-                    && m.contains_key(&BlockId::new(block.file, block.index + u64::from(n)))
-                {
-                    n += 1;
-                }
-                n
-            }
-            HolderTable::Dense(h) => h.presence.run_len(block, max),
-        }
-    }
-
-    /// Lowest-numbered holder of `block` that is not in `down`.
-    pub(crate) fn first_holder_up(&self, block: BlockId, down: &BTreeSet<u32>) -> Option<u32> {
-        match self {
-            HolderTable::Classic(m) => m
-                .get(&block)
-                .and_then(|s| s.iter().copied().find(|h| !down.contains(h))),
-            HolderTable::Dense(m) => m
-                .holders_of(block)
-                .iter()
-                .copied()
-                .find(|h| !down.contains(h)),
-        }
-    }
-
-    /// Does the registry record `node` as a holder of `block`?
-    /// (Integrity checks only — not a probe-counted operation.)
-    pub(crate) fn holds(&self, block: BlockId, node: u32) -> bool {
-        match self {
-            HolderTable::Classic(m) => m.get(&block).is_some_and(|s| s.contains(&node)),
-            HolderTable::Dense(m) => m.holders_of(block).binary_search(&node).is_ok(),
-        }
-    }
-
-    /// Total number of (block, holder) registrations — every copy the
-    /// manager believes exists. (Integrity checks only.)
-    pub(crate) fn total_registrations(&self) -> u64 {
-        match self {
-            HolderTable::Classic(m) => m.values().map(|s| s.len() as u64).sum(),
-            // Freed slab entries keep an empty holder set, so summing
-            // over the whole slab counts exactly the live registrations.
-            HolderTable::Dense(m) => m.entries.iter().map(|e| e.holders.len() as u64).sum(),
-        }
-    }
-
-    /// All holders of `block` except `keep`, ascending.
-    pub(crate) fn holders_except(&self, block: BlockId, keep: u32) -> Vec<u32> {
-        match self {
-            HolderTable::Classic(m) => m
-                .get(&block)
-                .map(|s| s.iter().copied().filter(|&h| h != keep).collect())
-                .unwrap_or_default(),
-            HolderTable::Dense(m) => m
-                .holders_of(block)
-                .iter()
-                .copied()
-                .filter(|&h| h != keep)
-                .collect(),
-        }
-    }
-}
-
-/// Open-addressed block→holder-set map (dense side of
-/// [`HolderTable`]). Same linear-probe, backward-shift-delete scheme
-/// as [`DensePool`].
+/// Open-addressed block→holder-set map: the xFS manager's registry.
+/// Same linear-probe, backward-shift-delete scheme as [`DensePool`].
 pub(crate) struct DenseHolders {
     table: Vec<TableEntry>,
     mask: usize,
@@ -737,12 +530,12 @@ pub(crate) struct DenseHolders {
 
 struct HolderEntry {
     block: BlockId,
-    /// Sorted ascending — mirrors `BTreeSet` iteration order.
+    /// Sorted ascending, so holder iteration runs in node order.
     holders: Vec<u32>,
 }
 
 impl DenseHolders {
-    fn new() -> Self {
+    pub(crate) fn new() -> Self {
         let cap = 64usize;
         DenseHolders {
             table: vec![TableEntry::EMPTY; cap],
@@ -779,7 +572,50 @@ impl DenseHolders {
         }
     }
 
-    fn insert(&mut self, block: BlockId, node: u32) {
+    /// Does any node hold `block`?
+    pub(crate) fn contains_key(&self, block: BlockId) -> bool {
+        self.find(block).is_some()
+    }
+
+    /// Consecutive registered blocks starting at `block`, capped at
+    /// `max` — the `contains_key` run, range-queried.
+    pub(crate) fn resident_run(&self, block: BlockId, max: u32) -> u32 {
+        self.presence.run_len(block, max)
+    }
+
+    /// Lowest-numbered holder of `block` that is not in `down`.
+    pub(crate) fn first_holder_up(&self, block: BlockId, down: &BTreeSet<u32>) -> Option<u32> {
+        self.holders_of(block)
+            .iter()
+            .copied()
+            .find(|h| !down.contains(h))
+    }
+
+    /// Does the registry record `node` as a holder of `block`?
+    /// (Integrity checks only — not a probe-counted operation.)
+    pub(crate) fn holds(&self, block: BlockId, node: u32) -> bool {
+        self.holders_of(block).binary_search(&node).is_ok()
+    }
+
+    /// Total number of (block, holder) registrations — every copy the
+    /// manager believes exists. (Integrity checks only.) Freed slab
+    /// entries keep an empty holder set, so summing over the whole slab
+    /// counts exactly the live registrations.
+    pub(crate) fn total_registrations(&self) -> u64 {
+        self.entries.iter().map(|e| e.holders.len() as u64).sum()
+    }
+
+    /// All holders of `block` except `keep`, ascending.
+    pub(crate) fn holders_except(&self, block: BlockId, keep: u32) -> Vec<u32> {
+        self.holders_of(block)
+            .iter()
+            .copied()
+            .filter(|&h| h != keep)
+            .collect()
+    }
+
+    /// Register `node` as a holder of `block` (idempotent).
+    pub(crate) fn insert(&mut self, block: BlockId, node: u32) {
         if let Some(i) = self.find(block) {
             let holders = &mut self.entries[self.table[i].slot() as usize].holders;
             if let Err(pos) = holders.binary_search(&node) {
@@ -816,7 +652,9 @@ impl DenseHolders {
         self.presence.set(block);
     }
 
-    fn remove(&mut self, block: BlockId, node: u32) {
+    /// Unregister `node` as a holder of `block`; the entry goes with
+    /// its last holder.
+    pub(crate) fn remove(&mut self, block: BlockId, node: u32) {
         let Some(i) = self.find(block) else {
             return;
         };
@@ -872,6 +710,7 @@ impl DenseHolders {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::reference::{ClassicHolders, LruPool};
     use ioworkload::FileId;
 
     fn b(f: u32, i: u64) -> BlockId {
@@ -894,23 +733,18 @@ mod tests {
         }
     }
 
-    fn meta_eq(a: Option<Meta>, c: Option<Meta>) -> bool {
-        match (a, c) {
-            (None, None) => true,
-            (Some(a), Some(c)) => {
-                a.owner == c.owner
-                    && a.dirty == c.dirty
-                    && a.prefetched == c.prefetched
-                    && a.used == c.used
-                    && a.recirc == c.recirc
-            }
-            _ => false,
-        }
+    /// Every resident copy of a dense pool, sorted by block.
+    fn copies(pool: &DensePool) -> Vec<(BlockId, Meta)> {
+        let mut all = Vec::new();
+        pool.for_each(&mut |block, meta| all.push((block, *meta)));
+        all.sort_unstable_by_key(|&(b, _)| b);
+        all
     }
 
-    /// DensePool is observably equivalent to LruPool under randomized
-    /// interleavings of every operation, for both policies: identical
-    /// victim sequences, sweep output, lengths, and returned metadata.
+    /// DensePool is observably equivalent to the classic LruPool under
+    /// randomized interleavings of every operation the caches call, for
+    /// both replacement policies: identical victim sequences, sweep
+    /// output, lengths, residency runs, and returned metadata.
     #[test]
     fn dense_pool_matches_classic_pool() {
         for (seed, policy) in [
@@ -926,7 +760,7 @@ mod tests {
                 let block = b((rng.next() % 3) as u32, rng.next() % 64);
                 match rng.next() % 100 {
                     0..=34 => {
-                        let meta = LruPool::fresh_meta(
+                        let meta = Meta::fresh(
                             n((rng.next() % 4) as u32),
                             rng.next().is_multiple_of(2),
                             rng.next().is_multiple_of(2),
@@ -936,29 +770,27 @@ mod tests {
                     }
                     35..=59 => {
                         let write = rng.next().is_multiple_of(2);
-                        assert!(meta_eq(
-                            classic.touch(block, write),
-                            dense.touch(block, write)
-                        ));
+                        assert_eq!(classic.touch(block, write), dense.touch(block, write));
                     }
                     60..=69 => {
                         let dirty = rng.next().is_multiple_of(2);
                         let used = rng.next().is_multiple_of(2);
-                        assert!(meta_eq(
+                        assert_eq!(
                             classic.refresh(block, dirty, used),
                             dense.refresh(block, dirty, used)
-                        ));
+                        );
                     }
                     70..=79 => {
-                        assert!(meta_eq(classic.remove(block), dense.remove(block)));
+                        assert_eq!(classic.remove(block), dense.remove(block));
                     }
                     80..=94 => {
-                        let (cv, dv) = (classic.pop_lru(), dense.pop_lru());
-                        assert_eq!(cv.map(|(b, _)| b), dv.map(|(b, _)| b), "victim order");
-                        assert!(meta_eq(cv.map(|(_, m)| m), dv.map(|(_, m)| m)));
+                        assert_eq!(classic.pop_lru(), dense.pop_lru(), "victim, step {step}");
                     }
-                    95..=97 => {
+                    95..=96 => {
                         assert_eq!(classic.sweep_dirty(), dense.sweep_dirty(), "step {step}");
+                    }
+                    97..=98 => {
+                        assert_eq!(classic.copies(), copies(&dense), "step {step}");
                     }
                     _ => {
                         assert_eq!(
@@ -969,20 +801,17 @@ mod tests {
                 }
                 assert_eq!(classic.len(), dense.len());
                 assert_eq!(classic.contains(block), dense.contains(block));
-                // The dense range residency query agrees with the
-                // point-probe loop the classic layout would run.
-                let mut expect = 0u32;
-                while expect < 8
-                    && classic.contains(BlockId::new(block.file, block.index + u64::from(expect)))
-                {
-                    expect += 1;
-                }
-                assert_eq!(dense.resident_run(block, 8), expect, "step {step}");
+                assert_eq!(classic.get(block), dense.get(block));
+                assert_eq!(
+                    classic.resident_run(block, 8),
+                    dense.resident_run(block, 8),
+                    "step {step}"
+                );
             }
             // Drain both fully: complete victim order must agree.
             loop {
                 let (cv, dv) = (classic.pop_lru(), dense.pop_lru());
-                assert_eq!(cv.map(|(b, _)| b), dv.map(|(b, _)| b));
+                assert_eq!(cv, dv);
                 if cv.is_none() {
                     break;
                 }
@@ -990,17 +819,19 @@ mod tests {
         }
     }
 
-    /// DenseHolders matches the classic HashMap/BTreeSet registry:
-    /// same first-up holder, same except-sets, same membership.
+    /// DenseHolders matches the classic HashMap/BTreeSet registry on
+    /// every operation the xFS cache calls: membership, residency runs,
+    /// first-up holder, except-sets, per-holder lookups, and the total
+    /// registration count.
     #[test]
     fn dense_holders_match_classic_registry() {
         let mut rng = TestRng(0xDEAD_BEEF_1234_5679);
-        let mut classic = HolderTable::Classic(HashMap::new());
-        let mut dense = HolderTable::Dense(DenseHolders::new());
+        let mut classic = ClassicHolders::default();
+        let mut dense = DenseHolders::new();
         let mut down = BTreeSet::new();
         for _ in 0..6000 {
             let block = b((rng.next() % 2) as u32, rng.next() % 48);
-            let node = n((rng.next() % 6) as u32);
+            let node = (rng.next() % 6) as u32;
             match rng.next() % 10 {
                 0..=3 => {
                     classic.insert(block, node);
@@ -1011,10 +842,10 @@ mod tests {
                     dense.remove(block, node);
                 }
                 7 => {
-                    if down.contains(&node.0) {
-                        down.remove(&node.0);
+                    if down.contains(&node) {
+                        down.remove(&node);
                     } else {
-                        down.insert(node.0);
+                        down.insert(node);
                     }
                 }
                 _ => {}
@@ -1026,9 +857,11 @@ mod tests {
                 dense.first_holder_up(block, &down)
             );
             assert_eq!(
-                classic.holders_except(block, node.0),
-                dense.holders_except(block, node.0)
+                classic.holders_except(block, node),
+                dense.holders_except(block, node)
             );
+            assert_eq!(classic.holds(block, node), dense.holds(block, node));
+            assert_eq!(classic.total_registrations(), dense.total_registrations());
         }
     }
 
@@ -1064,10 +897,7 @@ mod tests {
         let mut pool = DensePool::with_policy(Replacement::Lru);
         for round in 0u64..4 {
             for i in 0..200 {
-                pool.insert(
-                    b(0, round * 1000 + i),
-                    LruPool::fresh_meta(n(0), false, false),
-                );
+                pool.insert(b(0, round * 1000 + i), Meta::fresh(n(0), false, false));
             }
             for i in 0..200 {
                 if i % 3 != 0 {

@@ -32,15 +32,15 @@
 
 mod dense;
 mod local;
-mod lru;
 mod pafs;
+#[cfg(test)]
+mod reference;
 mod stats;
 mod xfs;
 
-pub use dense::MetaLayout;
+pub use dense::{MetaLayout, Replacement};
 pub use ioworkload::{BlockId, FileId, NodeId};
 pub use local::LocalOnlyCache;
-pub use lru::Replacement;
 pub use pafs::{server_node, PafsCache};
 pub use stats::CacheStats;
 pub use xfs::XfsCache;
@@ -115,10 +115,9 @@ pub trait CooperativeCache {
     /// rescans already-resident data after every restart, and asking
     /// "how far is this run resident?" once replaces up to `max` point
     /// probes. Backends count it as a single metadata probe — it is one
-    /// query against the block-location tables; the dense layout
-    /// answers it from per-file presence bitmaps in O(`max`/64) words,
-    /// while the classic reference layout loops point lookups
-    /// internally. The default implementation delegates to
+    /// query against the block-location tables, answered from per-file
+    /// presence bitmaps in O(`max`/64) words. The default
+    /// implementation delegates to
     /// [`contains`](Self::contains) (and therefore counts one probe
     /// per block examined).
     fn resident_run(&self, block: BlockId, max: u32) -> u32 {

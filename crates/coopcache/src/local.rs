@@ -13,13 +13,13 @@ use std::cell::Cell;
 
 use ioworkload::{BlockId, NodeId};
 
-use crate::lru::{LruPool, Replacement};
+use crate::dense::{DensePool, Meta, Replacement};
 use crate::stats::CacheStats;
 use crate::{AccessOutcome, CooperativeCache, Evicted, InsertOrigin, Lookup};
 
 /// Independent per-node LRU caches with no cooperation at all.
 pub struct LocalOnlyCache {
-    pools: Vec<LruPool>,
+    pools: Vec<DensePool>,
     blocks_per_node: u64,
     stats: CacheStats,
     /// Metadata probes (`meta_probes`); `Cell` because `contains*`
@@ -37,7 +37,7 @@ impl LocalOnlyCache {
     pub fn with_policy(nodes: u32, blocks_per_node: u64, policy: Replacement) -> Self {
         assert!(nodes > 0 && blocks_per_node > 0);
         LocalOnlyCache {
-            pools: (0..nodes).map(|_| LruPool::with_policy(policy)).collect(),
+            pools: (0..nodes).map(|_| DensePool::with_policy(policy)).collect(),
             blocks_per_node,
             stats: CacheStats::default(),
             probes: Cell::new(0),
@@ -47,19 +47,7 @@ impl LocalOnlyCache {
     fn make_room(&mut self, node: NodeId, out: &mut Vec<Evicted>) {
         while self.pools[node.0 as usize].len() as u64 >= self.blocks_per_node {
             let (block, meta) = self.pools[node.0 as usize].pop_lru().expect("capacity > 0");
-            self.stats.evictions += 1;
-            if meta.dirty {
-                self.stats.dirty_evictions += 1;
-            }
-            let wasted = meta.prefetched && !meta.used;
-            if wasted {
-                self.stats.prefetch_wasted += 1;
-            }
-            out.push(Evicted {
-                block,
-                dirty: meta.dirty,
-                wasted_prefetch: wasted,
-            });
+            out.push(self.stats.account_eviction(block, &meta));
         }
     }
 }
@@ -133,7 +121,7 @@ impl CooperativeCache for LocalOnlyCache {
         }
         self.make_room(node, &mut out);
         // fresh_meta already encodes used = !prefetched.
-        let meta = LruPool::fresh_meta(node, dirty, origin == InsertOrigin::Prefetch);
+        let meta = Meta::fresh(node, dirty, origin == InsertOrigin::Prefetch);
         self.pools[node.0 as usize].insert(block, meta);
         out
     }
@@ -143,7 +131,7 @@ impl CooperativeCache for LocalOnlyCache {
         // lost, and every drop is accounted as an eviction.
         let mut wiped = 0u64;
         while let Some((block, meta)) = self.pools[node.0 as usize].pop_lru() {
-            LruPool::account_eviction(&mut self.stats, block, &meta);
+            self.stats.account_eviction(block, &meta);
             wiped += 1;
         }
         wiped

@@ -6,8 +6,7 @@ use std::collections::BTreeSet;
 
 use ioworkload::{BlockId, FileId, NodeId};
 
-use crate::dense::{BlockPool, MetaLayout};
-use crate::lru::{LruPool, Replacement};
+use crate::dense::{DensePool, Meta, MetaLayout, Replacement};
 use crate::stats::CacheStats;
 use crate::{AccessOutcome, CooperativeCache, Evicted, InsertOrigin, Lookup};
 
@@ -51,7 +50,7 @@ pub fn server_node(file: FileId, nodes: u32) -> NodeId {
 /// );
 /// ```
 pub struct PafsCache {
-    pool: BlockPool,
+    pool: DensePool,
     nodes: u32,
     capacity: u64,
     /// Nodes currently disconnected from the cooperative cache
@@ -74,27 +73,26 @@ impl PafsCache {
     /// Build with an explicit replacement policy (for the
     /// replacement-policy ablation).
     pub fn with_policy(nodes: u32, blocks_per_node: u64, policy: Replacement) -> Self {
-        Self::with_layout(nodes, blocks_per_node, policy, MetaLayout::Dense)
-    }
-
-    /// Build with an explicit metadata layout. [`MetaLayout::Dense`]
-    /// (the default everywhere else) and [`MetaLayout::Classic`]
-    /// produce bit-identical results; the equivalence tests drive both.
-    pub fn with_layout(
-        nodes: u32,
-        blocks_per_node: u64,
-        policy: Replacement,
-        layout: MetaLayout,
-    ) -> Self {
         assert!(nodes > 0 && blocks_per_node > 0);
         PafsCache {
-            pool: BlockPool::with_policy(layout, policy),
+            pool: DensePool::with_policy(policy),
             nodes,
             capacity: nodes as u64 * blocks_per_node,
             down: BTreeSet::new(),
             stats: CacheStats::default(),
             probes: Cell::new(0),
         }
+    }
+
+    /// Same as [`with_policy`](Self::with_policy). Kept only so
+    /// `perfbench` builds unchanged (see [`MetaLayout`]).
+    pub fn with_layout(
+        nodes: u32,
+        blocks_per_node: u64,
+        policy: Replacement,
+        _: MetaLayout,
+    ) -> Self {
+        Self::with_policy(nodes, blocks_per_node, policy)
     }
 
     /// The node running the (single) server for `file` — all requests
@@ -131,7 +129,7 @@ impl PafsCache {
         let mut out = Vec::new();
         while self.pool.len() as u64 >= self.capacity {
             let (block, meta) = self.pool.pop_lru().expect("capacity > 0");
-            out.push(LruPool::account_eviction(&mut self.stats, block, &meta));
+            out.push(self.stats.account_eviction(block, &meta));
         }
         out
     }
@@ -192,8 +190,8 @@ impl CooperativeCache for PafsCache {
     }
 
     fn resident_run(&self, block: BlockId, max: u32) -> u32 {
-        // One range query against the pool = one metadata probe (the
-        // dense layout answers it from its presence bitmaps).
+        // One range query against the pool = one metadata probe,
+        // answered from the pool's presence bitmaps.
         self.probes.set(self.probes.get() + 1);
         self.pool.resident_run(block, max)
     }
@@ -224,7 +222,7 @@ impl CooperativeCache for PafsCache {
             InsertOrigin::Prefetch => self.stats.prefetch_inserts += 1,
         }
         self.pool
-            .insert(block, LruPool::fresh_meta(node, dirty, prefetched));
+            .insert(block, Meta::fresh(node, dirty, prefetched));
         evicted
     }
 
@@ -238,19 +236,17 @@ impl CooperativeCache for PafsCache {
 
     fn wipe_node(&mut self, node: NodeId) -> u64 {
         // The crashed node's buffers held one copy each of the blocks
-        // placed on it; collect, sort (pool iteration order is not
-        // deterministic on the classic layout), and drop them through
-        // the regular eviction accounting. Dirty copies are lost.
+        // placed on it; collect them and drop them through the regular
+        // eviction accounting. Dirty copies are lost.
         let mut owned = Vec::new();
         self.pool.for_each(&mut |block, meta| {
             if meta.owner == node {
                 owned.push(block);
             }
         });
-        owned.sort_unstable();
         for &block in &owned {
             let meta = self.pool.remove(block).expect("collected above");
-            LruPool::account_eviction(&mut self.stats, block, &meta);
+            self.stats.account_eviction(block, &meta);
         }
         owned.len() as u64
     }
@@ -420,7 +416,6 @@ mod tests {
 
     #[test]
     fn fifo_policy_evicts_in_insertion_order() {
-        use crate::lru::Replacement;
         let mut c = PafsCache::with_policy(1, 2, Replacement::Fifo);
         c.insert(n(0), b(0, 0), InsertOrigin::Demand, false);
         c.insert(n(0), b(0, 1), InsertOrigin::Demand, false);
@@ -481,66 +476,6 @@ mod tests {
         c.insert(n(0), b(0, 0), InsertOrigin::Demand, false);
         assert_eq!(c.resident_blocks(), 1);
         assert_eq!(c.access(n(0), b(0, 0), false).lookup, Lookup::LocalHit);
-    }
-
-    /// Classic and dense layouts must be observably identical on a
-    /// randomized mixed workload, under both replacement policies.
-    #[test]
-    fn dense_layout_matches_classic_layout() {
-        use crate::dense::MetaLayout;
-        for (seed, policy) in [(5u64, Replacement::Lru), (6, Replacement::Fifo)] {
-            let mut classic = PafsCache::with_layout(3, 4, policy, MetaLayout::Classic);
-            let mut dense = PafsCache::with_layout(3, 4, policy, MetaLayout::Dense);
-            let mut rng = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
-            let mut next = move || {
-                rng ^= rng << 13;
-                rng ^= rng >> 7;
-                rng ^= rng << 17;
-                rng
-            };
-            for _ in 0..3000 {
-                let node = n((next() % 3) as u32);
-                let block = b((next() % 2) as u32, next() % 30);
-                match next() % 10 {
-                    0..=4 => {
-                        let write = next() % 4 == 0;
-                        let (co, do_) = (
-                            classic.access(node, block, write),
-                            dense.access(node, block, write),
-                        );
-                        assert_eq!(co.lookup, do_.lookup);
-                        assert_eq!(co.evicted, do_.evicted);
-                    }
-                    5..=7 => {
-                        let origin = if next() % 3 == 0 {
-                            InsertOrigin::Prefetch
-                        } else {
-                            InsertOrigin::Demand
-                        };
-                        let dirty = next() % 5 == 0;
-                        assert_eq!(
-                            classic.insert(node, block, origin, dirty),
-                            dense.insert(node, block, origin, dirty)
-                        );
-                    }
-                    8 => {
-                        assert_eq!(classic.sweep_dirty(), dense.sweep_dirty());
-                    }
-                    _ => {
-                        let down = next() % 2 == 0;
-                        classic.set_degraded(node, down);
-                        dense.set_degraded(node, down);
-                    }
-                }
-                assert_eq!(classic.contains(block), dense.contains(block));
-                assert_eq!(classic.resident_run(block, 8), dense.resident_run(block, 8));
-                assert_eq!(classic.resident_blocks(), dense.resident_blocks());
-                assert_eq!(classic.meta_probes(), dense.meta_probes());
-            }
-            classic.finalize();
-            dense.finalize();
-            assert_eq!(classic.stats(), dense.stats());
-        }
     }
 
     #[test]

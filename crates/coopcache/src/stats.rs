@@ -1,6 +1,10 @@
 //! Cache statistics.
 
+use ioworkload::BlockId;
 use lapobs::{Event, Nanos, Recorder};
+
+use crate::dense::Meta;
+use crate::Evicted;
 
 /// Counters kept by both cooperative caches.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -34,6 +38,24 @@ pub struct CacheStats {
 }
 
 impl CacheStats {
+    /// Account one evicted (or dropped) copy and build its [`Evicted`]
+    /// record — the single place the eviction bookkeeping lives.
+    pub(crate) fn account_eviction(&mut self, block: BlockId, meta: &Meta) -> Evicted {
+        self.evictions += 1;
+        if meta.dirty {
+            self.dirty_evictions += 1;
+        }
+        let wasted = meta.prefetched && !meta.used;
+        if wasted {
+            self.prefetch_wasted += 1;
+        }
+        Evicted {
+            block,
+            dirty: meta.dirty,
+            wasted_prefetch: wasted,
+        }
+    }
+
     /// Demand accesses observed.
     pub fn accesses(&self) -> u64 {
         self.local_hits + self.remote_hits + self.misses

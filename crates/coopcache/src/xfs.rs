@@ -6,8 +6,7 @@ use std::collections::BTreeSet;
 
 use ioworkload::{BlockId, NodeId};
 
-use crate::dense::{BlockPool, HolderTable, MetaLayout};
-use crate::lru::{LruPool, Replacement};
+use crate::dense::{DenseHolders, DensePool, Meta, MetaLayout, Replacement};
 use crate::stats::CacheStats;
 use crate::{AccessOutcome, CooperativeCache, Evicted, InsertOrigin, Lookup};
 
@@ -54,10 +53,10 @@ use crate::{AccessOutcome, CooperativeCache, Evicted, InsertOrigin, Lookup};
 /// assert_eq!(cache.resident_blocks(), 2);
 /// ```
 pub struct XfsCache {
-    pools: Vec<BlockPool>,
+    pools: Vec<DensePool>,
     /// block -> set of nodes holding a copy (ascending-node iteration
-    /// order on either layout, for determinism).
-    holders: HolderTable,
+    /// order, for determinism).
+    holders: DenseHolders,
     /// Nodes currently disconnected from the cooperative cache
     /// (degraded mode): excluded from holder lookups and forwarding,
     /// and themselves reduced to local-only operation.
@@ -86,25 +85,12 @@ impl XfsCache {
     /// Build with explicit N-chance depth and RNG seed for forwarding
     /// targets.
     pub fn with_options(nodes: u32, blocks_per_node: u64, n_chance: u8, seed: u64) -> Self {
-        Self::with_layout(nodes, blocks_per_node, n_chance, seed, MetaLayout::Dense)
-    }
-
-    /// Build with an explicit metadata layout. [`MetaLayout::Dense`]
-    /// (the default everywhere else) and [`MetaLayout::Classic`]
-    /// produce bit-identical results; the equivalence tests drive both.
-    pub fn with_layout(
-        nodes: u32,
-        blocks_per_node: u64,
-        n_chance: u8,
-        seed: u64,
-        layout: MetaLayout,
-    ) -> Self {
         assert!(nodes > 0 && blocks_per_node > 0);
         XfsCache {
             pools: (0..nodes)
-                .map(|_| BlockPool::with_policy(layout, Replacement::Lru))
+                .map(|_| DensePool::with_policy(Replacement::Lru))
                 .collect(),
-            holders: HolderTable::new(layout),
+            holders: DenseHolders::new(),
             down: BTreeSet::new(),
             blocks_per_node,
             n_chance,
@@ -112,6 +98,18 @@ impl XfsCache {
             stats: CacheStats::default(),
             probes: Cell::new(0),
         }
+    }
+
+    /// Same as [`with_options`](Self::with_options). Kept only so
+    /// `perfbench` builds unchanged (see [`MetaLayout`]).
+    pub fn with_layout(
+        nodes: u32,
+        blocks_per_node: u64,
+        n_chance: u8,
+        seed: u64,
+        _: MetaLayout,
+    ) -> Self {
+        Self::with_options(nodes, blocks_per_node, n_chance, seed)
     }
 
     fn nodes(&self) -> u32 {
@@ -144,11 +142,11 @@ impl XfsCache {
     }
 
     fn register(&mut self, node: NodeId, block: BlockId) {
-        self.holders.insert(block, node);
+        self.holders.insert(block, node.0);
     }
 
     fn unregister(&mut self, node: NodeId, block: BlockId) {
-        self.holders.remove(block, node);
+        self.holders.remove(block, node.0);
     }
 
     /// Make room in `node`'s pool for one incoming block, applying
@@ -167,7 +165,7 @@ impl XfsCache {
                         let (victim, vmeta) =
                             self.pools[peer.0 as usize].pop_lru().expect("capacity > 0");
                         self.unregister(peer, victim);
-                        out.push(LruPool::account_eviction(&mut self.stats, victim, &vmeta));
+                        out.push(self.stats.account_eviction(victim, &vmeta));
                     }
                     let mut fwd = meta;
                     fwd.owner = peer;
@@ -181,7 +179,7 @@ impl XfsCache {
             if is_singlet {
                 self.stats.forward_drops += 1;
             }
-            out.push(LruPool::account_eviction(&mut self.stats, block, &meta));
+            out.push(self.stats.account_eviction(block, &meta));
         }
     }
 
@@ -199,7 +197,7 @@ impl XfsCache {
         }
         self.make_room(node, out);
         // fresh_meta already encodes used = !prefetched.
-        let meta = LruPool::fresh_meta(node, dirty, prefetched);
+        let meta = Meta::fresh(node, dirty, prefetched);
         self.pools[node.0 as usize].insert(block, meta);
         self.register(node, block);
     }
@@ -294,7 +292,7 @@ impl CooperativeCache for XfsCache {
 
     fn resident_run(&self, block: BlockId, max: u32) -> u32 {
         // One range query against the holder registry = one metadata
-        // probe (the dense layout answers it from presence bitmaps).
+        // probe, answered from its presence bitmaps.
         self.probes.set(self.probes.get() + 1);
         self.holders.resident_run(block, max)
     }
@@ -343,7 +341,7 @@ impl CooperativeCache for XfsCache {
         let mut wiped = 0u64;
         while let Some((block, meta)) = self.pools[node.0 as usize].pop_lru() {
             self.unregister(node, block);
-            LruPool::account_eviction(&mut self.stats, block, &meta);
+            self.stats.account_eviction(block, &meta);
             wiped += 1;
         }
         wiped
@@ -649,70 +647,6 @@ mod tests {
         assert_eq!(ev.len(), 1, "nowhere to forward: dropped");
         assert!(!c.contains(b(1)));
         assert_eq!(c.stats().forward_drops, 1);
-    }
-
-    /// Classic and dense layouts must be observably identical on a
-    /// randomized mixed workload: same lookups, same evictions, same
-    /// stats, same forwarding RNG consumption.
-    #[test]
-    fn dense_layout_matches_classic_layout() {
-        for seed in [3u64, 11, 1234567] {
-            let mut classic = XfsCache::with_layout(4, 3, 2, seed, MetaLayout::Classic);
-            let mut dense = XfsCache::with_layout(4, 3, 2, seed, MetaLayout::Dense);
-            let mut rng = seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
-            let mut next = move || {
-                rng ^= rng << 13;
-                rng ^= rng >> 7;
-                rng ^= rng << 17;
-                rng
-            };
-            for _ in 0..3000 {
-                let node = n((next() % 4) as u32);
-                let block = b(next() % 40);
-                match next() % 10 {
-                    0..=4 => {
-                        let write = next() % 4 == 0;
-                        let (co, do_) = (
-                            classic.access(node, block, write),
-                            dense.access(node, block, write),
-                        );
-                        assert_eq!(co.lookup, do_.lookup);
-                        assert_eq!(co.evicted, do_.evicted);
-                    }
-                    5..=7 => {
-                        let origin = if next() % 3 == 0 {
-                            InsertOrigin::Prefetch
-                        } else {
-                            InsertOrigin::Demand
-                        };
-                        let dirty = next() % 5 == 0;
-                        assert_eq!(
-                            classic.insert(node, block, origin, dirty),
-                            dense.insert(node, block, origin, dirty)
-                        );
-                    }
-                    8 => {
-                        assert_eq!(classic.sweep_dirty(), dense.sweep_dirty());
-                    }
-                    _ => {
-                        let down = next() % 2 == 0;
-                        classic.set_degraded(node, down);
-                        dense.set_degraded(node, down);
-                    }
-                }
-                assert_eq!(classic.contains(block), dense.contains(block));
-                assert_eq!(
-                    classic.contains_local(node, block),
-                    dense.contains_local(node, block)
-                );
-                assert_eq!(classic.resident_run(block, 8), dense.resident_run(block, 8));
-                assert_eq!(classic.resident_blocks(), dense.resident_blocks());
-                assert_eq!(classic.meta_probes(), dense.meta_probes());
-            }
-            classic.finalize();
-            dense.finalize();
-            assert_eq!(classic.stats(), dense.stats());
-        }
     }
 
     #[test]

@@ -268,22 +268,23 @@ pub struct SimConfig {
     /// pre-fault simulation, bit for bit). Faults draw from their own
     /// seeded stream, so a plan never perturbs the workload stream.
     pub fault_plan: Option<FaultPlan>,
-    /// Event-queue backend (DESIGN.md §14). `Calendar` (the default)
-    /// is O(1) amortized for the near-monotone timestamps a DES
-    /// produces; `Heap` is the BinaryHeap reference implementation.
-    /// Both deliver events in the same total order, so results are
-    /// bit-identical either way.
+    /// Always [`QueueBackend::Heap`]; the simulation ignores it. Kept
+    /// only so `perfbench` builds unchanged.
     pub event_queue: QueueBackend,
-    /// Cache-metadata layout (DESIGN.md §14). `Dense` (the default)
-    /// uses open-addressed block tables with an intrusive LRU list;
-    /// `Classic` is the HashMap + BTreeSet reference implementation.
-    /// Bit-identical results either way.
+    /// Always [`MetaLayout::Dense`]; the simulation ignores it. Kept
+    /// only so `perfbench` builds unchanged.
     pub meta_layout: MetaLayout,
     /// Runtime invariant oracle (DESIGN.md §15). `Auto` (the default)
     /// enables it in debug builds — so every `cargo test` checks — and
     /// disables it in release builds. The oracle is observational:
     /// results are bit-identical with it on or off.
     pub check: CheckMode,
+}
+
+/// `mb` megabytes in bytes; panics instead of wrapping on overflow.
+fn mb_to_bytes(mb: u64) -> u64 {
+    mb.checked_mul(1024 * 1024)
+        .expect("cache size in bytes overflows u64")
 }
 
 impl SimConfig {
@@ -293,14 +294,14 @@ impl SimConfig {
             machine: MachineConfig::pm(),
             system,
             prefetch,
-            cache_bytes_per_node: cache_mb * 1024 * 1024,
+            cache_bytes_per_node: mb_to_bytes(cache_mb),
             writeback_period: SimDuration::from_secs(30),
             warmup: SimDuration::ZERO,
             replacement: Replacement::Lru,
             prefetch_priority: true,
             metrics_interval: SimDuration::from_secs(60),
             fault_plan: None,
-            event_queue: QueueBackend::Calendar,
+            event_queue: QueueBackend::Heap,
             meta_layout: MetaLayout::Dense,
             check: CheckMode::Auto,
         }
@@ -312,14 +313,14 @@ impl SimConfig {
             machine: MachineConfig::now(),
             system,
             prefetch,
-            cache_bytes_per_node: cache_mb * 1024 * 1024,
+            cache_bytes_per_node: mb_to_bytes(cache_mb),
             writeback_period: SimDuration::from_secs(30),
             warmup: SimDuration::ZERO,
             replacement: Replacement::Lru,
             prefetch_priority: true,
             metrics_interval: SimDuration::from_secs(60),
             fault_plan: None,
-            event_queue: QueueBackend::Calendar,
+            event_queue: QueueBackend::Heap,
             meta_layout: MetaLayout::Dense,
             check: CheckMode::Auto,
         }

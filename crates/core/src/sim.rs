@@ -335,11 +335,10 @@ impl<R: Recorder> Simulation<R> {
         }
         assert!(config.machine.disks > 0, "machine needs at least one disk");
         let cache: Box<dyn CooperativeCache> = match config.system {
-            CacheSystem::Pafs => Box::new(PafsCache::with_layout(
+            CacheSystem::Pafs => Box::new(PafsCache::with_policy(
                 config.machine.nodes,
                 config.blocks_per_node(),
                 config.replacement,
-                config.meta_layout,
             )),
             CacheSystem::Xfs => {
                 assert_eq!(
@@ -347,12 +346,11 @@ impl<R: Recorder> Simulation<R> {
                     coopcache::Replacement::Lru,
                     "the xFS model only supports LRU local caches"
                 );
-                Box::new(XfsCache::with_layout(
+                Box::new(XfsCache::with_options(
                     config.machine.nodes,
                     config.blocks_per_node(),
                     XfsCache::DEFAULT_N_CHANCE,
                     0x9E3779B9,
-                    config.meta_layout,
                 ))
             }
             CacheSystem::LocalOnly => Box::new(LocalOnlyCache::with_policy(
@@ -387,7 +385,7 @@ impl<R: Recorder> Simulation<R> {
             .fault_plan
             .filter(|p| !p.is_empty())
             .map(|p| FaultState::new(p, config.machine.nodes as usize));
-        let queue = EventQueue::with_backend(config.event_queue);
+        let queue = EventQueue::new();
         let oracle = config
             .check
             .enabled()

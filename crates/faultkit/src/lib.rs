@@ -134,13 +134,30 @@ fn parse_window(v: &str) -> Result<Window, String> {
         .ok_or_else(|| format!("window '{v}' must be PERIOD_S:LEN_S"))?;
     let period: f64 = p.parse().map_err(|_| format!("bad window period '{p}'"))?;
     let len: f64 = l.parse().map_err(|_| format!("bad window length '{l}'"))?;
-    if !(period > 0.0 && len > 0.0 && len < period) {
-        return Err(format!("window '{v}' needs 0 < LEN < PERIOD"));
+    if !(period.is_finite() && len > 0.0 && len < period) {
+        return Err(format!("window '{v}' needs 0 < LEN < PERIOD, both finite"));
     }
     Ok(Window {
         period: SimDuration::from_secs_f64(period),
         len: SimDuration::from_secs_f64(len),
     })
+}
+
+/// A probability: a number in `[0, 1]` (NaN and out-of-range values
+/// are errors, not clamped).
+fn parse_prob(v: &str) -> Result<f64, String> {
+    match v.parse::<f64>() {
+        Ok(p) if (0.0..=1.0).contains(&p) => Ok(p),
+        _ => Err(format!("bad probability '{v}' (need 0 <= P <= 1)")),
+    }
+}
+
+/// A duration in milliseconds: finite and non-negative.
+fn parse_ms(what: &str, v: &str) -> Result<SimDuration, String> {
+    match v.parse::<f64>() {
+        Ok(ms) if ms.is_finite() && ms >= 0.0 => Ok(SimDuration::from_millis_f64(ms)),
+        _ => Err(format!("bad {what} '{v}' (need finite MS >= 0)")),
+    }
 }
 
 impl FaultPlan {
@@ -185,18 +202,13 @@ impl FaultPlan {
                 .split_once('=')
                 .ok_or_else(|| format!("'{part}' is not key=value"))?;
             let (key, value) = (key.trim(), value.trim());
-            let num = |what: &str| -> Result<f64, String> {
-                value
-                    .parse::<f64>()
-                    .map_err(|_| format!("bad {what} '{value}'"))
-            };
             match key {
                 "seed" => {
                     plan.seed = value.parse().map_err(|_| format!("bad seed '{value}'"))?;
                 }
-                "disk-error" => plan.disk_error = num("probability")?.clamp(0.0, 1.0),
+                "disk-error" => plan.disk_error = parse_prob(value)?,
                 "burst-error" => {
-                    plan.burst_error = num("probability")?.clamp(0.0, 1.0);
+                    plan.burst_error = parse_prob(value)?;
                     burst_error_set = true;
                 }
                 "disk-retries" => {
@@ -204,7 +216,7 @@ impl FaultPlan {
                         .parse()
                         .map_err(|_| format!("bad retry count '{value}'"))?;
                 }
-                "backoff-ms" => plan.backoff = SimDuration::from_millis_f64(num("backoff")?),
+                "backoff-ms" => plan.backoff = parse_ms("backoff", value)?,
                 "burst" => plan.burst = Some(parse_window(value)?),
                 "outage" => plan.outage = Some(parse_window(value)?),
                 "node-outage" => plan.node_outage = Some(parse_window(value)?),
@@ -212,18 +224,13 @@ impl FaultPlan {
                     plan.node_outage = Some(parse_window(value)?);
                     plan.node_outage_wipe = true;
                 }
-                "net-loss" => plan.net_loss = num("probability")?.clamp(0.0, 1.0),
+                "net-loss" => plan.net_loss = parse_prob(value)?,
                 "net-delay" => {
                     let (p, ms) = value
                         .split_once(':')
                         .ok_or_else(|| format!("net-delay '{value}' must be PROB:MILLIS"))?;
-                    plan.net_delay_p = p
-                        .parse::<f64>()
-                        .map_err(|_| format!("bad probability '{p}'"))?
-                        .clamp(0.0, 1.0);
-                    plan.net_delay = SimDuration::from_millis_f64(
-                        ms.parse().map_err(|_| format!("bad delay '{ms}'"))?,
-                    );
+                    plan.net_delay_p = parse_prob(p)?;
+                    plan.net_delay = parse_ms("delay", ms)?;
                 }
                 "net-retries" => {
                     plan.net_retries = value
@@ -680,6 +687,7 @@ mod tests {
         assert!(FaultPlan::parse("burst=5").is_err());
         assert!(FaultPlan::parse("burst=5:10").is_err(), "len >= period");
         assert!(FaultPlan::parse("net-delay=0.1").is_err());
+        assert!(FaultPlan::parse("burst=inf:5").is_err(), "infinite period");
     }
 
     #[test]
@@ -705,6 +713,26 @@ mod tests {
         assert!(e.contains("node-outage-wipe"), "menu lists every key: {e}");
         let e = FaultPlan::parse("burst=5").unwrap_err();
         assert!(e.contains("fault-plan keys:"), "all errors carry it: {e}");
+        // Non-finite or negative milliseconds and probabilities that
+        // are NaN or outside [0, 1] are errors, never clamped or
+        // passed on to a panicking duration constructor.
+        for spec in [
+            "disk-error=nan",
+            "disk-error=2",
+            "disk-error=-0.1",
+            "burst-error=1.5",
+            "net-loss=nan",
+            "backoff-ms=nan",
+            "backoff-ms=-1",
+            "backoff-ms=inf",
+            "net-delay=0.5:nan",
+            "net-delay=0.5:-1",
+            "net-delay=nan:2",
+        ] {
+            let e = FaultPlan::parse(spec).unwrap_err();
+            assert!(e.contains("fault-plan keys:"), "'{spec}': {e}");
+        }
+        assert!(FaultPlan::parse("disk-error=1,backoff-ms=0,net-delay=0:0").is_ok());
     }
 
     #[test]

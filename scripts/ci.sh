@@ -40,13 +40,12 @@ run cargo test --offline --workspace
 # same way).
 run ./target/debug/experiments --smoke --bench-out target/BENCH.json
 
-# Chaos smoke (DESIGN.md §15): 64 seeded random fault plans, each run
-# on both cache systems across all four metadata-layout × event-queue
-# combinations with the invariant oracle forced on, asserting zero
-# violations and bit-identical reports per plan. Always small scale;
-# ~64 plans keeps this inside the smoke time budget (the full
-# 500-plan sweep is `experiments chaos`).
-run ./target/debug/experiments chaos --plans 64
+# Chaos smoke (DESIGN.md §15): 256 seeded random fault plans, each run
+# once on both cache systems with the invariant oracle forced on,
+# asserting zero violations. Always small scale; 256 plans (512
+# simulations) keep this inside the smoke time budget (the full
+# 2000-plan sweep is `experiments chaos`).
+run ./target/debug/experiments chaos --plans 256
 
 # Benchmark-snapshot staleness: the committed BENCH.json (schema 3)
 # must match what the tree produces, field by field and exactly as

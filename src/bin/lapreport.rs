@@ -975,9 +975,8 @@ fn load_chaos(path: &str) -> Result<Vec<ChaosRow>, String> {
 
 /// `lapreport chaos FILE`: per-system roll-up of a chaos-sweep CSV
 /// (see EXPERIMENTS.md, "reading a chaos report"). Exits non-zero when
-/// any plan ended in an invariant violation or a layout/backend
-/// mismatch — the CSV is the machine-readable verdict, this is the
-/// human one.
+/// any plan ended in an invariant violation — the CSV is the
+/// machine-readable verdict, this is the human one.
 fn cmd_chaos(args: &[String]) -> i32 {
     let [path] = args else { usage() };
     let rows = match load_chaos(path) {
@@ -995,12 +994,12 @@ fn cmd_chaos(args: &[String]) -> i32 {
     }
     println!("chaos sweep: {path}");
     println!(
-        "  {:<6} {:>6} {:>6} {:>10} {:>9} {:>10} {:>10} {:>10}",
-        "system", "plans", "ok", "violation", "mismatch", "mean-ms", "injected", "failovers"
+        "  {:<6} {:>6} {:>6} {:>10} {:>10} {:>10} {:>10}",
+        "system", "plans", "ok", "violation", "mean-ms", "injected", "failovers"
     );
     let mut bad = 0u64;
     for sys in &systems {
-        let (mut ok, mut violation, mut mismatch) = (0u64, 0u64, 0u64);
+        let (mut ok, mut violation) = (0u64, 0u64);
         let (mut ms_sum, mut injected, mut failovers) = (0.0f64, 0u64, 0u64);
         for r in rows.iter().filter(|r| &r.system == sys) {
             match r.status.as_str() {
@@ -1009,7 +1008,6 @@ fn cmd_chaos(args: &[String]) -> i32 {
                     ms_sum += r.read_ms;
                 }
                 "violation" => violation += 1,
-                "mismatch" => mismatch += 1,
                 other => {
                     eprintln!("lapreport: {path}: unknown chaos status {other:?}");
                     return 1;
@@ -1018,15 +1016,14 @@ fn cmd_chaos(args: &[String]) -> i32 {
             injected += r.injected;
             failovers += r.failovers;
         }
-        bad += violation + mismatch;
+        bad += violation;
         let mean_ms = if ok > 0 { ms_sum / ok as f64 } else { 0.0 };
         println!(
-            "  {:<6} {:>6} {:>6} {:>10} {:>9} {:>10.3} {:>10} {:>10}",
+            "  {:<6} {:>6} {:>6} {:>10} {:>10.3} {:>10} {:>10}",
             sys,
-            ok + violation + mismatch,
+            ok + violation,
             ok,
             violation,
-            mismatch,
             mean_ms,
             injected,
             failovers
@@ -1042,10 +1039,7 @@ fn cmd_chaos(args: &[String]) -> i32 {
         eprintln!("lapreport: chaos sweep recorded {bad} failing plan-system cell(s)");
         1
     } else {
-        println!(
-            "  all {} plan-system cells green (oracle on, layouts and backends bit-identical)",
-            rows.len()
-        );
+        println!("  all {} plan-system cells green (oracle on)", rows.len());
         0
     }
 }

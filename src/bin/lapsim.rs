@@ -32,8 +32,6 @@ struct Args {
     prefetch_gran: PrefetchGranularity,
     extent_blocks: u64,
     fault_plan: Option<FaultPlan>,
-    event_queue: QueueBackend,
-    meta_layout: MetaLayout,
     check: CheckMode,
     verbose: bool,
     trace_out: Option<String>,
@@ -56,10 +54,6 @@ fn usage() -> ! {
     eprintln!("              [--trace-out FILE] [--metrics-out FILE]");
     eprintln!("              [--trace-sample N]   keep 1-in-N high-volume trace events");
     eprintln!("              [--fault-plan SPEC]  deterministic fault injection");
-    eprintln!("              [--event-queue calendar|heap]  event-queue backend (both");
-    eprintln!("                                   bit-identical; heap is the reference)");
-    eprintln!("              [--meta-layout dense|classic]  cache-metadata layout (both");
-    eprintln!("                                   bit-identical; classic is the reference)");
     eprintln!("              [--profile]          print a simulator self-profile (cost");
     eprintln!("                                   counters + phase timers; results stay");
     eprintln!("                                   bit-identical to an unprofiled run)");
@@ -89,6 +83,12 @@ fn usage() -> ! {
     eprintln!("         layout extents; --prefetch-gran extent lets the aggressive");
     eprintln!("         walker fetch one extent per linear-limit unit as a single");
     eprintln!("         multi-block disk job (default: block, the paper's rule)");
+    exit(2);
+}
+
+/// Reject a numeric flag value the simulator cannot represent.
+fn bad_value(flag: &str, value: u64, why: &str) -> ! {
+    eprintln!("bad {flag}: {value} {why}");
     exit(2);
 }
 
@@ -130,8 +130,6 @@ fn parse_args() -> Args {
         prefetch_gran: PrefetchGranularity::Block,
         extent_blocks: 1,
         fault_plan: None,
-        event_queue: QueueBackend::Calendar,
-        meta_layout: MetaLayout::Dense,
         check: CheckMode::Auto,
         verbose: false,
         trace_out: None,
@@ -159,7 +157,14 @@ fn parse_args() -> Args {
                 out.cache_mb = args
                     .next()
                     .and_then(|s| s.parse().ok())
-                    .unwrap_or_else(|| usage())
+                    .unwrap_or_else(|| usage());
+                if out.cache_mb.checked_mul(1024 * 1024).is_none() {
+                    bad_value(
+                        "--cache-mb",
+                        out.cache_mb,
+                        "MB per node overflows a byte count",
+                    );
+                }
             }
             "--seed" => {
                 out.seed = args
@@ -172,7 +177,14 @@ fn parse_args() -> Args {
                 out.warmup_secs = args
                     .next()
                     .and_then(|s| s.parse().ok())
-                    .unwrap_or_else(|| usage())
+                    .unwrap_or_else(|| usage());
+                if out.warmup_secs > SimTime::MAX.as_nanos() / 1_000_000_000 {
+                    bad_value(
+                        "--warmup",
+                        out.warmup_secs,
+                        "s overflows the simulated clock",
+                    );
+                }
             }
             "--disk-model" => {
                 out.disk_model = match args.next().as_deref() {
@@ -218,20 +230,6 @@ fn parse_args() -> Args {
                     .next()
                     .and_then(|s| s.parse().ok())
                     .filter(|&n| n >= 1)
-                    .unwrap_or_else(|| usage())
-            }
-            "--event-queue" => {
-                out.event_queue = args
-                    .next()
-                    .as_deref()
-                    .and_then(QueueBackend::parse)
-                    .unwrap_or_else(|| usage())
-            }
-            "--meta-layout" => {
-                out.meta_layout = args
-                    .next()
-                    .as_deref()
-                    .and_then(MetaLayout::parse)
                     .unwrap_or_else(|| usage())
             }
             "--check" => {
@@ -324,8 +322,6 @@ fn main() {
     config.machine.disk_sched = args.disk_sched;
     config.machine.prefetch_granularity = args.prefetch_gran;
     config.fault_plan = args.fault_plan;
-    config.event_queue = args.event_queue;
-    config.meta_layout = args.meta_layout;
     config.check = args.check;
     // A trace that does not fit the machine is bad input, not a bug:
     // report it instead of letting the simulator's assert panic.

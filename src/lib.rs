@@ -79,7 +79,7 @@ pub use workzoo;
 /// Everything needed to run simulations, in one import.
 pub mod prelude {
     pub use coopcache::{
-        CacheStats, CooperativeCache, LocalOnlyCache, MetaLayout, PafsCache, Replacement, XfsCache,
+        CacheStats, CooperativeCache, LocalOnlyCache, PafsCache, Replacement, XfsCache,
     };
     pub use devmodel::{DiskGeometry, DiskModelKind, DiskSched, LinkModel, NetModelKind};
     pub use faultkit::FaultPlan;
@@ -95,6 +95,6 @@ pub mod prelude {
         AggressiveLimit, AlgorithmKind, FilePrefetcher, IsPpm, Oba, PredictorSpec, PrefetchConfig,
         Request, SpecError,
     };
-    pub use simkit::{QueueBackend, SimDuration, SimTime};
+    pub use simkit::{SimDuration, SimTime};
     pub use workzoo::{WorkloadSpec, ZooKind};
 }

@@ -159,19 +159,24 @@ fn lapsim_rejects_order_zero_algorithms() {
     }
 }
 
+/// A bad fault plan — an unknown key, or a number that is not a
+/// finite duration — exits 2 with the key menu, never a panic.
 #[test]
 fn lapsim_rejects_bad_fault_plan_with_key_menu() {
-    let out = lapsim()
-        .args(["--workload", "sprite", "--fault-plan", "bogus=1"])
-        .output()
-        .expect("run lapsim");
-    assert!(!out.status.success());
-    let err = String::from_utf8_lossy(&out.stderr);
-    assert!(err.contains("bad --fault-plan"), "stderr: {err}");
-    // Every parse error carries the full key menu, registry-style.
-    assert!(err.contains("fault-plan keys:"), "stderr: {err}");
-    for key in ["disk-error", "outage", "node-outage-wipe", "net-loss"] {
-        assert!(err.contains(key), "key menu misses {key}: {err}");
+    for spec in ["bogus=1", "backoff-ms=nan"] {
+        let out = lapsim()
+            .args(["--workload", "sprite", "--fault-plan", spec])
+            .output()
+            .expect("run lapsim");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{spec}: {err}");
+        assert!(!err.contains("panicked"), "{spec}: {err}");
+        assert!(err.contains("bad --fault-plan"), "{spec}: {err}");
+        // Every parse error carries the full key menu, registry-style.
+        assert!(err.contains("fault-plan keys:"), "{spec}: {err}");
+        for key in ["disk-error", "outage", "node-outage-wipe", "net-loss"] {
+            assert!(err.contains(key), "{spec}: key menu misses {key}: {err}");
+        }
     }
 }
 
@@ -289,4 +294,28 @@ fn lapsim_rejects_traces_that_do_not_fit_the_machine() {
         assert!(!err.contains("panicked"), "{name}: stderr: {err}");
     }
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Numeric flags the simulator cannot represent are rejected while
+/// parsing, naming the flag — not a `SimDuration overflow` panic and
+/// not a silently wrapped cache size.
+#[test]
+fn lapsim_rejects_overflowing_numeric_flags() {
+    for (flag, value) in [
+        ("--warmup", "999999999999"),
+        ("--cache-mb", "18000000000000"),
+    ] {
+        let out = lapsim()
+            .args(["--workload", "sprite", flag, value])
+            .output()
+            .expect("run lapsim");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{flag} {value}: {err}");
+        assert!(
+            err.contains(&format!("bad {flag}")),
+            "{flag} {value}: {err}"
+        );
+        assert!(!err.contains("panicked"), "{flag} {value}: {err}");
+        assert!(out.stdout.is_empty(), "{flag} {value}: nothing ran");
+    }
 }

@@ -175,7 +175,7 @@ fn retry_and_failover_are_attributed_exactly() {
 /// `DiskDone` was scheduled, the stale completion and the `DiskUp`
 /// event land on the same timestamp. The read must complete exactly
 /// once (reissued, not lost to the abort and not double-completed by
-/// the stale event), on both event-queue backends, with the oracle on.
+/// the stale event), with the oracle on.
 #[test]
 fn outage_ending_at_disk_done_instant_completes_read_once() {
     // Geometry: one node, one disk, one cold 1-block read. A cold read
@@ -227,29 +227,16 @@ fn outage_ending_at_disk_done_instant_completes_read_once() {
     wl.validate();
     cfg.fault_plan = Some(plan);
 
-    let mut reports = Vec::new();
-    for backend in [QueueBackend::Heap, QueueBackend::Calendar] {
-        let mut c = cfg.clone();
-        c.event_queue = backend;
-        let r = run_simulation(c, wl.clone());
-        assert_eq!(
-            r.reads + r.warmup_reads,
-            1,
-            "{backend:?}: the read must complete exactly once"
-        );
-        assert_eq!(
-            r.failovers, 1,
-            "{backend:?}: the outage must abort and reissue the job"
-        );
-        assert!(
-            r.avg_read_ms * 1e6 >= s.as_nanos() as f64,
-            "{backend:?}: a reissued read cannot beat one clean service"
-        );
-        reports.push(r);
-    }
+    let r = run_simulation(cfg, wl);
     assert_eq!(
-        reports[0], reports[1],
-        "backends disagree on the stale-completion edge"
+        r.reads + r.warmup_reads,
+        1,
+        "the read must complete exactly once"
+    );
+    assert_eq!(r.failovers, 1, "the outage must abort and reissue the job");
+    assert!(
+        r.avg_read_ms * 1e6 >= s.as_nanos() as f64,
+        "a reissued read cannot beat one clean service"
     );
 }
 
