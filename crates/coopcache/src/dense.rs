@@ -1,24 +1,77 @@
 //! Cache-metadata structures (DESIGN.md §14).
 //!
-//! Every cooperative cache keeps its block copies and the xFS manager
-//! keeps its block→holders registry in open-addressed tables with an
-//! intrusive LRU list, O(1) amortized per probe:
+//! One open-addressed table, [`BlockTable`] — a slab addressed through
+//! a power-of-two, linear-probed index with inline hash tags and
+//! backward-shift deletion, O(1) amortized per probe — carries both:
 //!
-//! * [`DensePool`] — a slab of block slots addressed through a
-//!   power-of-two, linear-probed index table (backward-shift deletion,
-//!   no tombstones), with recency as an intrusive doubly-linked list
-//!   through the slots.
-//! * [`DenseHolders`] — the xFS block→holders registry on the same
-//!   open-addressed scheme, holder sets kept as sorted `Vec<u32>` so
-//!   "first up holder" and invalidation order are ascending by node.
+//! * [`DensePool`] — block copies, with recency as an intrusive
+//!   doubly-linked list through the slab slots;
+//! * [`DenseHolders`] — the xFS block→holders registry, each holder
+//!   set stored inline as a [`NodeSet`].
+//!
+//! A [`NodeSet`] is one `u128`, so a machine has at most [`MAX_NODES`]
+//! = 128 nodes (the paper's PM machine has 128, the NOW 50), and
+//! registry probes, "first up holder" and forwarding draws touch no
+//! heap buffer.
 //!
 //! The `reference` module keeps the classic `HashMap` + `BTreeSet`
 //! layout under `#[cfg(test)]`: it is the model the equivalence tests
 //! drive both tables against.
 
-use std::collections::BTreeSet;
-
 use ioworkload::{BlockId, NodeId};
+
+/// Most nodes a cache can have: node sets are one `u128` bitmask.
+pub const MAX_NODES: u32 = u128::BITS;
+
+/// A set of node ids `0..MAX_NODES` as a bitmask — bit `n` is node
+/// `n`; the only code that knows the encoding. [`iter`](Self::iter)
+/// runs in ascending node order, the order the classic `BTreeSet`
+/// registry defined.
+#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
+pub(crate) struct NodeSet(u128);
+
+impl NodeSet {
+    /// Nodes `0..n`.
+    pub(crate) fn first(n: u32) -> Self {
+        NodeSet(u128::MAX.checked_shr(MAX_NODES - n).unwrap_or(0))
+    }
+
+    #[inline]
+    pub(crate) fn contains(self, node: u32) -> bool {
+        self.0 >> node & 1 == 1
+    }
+
+    pub(crate) fn insert(&mut self, node: u32) {
+        self.0 |= 1 << node;
+    }
+
+    pub(crate) fn remove(&mut self, node: u32) {
+        self.0 &= !(1 << node);
+    }
+
+    pub(crate) fn is_empty(self) -> bool {
+        self.0 == 0
+    }
+
+    pub(crate) fn len(self) -> u32 {
+        self.0.count_ones()
+    }
+
+    /// The nodes in `self` but not in `other`.
+    pub(crate) fn minus(self, other: NodeSet) -> NodeSet {
+        NodeSet(self.0 & !other.0)
+    }
+
+    /// The nodes in ascending order.
+    pub(crate) fn iter(self) -> impl Iterator<Item = u32> {
+        let mut bits = self.0;
+        std::iter::from_fn(move || {
+            let node = (bits != 0).then(|| bits.trailing_zeros())?;
+            bits &= bits - 1;
+            Some(node)
+        })
+    }
+}
 
 /// Replacement policy of a pool.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
@@ -201,6 +254,137 @@ impl TableEntry {
     }
 }
 
+/// A slab entry that knows its own key.
+trait Keyed {
+    fn block(&self) -> BlockId;
+}
+
+/// Open-addressed `BlockId` → `T` table: a slab of entries addressed
+/// through a power-of-two, linear-probed index of [`TableEntry`]s,
+/// load factor kept ≤ 1/2, backward-shift deletion (no tombstones).
+/// Freed slab slots are recycled; the caller owns what a freed slot's
+/// contents mean (it may still read them until the slot is reused).
+struct BlockTable<T> {
+    /// Index: hash tag + slab slot per bucket, or [`TableEntry::EMPTY`].
+    index: Vec<TableEntry>,
+    /// Mask = index.len() - 1.
+    mask: usize,
+    slab: Vec<T>,
+    /// Recycled slab slots.
+    free: Vec<u32>,
+    /// Live entries.
+    len: usize,
+}
+
+impl<T: Keyed> BlockTable<T> {
+    fn new() -> Self {
+        let cap = 64usize;
+        BlockTable {
+            index: vec![TableEntry::EMPTY; cap],
+            mask: cap - 1,
+            slab: Vec::new(),
+            free: Vec::new(),
+            len: 0,
+        }
+    }
+
+    /// Index position of `block`'s entry, if present.
+    #[inline]
+    fn position(&self, block: BlockId) -> Option<usize> {
+        let h = hash_block(block);
+        let tag = h & 0xFFFF_FFFF;
+        let mut i = h as usize & self.mask;
+        loop {
+            let e = self.index[i];
+            if e.is_empty() {
+                return None;
+            }
+            if e.tag() == tag && self.slab[e.slot() as usize].block() == block {
+                return Some(i);
+            }
+            i = (i + 1) & self.mask;
+        }
+    }
+
+    /// Slab slot of `block`'s entry, if present.
+    #[inline]
+    fn find(&self, block: BlockId) -> Option<u32> {
+        self.position(block).map(|i| self.index[i].slot())
+    }
+
+    /// Add `value`, whose key must be absent; returns its slab slot.
+    fn insert(&mut self, value: T) -> u32 {
+        if (self.len + 1) * 2 > self.index.len() {
+            self.grow();
+        }
+        let h = hash_block(value.block());
+        let s = match self.free.pop() {
+            Some(s) => {
+                self.slab[s as usize] = value;
+                s
+            }
+            None => {
+                self.slab.push(value);
+                (self.slab.len() - 1) as u32
+            }
+        };
+        self.place(TableEntry::new(h, s));
+        self.len += 1;
+        s
+    }
+
+    /// Claim the first empty probe position from `e`'s home bucket.
+    fn place(&mut self, e: TableEntry) {
+        let mut i = e.home(self.mask);
+        while !self.index[i].is_empty() {
+            i = (i + 1) & self.mask;
+        }
+        self.index[i] = e;
+    }
+
+    /// Delete `block`'s entry and free its slab slot, which is
+    /// returned. Backward-shifts the probe chain so no tombstones are
+    /// needed; home buckets come from the inline tags, with no slab
+    /// reads.
+    fn remove(&mut self, block: BlockId) -> Option<u32> {
+        let i = self.position(block)?;
+        let s = self.index[i].slot();
+        self.free.push(s);
+        self.len -= 1;
+        let mut hole = i;
+        let mut j = (i + 1) & self.mask;
+        while !self.index[j].is_empty() {
+            let home = self.index[j].home(self.mask);
+            // Move index[j] into the hole unless its home position lies
+            // (cyclically) after the hole — then it must stay put.
+            let stays = if hole <= j {
+                home > hole && home <= j
+            } else {
+                home > hole || home <= j
+            };
+            if !stays {
+                self.index[hole] = self.index[j];
+                hole = j;
+            }
+            j = (j + 1) & self.mask;
+        }
+        self.index[hole] = TableEntry::EMPTY;
+        Some(s)
+    }
+
+    /// Double the index and re-place every live entry from its inline
+    /// tag — a sequential pass over the old index, no slab access.
+    fn grow(&mut self) {
+        let cap = self.index.len() * 2;
+        assert!(cap <= 1 << 32, "tag bits cover tables up to 2^32");
+        let old = std::mem::replace(&mut self.index, vec![TableEntry::EMPTY; cap]);
+        self.mask = cap - 1;
+        for e in old.into_iter().filter(|e| !e.is_empty()) {
+            self.place(e);
+        }
+    }
+}
+
 /// One resident block in the slab: key, metadata, and the intrusive
 /// recency list links (`prev` is toward LRU, `next` toward MRU).
 struct Slot {
@@ -210,20 +394,17 @@ struct Slot {
     next: u32,
 }
 
+impl Keyed for Slot {
+    #[inline]
+    fn block(&self) -> BlockId {
+        self.block
+    }
+}
+
 /// An LRU-ordered (or, under [`Replacement::Fifo`], insertion-ordered)
 /// pool of block copies with O(1) amortized operations.
 pub(crate) struct DensePool {
-    /// Open-addressed index: hash tag + slab slot per bucket (or
-    /// [`TableEntry::EMPTY`]). Length is a power of two, load factor
-    /// kept ≤ 1/2.
-    table: Vec<TableEntry>,
-    /// Mask = table.len() - 1.
-    mask: usize,
-    slots: Vec<Slot>,
-    /// Recycled slab slots.
-    free: Vec<u32>,
-    /// Live entries.
-    len: usize,
+    table: BlockTable<Slot>,
     /// LRU end of the recency list (first victim).
     head: u32,
     /// MRU end of the recency list.
@@ -236,13 +417,8 @@ pub(crate) struct DensePool {
 
 impl DensePool {
     pub(crate) fn with_policy(policy: Replacement) -> Self {
-        let cap = 64usize;
         DensePool {
-            table: vec![TableEntry::EMPTY; cap],
-            mask: cap - 1,
-            slots: Vec::new(),
-            free: Vec::new(),
-            len: 0,
+            table: BlockTable::new(),
             head: NIL,
             tail: NIL,
             policy,
@@ -251,29 +427,11 @@ impl DensePool {
     }
 
     pub(crate) fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Index into `table` holding `block`'s slot, if resident.
-    #[inline]
-    fn find(&self, block: BlockId) -> Option<usize> {
-        let h = hash_block(block);
-        let tag = h & 0xFFFF_FFFF;
-        let mut i = h as usize & self.mask;
-        loop {
-            let e = self.table[i];
-            if e.is_empty() {
-                return None;
-            }
-            if e.tag() == tag && self.slots[e.slot() as usize].block == block {
-                return Some(i);
-            }
-            i = (i + 1) & self.mask;
-        }
+        self.table.len
     }
 
     pub(crate) fn contains(&self, block: BlockId) -> bool {
-        self.find(block).is_some()
+        self.table.find(block).is_some()
     }
 
     /// Consecutive resident blocks starting at `block`, capped at
@@ -283,36 +441,36 @@ impl DensePool {
     }
 
     pub(crate) fn get(&self, block: BlockId) -> Option<&Meta> {
-        self.find(block)
-            .map(|i| &self.slots[self.table[i].slot() as usize].meta)
+        self.table
+            .find(block)
+            .map(|s| &self.table.slab[s as usize].meta)
     }
 
     /// Unlink slot `s` from the recency list.
     fn unlink(&mut self, s: u32) {
-        let (prev, next) = {
-            let slot = &self.slots[s as usize];
-            (slot.prev, slot.next)
-        };
+        let slots = &mut self.table.slab;
+        let (prev, next) = (slots[s as usize].prev, slots[s as usize].next);
         if prev == NIL {
             self.head = next;
         } else {
-            self.slots[prev as usize].next = next;
+            slots[prev as usize].next = next;
         }
         if next == NIL {
             self.tail = prev;
         } else {
-            self.slots[next as usize].prev = prev;
+            slots[next as usize].prev = prev;
         }
     }
 
     /// Append slot `s` at the MRU end.
     fn push_mru(&mut self, s: u32) {
-        self.slots[s as usize].prev = self.tail;
-        self.slots[s as usize].next = NIL;
+        let slots = &mut self.table.slab;
+        slots[s as usize].prev = self.tail;
+        slots[s as usize].next = NIL;
         if self.tail == NIL {
             self.head = s;
         } else {
-            self.slots[self.tail as usize].next = s;
+            slots[self.tail as usize].next = s;
         }
         self.tail = s;
     }
@@ -335,9 +493,8 @@ impl DensePool {
     }
 
     fn touch_inner(&mut self, block: BlockId, write: bool, mark_used: bool) -> Option<Meta> {
-        let i = self.find(block)?;
-        let s = self.table[i].slot();
-        let meta = &mut self.slots[s as usize].meta;
+        let s = self.table.find(block)?;
+        let meta = &mut self.table.slab[s as usize].meta;
         let before = *meta;
         if mark_used {
             meta.used = true;
@@ -358,107 +515,37 @@ impl DensePool {
     /// Insert (or overwrite) a block copy at MRU position. An
     /// overwrite re-MRUs even under FIFO: it counts as a new insertion.
     pub(crate) fn insert(&mut self, block: BlockId, meta: Meta) {
-        if let Some(i) = self.find(block) {
-            let s = self.table[i].slot();
-            self.slots[s as usize].meta = meta;
-            self.unlink(s);
-            self.push_mru(s);
-            return;
-        }
-        if (self.len + 1) * 2 > self.table.len() {
-            self.grow();
-        }
-        let s = match self.free.pop() {
+        let s = match self.table.find(block) {
             Some(s) => {
-                self.slots[s as usize] = Slot {
-                    block,
-                    meta,
-                    prev: NIL,
-                    next: NIL,
-                };
+                self.table.slab[s as usize].meta = meta;
+                self.unlink(s);
                 s
             }
             None => {
-                self.slots.push(Slot {
+                self.presence.set(block);
+                self.table.insert(Slot {
                     block,
                     meta,
                     prev: NIL,
                     next: NIL,
-                });
-                (self.slots.len() - 1) as u32
+                })
             }
         };
-        // Claim the first empty probe position.
-        let h = hash_block(block);
-        let mut i = h as usize & self.mask;
-        while !self.table[i].is_empty() {
-            i = (i + 1) & self.mask;
-        }
-        self.table[i] = TableEntry::new(h, s);
-        self.len += 1;
-        self.presence.set(block);
         self.push_mru(s);
-    }
-
-    fn grow(&mut self) {
-        let cap = self.table.len() * 2;
-        assert!(cap <= 1 << 32, "tag bits cover tables up to 2^32");
-        self.mask = cap - 1;
-        self.table = vec![TableEntry::EMPTY; cap];
-        // Rehash every live slot (walk the recency list so freed slab
-        // entries are skipped without extra bookkeeping).
-        let mut s = self.head;
-        while s != NIL {
-            let h = hash_block(self.slots[s as usize].block);
-            let mut i = h as usize & self.mask;
-            while !self.table[i].is_empty() {
-                i = (i + 1) & self.mask;
-            }
-            self.table[i] = TableEntry::new(h, s);
-            s = self.slots[s as usize].next;
-        }
-    }
-
-    /// Delete the entry at table index `i`, backward-shifting the
-    /// probe chain so no tombstones are needed.
-    fn delete_at(&mut self, i: usize) {
-        let s = self.table[i].slot();
-        self.presence.clear(self.slots[s as usize].block);
-        self.unlink(s);
-        // Neutralize the flags the whole-pool scans look at, so
-        // `sweep_dirty` / `count_unused_prefetched` can walk the slab
-        // sequentially without a liveness check.
-        self.slots[s as usize].meta.dirty = false;
-        self.slots[s as usize].meta.prefetched = false;
-        self.free.push(s);
-        self.len -= 1;
-        // Backward-shift: re-place every follower of the probe chain.
-        // Home buckets come from the inline tags — no slab reads here.
-        let mut hole = i;
-        let mut j = (i + 1) & self.mask;
-        while !self.table[j].is_empty() {
-            let home = self.table[j].home(self.mask);
-            // Move table[j] into the hole unless its home position lies
-            // (cyclically) after the hole — then it must stay put.
-            let stays = if hole <= j {
-                home > hole && home <= j
-            } else {
-                home > hole || home <= j
-            };
-            if !stays {
-                self.table[hole] = self.table[j];
-                hole = j;
-            }
-            j = (j + 1) & self.mask;
-        }
-        self.table[hole] = TableEntry::EMPTY;
     }
 
     /// Remove a specific block, returning its metadata.
     pub(crate) fn remove(&mut self, block: BlockId) -> Option<Meta> {
-        let i = self.find(block)?;
-        let meta = self.slots[self.table[i].slot() as usize].meta;
-        self.delete_at(i);
+        let s = self.table.remove(block)?;
+        self.unlink(s);
+        let slot = &mut self.table.slab[s as usize];
+        let meta = slot.meta;
+        self.presence.clear(block);
+        // Neutralize the flags the whole-pool scans look at, so
+        // `sweep_dirty` / `count_unused_prefetched` can walk the slab
+        // sequentially without a liveness check.
+        slot.meta.dirty = false;
+        slot.meta.prefetched = false;
         Some(meta)
     }
 
@@ -468,10 +555,8 @@ impl DensePool {
         if self.head == NIL {
             return None;
         }
-        let slot = &self.slots[self.head as usize];
-        let (block, meta) = (slot.block, slot.meta);
-        let i = self.find(block).expect("list/table in sync");
-        self.delete_at(i);
+        let block = self.table.slab[self.head as usize].block;
+        let meta = self.remove(block).expect("list/table in sync");
         Some((block, meta))
     }
 
@@ -479,11 +564,11 @@ impl DensePool {
     /// slab *sequentially* —
     /// not the recency list, whose pointer-chase order would cost one
     /// dependent DRAM miss per slot. Freed slots have `dirty` cleared
-    /// at free time ([`delete_at`](Self::delete_at)), and the output
+    /// at free time ([`remove`](Self::remove)), and the output
     /// is sorted anyway, so visit order is irrelevant.
     pub(crate) fn sweep_dirty(&mut self) -> Vec<BlockId> {
         let mut dirty = Vec::new();
-        for slot in &mut self.slots {
+        for slot in &mut self.table.slab {
             if slot.meta.dirty {
                 slot.meta.dirty = false;
                 dirty.push(slot.block);
@@ -498,7 +583,7 @@ impl DensePool {
     pub(crate) fn for_each(&self, f: &mut dyn FnMut(BlockId, &Meta)) {
         let mut s = self.head;
         while s != NIL {
-            let slot = &self.slots[s as usize];
+            let slot = &self.table.slab[s as usize];
             f(slot.block, &slot.meta);
             s = slot.next;
         }
@@ -508,21 +593,17 @@ impl DensePool {
     /// Sequential slab walk; freed slots have `prefetched` cleared at
     /// free time.
     pub(crate) fn count_unused_prefetched(&self) -> u64 {
-        self.slots
+        self.table
+            .slab
             .iter()
             .filter(|s| s.meta.prefetched && !s.meta.used)
             .count() as u64
     }
 }
 
-/// Open-addressed block→holder-set map: the xFS manager's registry.
-/// Same linear-probe, backward-shift-delete scheme as [`DensePool`].
+/// The xFS manager's block→holders registry.
 pub(crate) struct DenseHolders {
-    table: Vec<TableEntry>,
-    mask: usize,
-    entries: Vec<HolderEntry>,
-    free: Vec<u32>,
-    len: usize,
+    table: BlockTable<HolderEntry>,
     /// Bit set while the block has at least one registered holder —
     /// mirrors `contains_key`, serves the range residency query.
     presence: PresenceMap,
@@ -530,51 +611,36 @@ pub(crate) struct DenseHolders {
 
 struct HolderEntry {
     block: BlockId,
-    /// Sorted ascending, so holder iteration runs in node order.
-    holders: Vec<u32>,
+    /// Never empty while the entry is live; emptied when it is freed.
+    holders: NodeSet,
+}
+
+impl Keyed for HolderEntry {
+    #[inline]
+    fn block(&self) -> BlockId {
+        self.block
+    }
 }
 
 impl DenseHolders {
     pub(crate) fn new() -> Self {
-        let cap = 64usize;
         DenseHolders {
-            table: vec![TableEntry::EMPTY; cap],
-            mask: cap - 1,
-            entries: Vec::new(),
-            free: Vec::new(),
-            len: 0,
+            table: BlockTable::new(),
             presence: PresenceMap::new(),
         }
     }
 
-    #[inline]
-    fn find(&self, block: BlockId) -> Option<usize> {
-        let h = hash_block(block);
-        let tag = h & 0xFFFF_FFFF;
-        let mut i = h as usize & self.mask;
-        loop {
-            let e = self.table[i];
-            if e.is_empty() {
-                return None;
-            }
-            if e.tag() == tag && self.entries[e.slot() as usize].block == block {
-                return Some(i);
-            }
-            i = (i + 1) & self.mask;
-        }
-    }
-
-    /// The (ascending) holder set of `block`; empty if unregistered.
-    fn holders_of(&self, block: BlockId) -> &[u32] {
-        match self.find(block) {
-            Some(i) => &self.entries[self.table[i].slot() as usize].holders,
-            None => &[],
+    /// The nodes holding `block`; empty if unregistered.
+    pub(crate) fn holders(&self, block: BlockId) -> NodeSet {
+        match self.table.find(block) {
+            Some(s) => self.table.slab[s as usize].holders,
+            None => NodeSet::default(),
         }
     }
 
     /// Does any node hold `block`?
     pub(crate) fn contains_key(&self, block: BlockId) -> bool {
-        self.find(block).is_some()
+        self.table.find(block).is_some()
     }
 
     /// Consecutive registered blocks starting at `block`, capped at
@@ -584,17 +650,8 @@ impl DenseHolders {
     }
 
     /// Lowest-numbered holder of `block` that is not in `down`.
-    pub(crate) fn first_holder_up(&self, block: BlockId, down: &BTreeSet<u32>) -> Option<u32> {
-        self.holders_of(block)
-            .iter()
-            .copied()
-            .find(|h| !down.contains(h))
-    }
-
-    /// Does the registry record `node` as a holder of `block`?
-    /// (Integrity checks only — not a probe-counted operation.)
-    pub(crate) fn holds(&self, block: BlockId, node: u32) -> bool {
-        self.holders_of(block).binary_search(&node).is_ok()
+    pub(crate) fn first_holder_up(&self, block: BlockId, down: NodeSet) -> Option<u32> {
+        self.holders(block).minus(down).iter().next()
     }
 
     /// Total number of (block, holder) registrations — every copy the
@@ -602,107 +659,36 @@ impl DenseHolders {
     /// entries keep an empty holder set, so summing over the whole slab
     /// counts exactly the live registrations.
     pub(crate) fn total_registrations(&self) -> u64 {
-        self.entries.iter().map(|e| e.holders.len() as u64).sum()
-    }
-
-    /// All holders of `block` except `keep`, ascending.
-    pub(crate) fn holders_except(&self, block: BlockId, keep: u32) -> Vec<u32> {
-        self.holders_of(block)
+        self.table
+            .slab
             .iter()
-            .copied()
-            .filter(|&h| h != keep)
-            .collect()
+            .map(|e| u64::from(e.holders.len()))
+            .sum()
     }
 
     /// Register `node` as a holder of `block` (idempotent).
     pub(crate) fn insert(&mut self, block: BlockId, node: u32) {
-        if let Some(i) = self.find(block) {
-            let holders = &mut self.entries[self.table[i].slot() as usize].holders;
-            if let Err(pos) = holders.binary_search(&node) {
-                holders.insert(pos, node);
-            }
+        if let Some(s) = self.table.find(block) {
+            self.table.slab[s as usize].holders.insert(node);
             return;
         }
-        if (self.len + 1) * 2 > self.table.len() {
-            self.grow();
-        }
-        let e = match self.free.pop() {
-            Some(e) => {
-                let entry = &mut self.entries[e as usize];
-                entry.block = block;
-                entry.holders.clear();
-                entry.holders.push(node);
-                e
-            }
-            None => {
-                self.entries.push(HolderEntry {
-                    block,
-                    holders: vec![node],
-                });
-                (self.entries.len() - 1) as u32
-            }
-        };
-        let h = hash_block(block);
-        let mut i = h as usize & self.mask;
-        while !self.table[i].is_empty() {
-            i = (i + 1) & self.mask;
-        }
-        self.table[i] = TableEntry::new(h, e);
-        self.len += 1;
+        let mut holders = NodeSet::default();
+        holders.insert(node);
+        self.table.insert(HolderEntry { block, holders });
         self.presence.set(block);
     }
 
     /// Unregister `node` as a holder of `block`; the entry goes with
     /// its last holder.
     pub(crate) fn remove(&mut self, block: BlockId, node: u32) {
-        let Some(i) = self.find(block) else {
+        let Some(s) = self.table.find(block) else {
             return;
         };
-        let e = self.table[i].slot();
-        let holders = &mut self.entries[e as usize].holders;
-        if let Ok(pos) = holders.binary_search(&node) {
-            holders.remove(pos);
-        }
-        if !holders.is_empty() {
-            return;
-        }
-        // Last holder gone: delete the entry (backward-shift).
-        self.presence.clear(block);
-        self.free.push(e);
-        self.len -= 1;
-        let mut hole = i;
-        let mut j = (i + 1) & self.mask;
-        while !self.table[j].is_empty() {
-            let home = self.table[j].home(self.mask);
-            let stays = if hole <= j {
-                home > hole && home <= j
-            } else {
-                home > hole || home <= j
-            };
-            if !stays {
-                self.table[hole] = self.table[j];
-                hole = j;
-            }
-            j = (j + 1) & self.mask;
-        }
-        self.table[hole] = TableEntry::EMPTY;
-    }
-
-    fn grow(&mut self) {
-        let cap = self.table.len() * 2;
-        assert!(cap <= 1 << 32, "tag bits cover tables up to 2^32");
-        self.mask = cap - 1;
-        self.table = vec![TableEntry::EMPTY; cap];
-        for (e, entry) in self.entries.iter().enumerate() {
-            if entry.holders.is_empty() {
-                continue; // freed slab entry
-            }
-            let h = hash_block(entry.block);
-            let mut i = h as usize & self.mask;
-            while !self.table[i].is_empty() {
-                i = (i + 1) & self.mask;
-            }
-            self.table[i] = TableEntry::new(h, e as u32);
+        let holders = &mut self.table.slab[s as usize].holders;
+        holders.remove(node);
+        if holders.is_empty() {
+            self.table.remove(block);
+            self.presence.clear(block);
         }
     }
 }
@@ -712,6 +698,7 @@ mod tests {
     use super::*;
     use crate::reference::{ClassicHolders, LruPool};
     use ioworkload::FileId;
+    use std::collections::BTreeSet;
 
     fn b(f: u32, i: u64) -> BlockId {
         BlockId::new(FileId(f), i)
@@ -821,17 +808,24 @@ mod tests {
 
     /// DenseHolders matches the classic HashMap/BTreeSet registry on
     /// every operation the xFS cache calls: membership, residency runs,
-    /// first-up holder, except-sets, per-holder lookups, and the total
-    /// registration count.
+    /// holder sets, first-up holder, per-holder lookups, and the total
+    /// registration count. Nodes span the whole `0..MAX_NODES` mask,
+    /// with the word-boundary bits drawn often so removals hit.
     #[test]
     fn dense_holders_match_classic_registry() {
+        const EDGES: [u32; 6] = [0, 1, 63, 64, 126, 127];
         let mut rng = TestRng(0xDEAD_BEEF_1234_5679);
         let mut classic = ClassicHolders::default();
         let mut dense = DenseHolders::new();
         let mut down = BTreeSet::new();
-        for _ in 0..6000 {
+        let mut down_mask = NodeSet::default();
+        for step in 0..6000 {
             let block = b((rng.next() % 2) as u32, rng.next() % 48);
-            let node = (rng.next() % 6) as u32;
+            let node = if rng.next().is_multiple_of(3) {
+                (rng.next() % u64::from(MAX_NODES)) as u32
+            } else {
+                EDGES[(rng.next() % EDGES.len() as u64) as usize]
+            };
             match rng.next() % 10 {
                 0..=3 => {
                     classic.insert(block, node);
@@ -842,10 +836,11 @@ mod tests {
                     dense.remove(block, node);
                 }
                 7 => {
-                    if down.contains(&node) {
-                        down.remove(&node);
+                    if down.remove(&node) {
+                        down_mask.remove(node);
                     } else {
                         down.insert(node);
+                        down_mask.insert(node);
                     }
                 }
                 _ => {}
@@ -854,13 +849,14 @@ mod tests {
             assert_eq!(classic.resident_run(block, 8), dense.resident_run(block, 8));
             assert_eq!(
                 classic.first_holder_up(block, &down),
-                dense.first_holder_up(block, &down)
+                dense.first_holder_up(block, down_mask),
+                "step {step}"
             );
-            assert_eq!(
-                classic.holders_except(block, node),
-                dense.holders_except(block, node)
-            );
-            assert_eq!(classic.holds(block, node), dense.holds(block, node));
+            let expected: Vec<u32> = (0..MAX_NODES)
+                .filter(|&h| classic.holds(block, h))
+                .collect();
+            assert_eq!(dense.holders(block).iter().collect::<Vec<_>>(), expected);
+            assert_eq!(dense.holders(block).len() as usize, expected.len());
             assert_eq!(classic.total_registrations(), dense.total_registrations());
         }
     }

@@ -38,7 +38,7 @@ mod reference;
 mod stats;
 mod xfs;
 
-pub use dense::{MetaLayout, Replacement};
+pub use dense::{MetaLayout, Replacement, MAX_NODES};
 pub use ioworkload::{BlockId, FileId, NodeId};
 pub use local::LocalOnlyCache;
 pub use pafs::{server_node, PafsCache};

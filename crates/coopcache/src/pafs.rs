@@ -2,11 +2,10 @@
 //! per block.
 
 use std::cell::Cell;
-use std::collections::BTreeSet;
 
 use ioworkload::{BlockId, FileId, NodeId};
 
-use crate::dense::{DensePool, Meta, MetaLayout, Replacement};
+use crate::dense::{DensePool, Meta, MetaLayout, NodeSet, Replacement, MAX_NODES};
 use crate::stats::CacheStats;
 use crate::{AccessOutcome, CooperativeCache, Evicted, InsertOrigin, Lookup};
 
@@ -54,8 +53,8 @@ pub struct PafsCache {
     nodes: u32,
     capacity: u64,
     /// Nodes currently disconnected from the cooperative cache
-    /// (degraded mode). BTreeSet for deterministic iteration.
-    down: BTreeSet<u32>,
+    /// (degraded mode).
+    down: NodeSet,
     stats: CacheStats,
     /// Metadata probes (`meta_probes`); `Cell` because `contains*`
     /// take `&self`. The probe sequence is deterministic, so the count
@@ -72,13 +71,16 @@ impl PafsCache {
 
     /// Build with an explicit replacement policy (for the
     /// replacement-policy ablation).
+    ///
+    /// # Panics
+    /// If `nodes` is not in `1..=MAX_NODES` or `blocks_per_node` is 0.
     pub fn with_policy(nodes: u32, blocks_per_node: u64, policy: Replacement) -> Self {
-        assert!(nodes > 0 && blocks_per_node > 0);
+        assert!((1..=MAX_NODES).contains(&nodes) && blocks_per_node > 0);
         PafsCache {
             pool: DensePool::with_policy(policy),
             nodes,
             capacity: nodes as u64 * blocks_per_node,
-            down: BTreeSet::new(),
+            down: NodeSet::default(),
             stats: CacheStats::default(),
             probes: Cell::new(0),
         }
@@ -112,13 +114,13 @@ impl PafsCache {
 
     /// First node at or after `preferred` (wrapping) that is up.
     fn failover_target(&self, preferred: NodeId) -> NodeId {
-        if !self.down.contains(&preferred.0) {
+        if !self.down.contains(preferred.0) {
             return preferred;
         }
         let mut s = preferred.0;
         for _ in 0..self.nodes {
             s = (s + 1) % self.nodes;
-            if !self.down.contains(&s) {
+            if !self.down.contains(s) {
                 return NodeId(s);
             }
         }
@@ -142,7 +144,7 @@ impl CooperativeCache for PafsCache {
         // network: the access misses, but the copy itself survives and
         // serves again once the holder rejoins.
         if let Some(meta) = self.pool.get(block) {
-            if meta.owner != node && self.down.contains(&meta.owner.0) {
+            if meta.owner != node && self.down.contains(meta.owner.0) {
                 self.stats.misses += 1;
                 return AccessOutcome {
                     lookup: Lookup::Miss,
@@ -230,7 +232,7 @@ impl CooperativeCache for PafsCache {
         if down {
             self.down.insert(node.0);
         } else {
-            self.down.remove(&node.0);
+            self.down.remove(node.0);
         }
     }
 

@@ -177,13 +177,6 @@ impl ClassicHolders {
     pub(crate) fn total_registrations(&self) -> u64 {
         self.0.values().map(|s| s.len() as u64).sum()
     }
-
-    pub(crate) fn holders_except(&self, block: BlockId, keep: u32) -> Vec<u32> {
-        self.0
-            .get(&block)
-            .map(|s| s.iter().copied().filter(|&h| h != keep).collect())
-            .unwrap_or_default()
-    }
 }
 
 #[cfg(test)]

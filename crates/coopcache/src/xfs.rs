@@ -6,7 +6,7 @@ use std::collections::BTreeSet;
 
 use ioworkload::{BlockId, NodeId};
 
-use crate::dense::{DenseHolders, DensePool, Meta, MetaLayout, Replacement};
+use crate::dense::{DenseHolders, DensePool, Meta, MetaLayout, NodeSet, Replacement, MAX_NODES};
 use crate::stats::CacheStats;
 use crate::{AccessOutcome, CooperativeCache, Evicted, InsertOrigin, Lookup};
 
@@ -60,7 +60,7 @@ pub struct XfsCache {
     /// Nodes currently disconnected from the cooperative cache
     /// (degraded mode): excluded from holder lookups and forwarding,
     /// and themselves reduced to local-only operation.
-    down: BTreeSet<u32>,
+    down: NodeSet,
     blocks_per_node: u64,
     n_chance: u8,
     rng_state: u64,
@@ -84,14 +84,17 @@ impl XfsCache {
 
     /// Build with explicit N-chance depth and RNG seed for forwarding
     /// targets.
+    ///
+    /// # Panics
+    /// If `nodes` is not in `1..=MAX_NODES` or `blocks_per_node` is 0.
     pub fn with_options(nodes: u32, blocks_per_node: u64, n_chance: u8, seed: u64) -> Self {
-        assert!(nodes > 0 && blocks_per_node > 0);
+        assert!((1..=MAX_NODES).contains(&nodes) && blocks_per_node > 0);
         XfsCache {
             pools: (0..nodes)
                 .map(|_| DensePool::with_policy(Replacement::Lru))
                 .collect(),
             holders: DenseHolders::new(),
-            down: BTreeSet::new(),
+            down: NodeSet::default(),
             blocks_per_node,
             n_chance,
             rng_state: seed | 1,
@@ -126,27 +129,18 @@ impl XfsCache {
         x.wrapping_mul(0x2545F4914F6CDD1D)
     }
 
+    /// A random up peer other than `not`: the `r`-th candidate in
+    /// ascending node order, `r` one draw modulo their count (no draw
+    /// when there is none). With no node down this is the pre-fault
+    /// draw over `0..n` minus `not`, so zero-fault runs stay identical.
     fn pick_peer(&mut self, not: NodeId) -> Option<NodeId> {
-        // Degraded mode: down peers cannot receive forwarded singlets.
-        // With no node down the candidate list is 0..n minus `not`, so
-        // the index drawn here maps exactly as the pre-fault code did —
-        // zero-fault runs stay bit-identical.
-        let candidates: Vec<u32> = (0..self.nodes())
-            .filter(|&i| i != not.0 && !self.down.contains(&i))
-            .collect();
+        let mut candidates = NodeSet::first(self.nodes()).minus(self.down);
+        candidates.remove(not.0);
         if candidates.is_empty() {
             return None;
         }
-        let r = (self.next_rand() % candidates.len() as u64) as usize;
-        Some(NodeId(candidates[r]))
-    }
-
-    fn register(&mut self, node: NodeId, block: BlockId) {
-        self.holders.insert(block, node.0);
-    }
-
-    fn unregister(&mut self, node: NodeId, block: BlockId) {
-        self.holders.remove(block, node.0);
+        let r = self.next_rand() % u64::from(candidates.len());
+        candidates.iter().nth(r as usize).map(NodeId)
     }
 
     /// Make room in `node`'s pool for one incoming block, applying
@@ -154,7 +148,7 @@ impl XfsCache {
     fn make_room(&mut self, node: NodeId, out: &mut Vec<Evicted>) {
         while self.pools[node.0 as usize].len() as u64 >= self.blocks_per_node {
             let (block, meta) = self.pools[node.0 as usize].pop_lru().expect("capacity > 0");
-            self.unregister(node, block);
+            self.holders.remove(block, node.0);
             let is_singlet = !self.holders.contains_key(block);
             if is_singlet && meta.recirc < self.n_chance {
                 if let Some(peer) = self.pick_peer(node) {
@@ -164,14 +158,14 @@ impl XfsCache {
                     while self.pools[peer.0 as usize].len() as u64 >= self.blocks_per_node {
                         let (victim, vmeta) =
                             self.pools[peer.0 as usize].pop_lru().expect("capacity > 0");
-                        self.unregister(peer, victim);
+                        self.holders.remove(victim, peer.0);
                         out.push(self.stats.account_eviction(victim, &vmeta));
                     }
                     let mut fwd = meta;
                     fwd.owner = peer;
                     fwd.recirc += 1;
                     self.pools[peer.0 as usize].insert(block, fwd);
-                    self.register(peer, block);
+                    self.holders.insert(block, peer.0);
                     continue;
                 }
             }
@@ -199,16 +193,17 @@ impl XfsCache {
         // fresh_meta already encodes used = !prefetched.
         let meta = Meta::fresh(node, dirty, prefetched);
         self.pools[node.0 as usize].insert(block, meta);
-        self.register(node, block);
+        self.holders.insert(block, node.0);
     }
 
     /// Invalidate every copy of `block` except the one on `keep`.
     fn invalidate_others(&mut self, keep: NodeId, block: BlockId, out: &mut Vec<Evicted>) {
-        let holders = self.holders.holders_except(block, keep.0);
-        for h in holders {
+        let mut others = self.holders.holders(block);
+        others.remove(keep.0);
+        for h in others.iter() {
             let node = NodeId(h);
             if let Some(meta) = self.pools[h as usize].remove(block) {
-                self.unregister(node, block);
+                self.holders.remove(block, node.0);
                 self.stats.invalidations += 1;
                 let wasted = meta.prefetched && !meta.used;
                 if wasted {
@@ -247,10 +242,10 @@ impl CooperativeCache for XfsCache {
         // Remote? A down requester is cut off from the manager and
         // cannot see remote copies (local-only fallback); down holders
         // cannot serve.
-        let holder = if self.down.contains(&node.0) {
+        let holder = if self.down.contains(node.0) {
             None
         } else {
-            self.holders.first_holder_up(block, &self.down).map(NodeId)
+            self.holders.first_holder_up(block, self.down).map(NodeId)
         };
         if let Some(holder) = holder {
             self.stats.remote_hits += 1;
@@ -329,7 +324,7 @@ impl CooperativeCache for XfsCache {
         if down {
             self.down.insert(node.0);
         } else {
-            self.down.remove(&node.0);
+            self.down.remove(node.0);
         }
     }
 
@@ -340,7 +335,7 @@ impl CooperativeCache for XfsCache {
         // through the regular eviction accounting.
         let mut wiped = 0u64;
         while let Some((block, meta)) = self.pools[node.0 as usize].pop_lru() {
-            self.unregister(node, block);
+            self.holders.remove(block, node.0);
             self.stats.account_eviction(block, &meta);
             wiped += 1;
         }
@@ -384,7 +379,7 @@ impl CooperativeCache for XfsCache {
                         "xfs copy of file {} block {} in node {i}'s pool tagged owner {}",
                         block.file.0, block.index, meta.owner.0
                     ));
-                } else if !self.holders.holds(block, node.0) {
+                } else if !self.holders.holders(block).contains(node.0) {
                     err = Some(format!(
                         "xfs node {i} holds file {} block {} but the manager has no record",
                         block.file.0, block.index
@@ -647,6 +642,57 @@ mod tests {
         assert_eq!(ev.len(), 1, "nowhere to forward: dropped");
         assert!(!c.contains(b(1)));
         assert_eq!(c.stats().forward_drops, 1);
+    }
+
+    /// `pick_peer` draws exactly the peer the ascending candidate list
+    /// `0..n` minus `not` and the down nodes would give, consuming one
+    /// draw per non-empty list and none otherwise: random down masks,
+    /// 1-, 50- and 128-node caches, and every peer down.
+    #[test]
+    fn pick_peer_matches_ascending_list_draw() {
+        for nodes in [1u32, 2, 50, 128] {
+            for (trial, down_pct) in [0u64, 10, 50, 97, 100].into_iter().enumerate() {
+                let seed = 0x1234 + trial as u64;
+                let mut c = XfsCache::with_options(nodes, 1, 2, seed);
+                let mut list_rng = XfsCache::with_options(nodes, 1, 2, seed);
+                let mut draws = XfsCache::with_options(1, 1, 2, seed ^ 0xABCD);
+                let mut down = BTreeSet::new();
+                for i in 0..nodes {
+                    if draws.next_rand() % 100 < down_pct {
+                        down.insert(i);
+                        c.set_degraded(n(i), true);
+                    }
+                }
+                for _ in 0..500 {
+                    let not = (draws.next_rand() % u64::from(nodes)) as u32;
+                    let candidates: Vec<u32> = (0..nodes)
+                        .filter(|i| *i != not && !down.contains(i))
+                        .collect();
+                    let expected = if candidates.is_empty() {
+                        None
+                    } else {
+                        let r = list_rng.next_rand() % candidates.len() as u64;
+                        Some(n(candidates[r as usize]))
+                    };
+                    assert_eq!(
+                        c.pick_peer(n(not)),
+                        expected,
+                        "{nodes} nodes, trial {trial}"
+                    );
+                }
+            }
+            // Every peer of node 0 down (node 0 itself up or down): no
+            // peer, and no draw consumed.
+            for self_down in [false, true] {
+                let mut c = XfsCache::with_options(nodes, 1, 2, 9);
+                for i in 0..nodes {
+                    c.set_degraded(n(i), i != 0 || self_down);
+                }
+                let before = c.rng_state;
+                assert_eq!(c.pick_peer(n(0)), None);
+                assert_eq!(c.rng_state, before);
+            }
+        }
     }
 
     #[test]

@@ -1,11 +1,18 @@
 //! Machine and simulation configuration (Table 1 of the paper).
 
-use coopcache::{MetaLayout, Replacement};
+use coopcache::{MetaLayout, Replacement, MAX_NODES};
 use devmodel::{DiskGeometry, DiskModel, DiskModelKind, DiskSched, NetModelKind};
 use faultkit::FaultPlan;
 use prefetch::PrefetchConfig;
 use simcheck::CheckMode;
 use simkit::{QueueBackend, SimDuration};
+
+/// Node counts of the two Table 1 machines.
+const PM_NODES: u32 = 128;
+const NOW_NODES: u32 = 50;
+// Both presets must fit the caches' node masks (`check_workload`
+// rejects anything larger at run time).
+const _: () = assert!(PM_NODES <= MAX_NODES && NOW_NODES <= MAX_NODES);
 
 /// Hardware parameters of the simulated machine — the two columns of
 /// Table 1.
@@ -94,7 +101,7 @@ impl MachineConfig {
     /// disks, 500 MB/s memory, 200 MB/s network, 2/10 µs startups.
     pub fn pm() -> Self {
         MachineConfig {
-            nodes: 128,
+            nodes: PM_NODES,
             block_size: 8 * 1024,
             memory_bandwidth: 500.0e6,
             network_bandwidth: 200.0e6,
@@ -117,7 +124,7 @@ impl MachineConfig {
     /// disks, 40 MB/s memory, 19.4 MB/s network, 50/100 µs startups.
     pub fn now() -> Self {
         MachineConfig {
-            nodes: 50,
+            nodes: NOW_NODES,
             block_size: 8 * 1024,
             memory_bandwidth: 40.0e6,
             network_bandwidth: 19.4e6,
@@ -343,14 +350,30 @@ impl SimConfig {
         }
     }
 
-    /// Check that `workload` can run on this machine: consistent in
-    /// itself, needing no more nodes than the machine has, and using
-    /// the same block size. [`Simulation::new`](crate::Simulation::new)
-    /// panics with this message; a front end can report it instead.
+    /// Check that this configuration can run `workload`: the machine
+    /// has `1..=MAX_NODES` nodes (the caches keep node sets as one
+    /// 128-bit mask) and at least one disk, xFS runs with LRU local
+    /// caches, and the workload is consistent in itself, needs no more
+    /// nodes than the machine has and uses the same block size.
+    /// [`Simulation::try_new`](crate::Simulation::try_new) returns this
+    /// error and [`Simulation::new`](crate::Simulation::new) panics
+    /// with it; a front end can report it instead.
     ///
     /// # Errors
     /// A description of the first problem found.
     pub fn check_workload(&self, workload: &ioworkload::Workload) -> Result<(), String> {
+        if !(1..=MAX_NODES).contains(&self.machine.nodes) {
+            return Err(format!(
+                "machine has {} nodes; the cache models support 1 to {MAX_NODES}",
+                self.machine.nodes
+            ));
+        }
+        if self.machine.disks == 0 {
+            return Err("machine needs at least one disk".into());
+        }
+        if self.system == CacheSystem::Xfs && self.replacement != Replacement::Lru {
+            return Err("the xFS model only supports LRU local caches".into());
+        }
         workload.check()?;
         if workload.nodes > self.machine.nodes {
             return Err(format!(
@@ -410,6 +433,46 @@ mod tests {
         let bytes = 8192;
         assert!(m.local_transfer(bytes) < m.remote_transfer(bytes));
         assert!(m.remote_transfer(bytes) < m.disk_read_service());
+    }
+
+    /// Configurations the simulator cannot model come back as `Err`
+    /// from `try_new`, never a panic: more nodes than a node mask
+    /// holds, no nodes, no disks, and xFS without LRU.
+    #[test]
+    fn try_new_rejects_unsupported_machines() {
+        use ioworkload::{FileId, FileMeta, NodeId, ProcId, ProcessTrace, Workload};
+        let wl = std::sync::Arc::new(Workload {
+            name: "one".into(),
+            block_size: 8192,
+            nodes: 1,
+            files: vec![FileMeta {
+                id: FileId(0),
+                size: 8192,
+            }],
+            processes: vec![ProcessTrace {
+                proc: ProcId(0),
+                node: NodeId(0),
+                ops: Vec::new(),
+            }],
+        });
+        let try_new = |cfg: SimConfig| {
+            crate::Simulation::try_new(cfg, std::sync::Arc::clone(&wl), lapobs::NoopRecorder).err()
+        };
+        let xfs = || SimConfig::pm(CacheSystem::Xfs, PrefetchConfig::np(), 1);
+        let mut cfg = xfs();
+        cfg.machine.nodes = 129;
+        let e = try_new(cfg).expect("129 nodes rejected");
+        assert!(e.contains("129 nodes") && e.contains("128"), "{e}");
+        let mut cfg = xfs();
+        cfg.machine.nodes = 0;
+        assert!(try_new(cfg).is_some());
+        let mut cfg = xfs();
+        cfg.machine.disks = 0;
+        assert!(try_new(cfg).expect("no disks").contains("disk"));
+        let mut cfg = xfs();
+        cfg.replacement = Replacement::Fifo;
+        assert!(try_new(cfg).expect("xFS + FIFO").contains("LRU"));
+        assert_eq!(try_new(xfs()), None, "the 128-node PM preset runs");
     }
 
     #[test]

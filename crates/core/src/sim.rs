@@ -308,9 +308,10 @@ impl Simulation {
     /// Build a simulation of `workload` under `config`.
     ///
     /// # Panics
-    /// Panics if [`SimConfig::check_workload`] rejects the workload:
-    /// an inconsistent trace, more nodes than the machine has, or a
+    /// Panics if [`SimConfig::check_workload`] rejects the pair: an
+    /// inconsistent trace, more nodes than the machine has, or a
     /// different block size would silently invalidate every result.
+    /// [`try_new`](Simulation::try_new) returns the error instead.
     pub fn new(config: SimConfig, workload: Workload) -> Self {
         Self::new_shared(config, Arc::new(workload))
     }
@@ -330,29 +331,28 @@ impl<R: Recorder> Simulation<R> {
     /// # Panics
     /// Same contract as [`Simulation::new`].
     pub fn with_recorder(config: SimConfig, workload: Arc<Workload>, rec: R) -> Self {
-        if let Err(e) = config.check_workload(&workload) {
-            panic!("{e}");
-        }
-        assert!(config.machine.disks > 0, "machine needs at least one disk");
+        Self::try_new(config, workload, rec).unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// Build a simulation that records events into `rec`, or say why
+    /// `config` cannot run `workload`.
+    ///
+    /// # Errors
+    /// The first problem [`SimConfig::check_workload`] finds.
+    pub fn try_new(config: SimConfig, workload: Arc<Workload>, rec: R) -> Result<Self, String> {
+        config.check_workload(&workload)?;
         let cache: Box<dyn CooperativeCache> = match config.system {
             CacheSystem::Pafs => Box::new(PafsCache::with_policy(
                 config.machine.nodes,
                 config.blocks_per_node(),
                 config.replacement,
             )),
-            CacheSystem::Xfs => {
-                assert_eq!(
-                    config.replacement,
-                    coopcache::Replacement::Lru,
-                    "the xFS model only supports LRU local caches"
-                );
-                Box::new(XfsCache::with_options(
-                    config.machine.nodes,
-                    config.blocks_per_node(),
-                    XfsCache::DEFAULT_N_CHANCE,
-                    0x9E3779B9,
-                ))
-            }
+            CacheSystem::Xfs => Box::new(XfsCache::with_options(
+                config.machine.nodes,
+                config.blocks_per_node(),
+                XfsCache::DEFAULT_N_CHANCE,
+                0x9E3779B9,
+            )),
             CacheSystem::LocalOnly => Box::new(LocalOnlyCache::with_policy(
                 config.machine.nodes,
                 config.blocks_per_node(),
@@ -390,7 +390,7 @@ impl<R: Recorder> Simulation<R> {
             .check
             .enabled()
             .then(|| simcheck::Oracle::new(config.machine.nodes as usize));
-        Simulation {
+        Ok(Simulation {
             config,
             workload,
             queue,
@@ -417,7 +417,7 @@ impl<R: Recorder> Simulation<R> {
             waiters_pool: Vec::new(),
             oracle,
             rec,
-        }
+        })
     }
 
     /// Run to completion and produce the report.

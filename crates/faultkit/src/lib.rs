@@ -152,11 +152,17 @@ fn parse_prob(v: &str) -> Result<f64, String> {
     }
 }
 
-/// A duration in milliseconds: finite and non-negative.
+/// Longest per-event delay a plan may inject (`backoff-ms`,
+/// `net-delay`): one minute. Each is charged on every faulted disk
+/// attempt or network delivery, so the simulated clock has to absorb
+/// millions of them; at 1e12 ms a handful already overflow it.
+const MAX_MS: f64 = 60_000.0;
+
+/// A duration in milliseconds, in `0..=MAX_MS`.
 fn parse_ms(what: &str, v: &str) -> Result<SimDuration, String> {
     match v.parse::<f64>() {
-        Ok(ms) if ms.is_finite() && ms >= 0.0 => Ok(SimDuration::from_millis_f64(ms)),
-        _ => Err(format!("bad {what} '{v}' (need finite MS >= 0)")),
+        Ok(ms) if (0.0..=MAX_MS).contains(&ms) => Ok(SimDuration::from_millis_f64(ms)),
+        _ => Err(format!("bad {what} '{v}' (need 0 <= MS <= {MAX_MS})")),
     }
 }
 
@@ -728,11 +734,14 @@ mod tests {
             "net-delay=0.5:nan",
             "net-delay=0.5:-1",
             "net-delay=nan:2",
+            "net-delay=0.5:1e12",
+            "backoff-ms=60001",
         ] {
             let e = FaultPlan::parse(spec).unwrap_err();
             assert!(e.contains("fault-plan keys:"), "'{spec}': {e}");
         }
         assert!(FaultPlan::parse("disk-error=1,backoff-ms=0,net-delay=0:0").is_ok());
+        assert!(FaultPlan::parse("backoff-ms=60000,net-delay=1:60000").is_ok());
     }
 
     #[test]

@@ -158,6 +158,9 @@ fn parse_args() -> Args {
                     .next()
                     .and_then(|s| s.parse().ok())
                     .unwrap_or_else(|| usage());
+                if out.cache_mb == 0 {
+                    bad_value("--cache-mb", 0, "MB per node leaves no cache to simulate");
+                }
                 if out.cache_mb.checked_mul(1024 * 1024).is_none() {
                     bad_value(
                         "--cache-mb",

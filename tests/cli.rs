@@ -160,10 +160,16 @@ fn lapsim_rejects_order_zero_algorithms() {
 }
 
 /// A bad fault plan — an unknown key, or a number that is not a
-/// finite duration — exits 2 with the key menu, never a panic.
+/// finite duration or too long for the simulated clock — exits 2 with
+/// the key menu, never a panic.
 #[test]
 fn lapsim_rejects_bad_fault_plan_with_key_menu() {
-    for spec in ["bogus=1", "backoff-ms=nan"] {
+    for spec in [
+        "bogus=1",
+        "backoff-ms=nan",
+        "net-delay=0.5:1e12",
+        "disk-error=0.5,backoff-ms=1e12",
+    ] {
         let out = lapsim()
             .args(["--workload", "sprite", "--fault-plan", spec])
             .output()
@@ -297,13 +303,15 @@ fn lapsim_rejects_traces_that_do_not_fit_the_machine() {
 }
 
 /// Numeric flags the simulator cannot represent are rejected while
-/// parsing, naming the flag — not a `SimDuration overflow` panic and
-/// not a silently wrapped cache size.
+/// parsing, naming the flag — not a `SimDuration overflow` panic, not
+/// a silently wrapped cache size, and not a zero-MB cache quietly run
+/// as one block per node.
 #[test]
 fn lapsim_rejects_overflowing_numeric_flags() {
     for (flag, value) in [
         ("--warmup", "999999999999"),
         ("--cache-mb", "18000000000000"),
+        ("--cache-mb", "0"),
     ] {
         let out = lapsim()
             .args(["--workload", "sprite", flag, value])
