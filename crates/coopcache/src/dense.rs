@@ -413,6 +413,11 @@ pub(crate) struct DensePool {
     /// Presence bitmaps mirroring the table's membership exactly, for
     /// the range residency query [`resident_run`](Self::resident_run).
     presence: PresenceMap,
+    /// Slots that went from clean to dirty since the last sweep. Lazy:
+    /// an entry may be stale (the copy was since removed, overwritten
+    /// clean, or its slot reused) or repeated, so
+    /// [`sweep_dirty`](Self::sweep_dirty) re-checks `meta.dirty`.
+    dirtied: Vec<u32>,
 }
 
 impl DensePool {
@@ -423,6 +428,7 @@ impl DensePool {
             tail: NIL,
             policy,
             presence: PresenceMap::new(),
+            dirtied: Vec::new(),
         }
     }
 
@@ -502,8 +508,9 @@ impl DensePool {
             // (Dahlin's N-chance counts forwards since last reference).
             meta.recirc = 0;
         }
-        if write {
+        if write && !meta.dirty {
             meta.dirty = true;
+            self.dirtied.push(s);
         }
         if self.policy == Replacement::Lru {
             self.unlink(s);
@@ -515,22 +522,26 @@ impl DensePool {
     /// Insert (or overwrite) a block copy at MRU position. An
     /// overwrite re-MRUs even under FIFO: it counts as a new insertion.
     pub(crate) fn insert(&mut self, block: BlockId, meta: Meta) {
-        let s = match self.table.find(block) {
+        let (s, was_dirty) = match self.table.find(block) {
             Some(s) => {
-                self.table.slab[s as usize].meta = meta;
+                let old = std::mem::replace(&mut self.table.slab[s as usize].meta, meta);
                 self.unlink(s);
-                s
+                (s, old.dirty)
             }
             None => {
                 self.presence.set(block);
-                self.table.insert(Slot {
+                let s = self.table.insert(Slot {
                     block,
                     meta,
                     prev: NIL,
                     next: NIL,
-                })
+                });
+                (s, false)
             }
         };
+        if meta.dirty && !was_dirty {
+            self.dirtied.push(s);
+        }
         self.push_mru(s);
     }
 
@@ -541,9 +552,9 @@ impl DensePool {
         let slot = &mut self.table.slab[s as usize];
         let meta = slot.meta;
         self.presence.clear(block);
-        // Neutralize the flags the whole-pool scans look at, so
-        // `sweep_dirty` / `count_unused_prefetched` can walk the slab
-        // sequentially without a liveness check.
+        // Neutralize the flags the slot scans look at, so a stale
+        // `dirtied` entry and `count_unused_prefetched`'s sequential slab
+        // walk need no liveness check.
         slot.meta.dirty = false;
         slot.meta.prefetched = false;
         Some(meta)
@@ -560,15 +571,17 @@ impl DensePool {
         Some((block, meta))
     }
 
-    /// Collect all dirty blocks, sorted, and mark them clean. Walks the
-    /// slab *sequentially* —
-    /// not the recency list, whose pointer-chase order would cost one
-    /// dependent DRAM miss per slot. Freed slots have `dirty` cleared
-    /// at free time ([`remove`](Self::remove)), and the output
-    /// is sorted anyway, so visit order is irrelevant.
+    /// Collect all dirty blocks, sorted, and mark them clean — in
+    /// O(slots dirtied since the last sweep), not O(capacity): only the
+    /// `dirtied` list is visited. Every dirty copy is on it, because
+    /// each clean→dirty transition pushes its slot. A stale entry finds
+    /// `dirty` false (freed slots have it cleared at free time by
+    /// [`remove`](Self::remove)) and a repeated one finds it already
+    /// cleared by its first visit, so each block is reported once.
     pub(crate) fn sweep_dirty(&mut self) -> Vec<BlockId> {
         let mut dirty = Vec::new();
-        for slot in &mut self.table.slab {
+        for s in self.dirtied.drain(..) {
+            let slot = &mut self.table.slab[s as usize];
             if slot.meta.dirty {
                 slot.meta.dirty = false;
                 dirty.push(slot.block);
@@ -728,10 +741,25 @@ mod tests {
         all
     }
 
+    /// Some resident dirty copy of the classic pool, if any.
+    fn some_dirty(classic: &LruPool, rng: &mut TestRng) -> Option<BlockId> {
+        let dirty: Vec<BlockId> = classic
+            .copies()
+            .into_iter()
+            .filter(|(_, m)| m.dirty)
+            .map(|(b, _)| b)
+            .collect();
+        (!dirty.is_empty()).then(|| dirty[(rng.next() % dirty.len() as u64) as usize])
+    }
+
     /// DensePool is observably equivalent to the classic LruPool under
     /// randomized interleavings of every operation the caches call, for
     /// both replacement policies: identical victim sequences, sweep
-    /// output, lengths, residency runs, and returned metadata.
+    /// output, lengths, residency runs, and returned metadata. Directed
+    /// steps drive the sweep's lazy dirtied list through its stale and
+    /// repeated entries: a dirty copy removed or popped and its slot
+    /// reused at once, a dirty copy overwritten clean, and one block
+    /// dirtied again and again between sweeps.
     #[test]
     fn dense_pool_matches_classic_pool() {
         for (seed, policy) in [
@@ -745,7 +773,7 @@ mod tests {
             let mut dense = DensePool::with_policy(policy);
             for step in 0..6000 {
                 let block = b((rng.next() % 3) as u32, rng.next() % 64);
-                match rng.next() % 100 {
+                match rng.next() % 118 {
                     0..=34 => {
                         let meta = Meta::fresh(
                             n((rng.next() % 4) as u32),
@@ -779,11 +807,48 @@ mod tests {
                     97..=98 => {
                         assert_eq!(classic.copies(), copies(&dense), "step {step}");
                     }
-                    _ => {
+                    99 => {
                         assert_eq!(
                             classic.count_unused_prefetched(),
                             dense.count_unused_prefetched()
                         );
+                    }
+                    100..=105 => {
+                        // Free a dirty copy's slot (by removal or as the
+                        // victim), then reuse it for another block.
+                        let freed = if rng.next().is_multiple_of(2) {
+                            some_dirty(&classic, &mut rng)
+                                .map(|d| (classic.remove(d), dense.remove(d)))
+                        } else {
+                            Some((classic.pop_lru().map(|v| v.1), dense.pop_lru().map(|v| v.1)))
+                        };
+                        if let Some((c, d)) = freed {
+                            assert_eq!(c, d, "freed, step {step}");
+                        }
+                        if !classic.contains(block) {
+                            let meta = Meta::fresh(n(0), rng.next().is_multiple_of(2), false);
+                            classic.insert(block, meta);
+                            dense.insert(block, meta);
+                        }
+                    }
+                    106..=111 => {
+                        // Overwrite a dirty copy with a clean one.
+                        if let Some(d) = some_dirty(&classic, &mut rng) {
+                            let meta = Meta::fresh(n(1), false, rng.next().is_multiple_of(2));
+                            classic.insert(d, meta);
+                            dense.insert(d, meta);
+                        }
+                    }
+                    _ => {
+                        // Dirty the same block repeatedly, by touch and
+                        // by refresh.
+                        for _ in 0..3 {
+                            assert_eq!(classic.touch(block, true), dense.touch(block, true));
+                            assert_eq!(
+                                classic.refresh(block, true, false),
+                                dense.refresh(block, true, false)
+                            );
+                        }
                     }
                 }
                 assert_eq!(classic.len(), dense.len());
@@ -883,6 +948,38 @@ mod tests {
         // Other files are independent.
         assert_eq!(p.run_len(b(0, 60), 10), 0);
         assert_eq!(p.run_len(b(2, 60), 10), 0);
+    }
+
+    /// A sweep costs the writes since the last one, not the pool's
+    /// size: k writes into a pool of 100 k clean copies leave at most k
+    /// dirtied-list entries, the sweep returns exactly the written
+    /// blocks, and the list is empty afterwards.
+    #[test]
+    fn sweep_visits_only_dirtied_slots() {
+        let mut pool = DensePool::with_policy(Replacement::Lru);
+        for i in 0..100_000 {
+            pool.insert(b(i % 7, u64::from(i)), Meta::fresh(n(0), false, false));
+        }
+        assert!(pool.dirtied.is_empty(), "clean inserts list nothing");
+        let written: Vec<BlockId> = (0..100_000u32)
+            .step_by(997)
+            .map(|i| b(i % 7, u64::from(i)))
+            .collect();
+        let k = written.len();
+        for &w in &written {
+            pool.touch(w, true);
+            pool.touch(w, true); // already dirty: no second entry
+        }
+        assert!(
+            pool.dirtied.len() <= k,
+            "{} entries for {k} writes",
+            pool.dirtied.len()
+        );
+        let mut expected = written.clone();
+        expected.sort_unstable();
+        assert_eq!(pool.sweep_dirty(), expected);
+        assert!(pool.dirtied.is_empty());
+        assert!(pool.sweep_dirty().is_empty(), "clean after sweep");
     }
 
     /// Deletions must keep open-addressing probe chains intact: force

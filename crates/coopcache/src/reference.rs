@@ -4,6 +4,10 @@
 //! [`DenseHolders`](crate::dense::DenseHolders) against. Each
 //! operation is the obvious O(log n) one, so its behaviour is easy to
 //! check by eye.
+#![allow(
+    clippy::disallowed_types,
+    reason = "test-only reference model; std's HashMap is the classic layout it reproduces"
+)]
 
 use std::collections::{BTreeSet, HashMap};
 

@@ -122,7 +122,7 @@ fn sweep_is_idempotent() {
         let mut rng = Rng64::new(case ^ 0x53E);
         let ops = random_ops(&mut rng, 4, 16, 100);
         let mut cache = XfsCache::new(4, 4);
-        let mut written = std::collections::HashSet::new();
+        let mut written = std::collections::BTreeSet::new();
         for &op in &ops {
             match op {
                 CacheOp::Read(n, b) | CacheOp::Write(n, b) => {

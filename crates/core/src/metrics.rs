@@ -1,10 +1,8 @@
 //! Simulation metrics and the final report.
 
-use std::collections::HashMap;
-
 use coopcache::CacheStats;
 use ioworkload::BlockId;
-use prefetch::PrefetchStats;
+use prefetch::{FxHashMap, PrefetchStats};
 use simkit::stats::{LatencyHistogram, Series};
 use simkit::{SimDuration, SimTime};
 
@@ -167,7 +165,7 @@ pub(crate) struct Metrics {
     pub disk_ops_warmup: u64,
     /// How many times each block was written to disk (post-warm-up) —
     /// Table 2's statistic.
-    pub writes_per_block: HashMap<BlockId, u32>,
+    pub writes_per_block: FxHashMap<BlockId, u32>,
     /// Prefetch fetches that a demand request joined while in flight
     /// (correct predictions with perfect timing).
     pub prefetch_absorbed: u64,
@@ -192,7 +190,7 @@ impl Metrics {
             disk_reads_prefetch: 0,
             disk_writes: 0,
             disk_ops_warmup: 0,
-            writes_per_block: HashMap::new(),
+            writes_per_block: FxHashMap::default(),
             prefetch_absorbed: 0,
             demand_coalesced: 0,
             spans: SpanMetrics::default(),

@@ -35,7 +35,6 @@
 //! prefetches (the paper's rule is only that prefetching never delays
 //! other operations).
 
-use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 
 use coopcache::{
@@ -46,7 +45,7 @@ use devmodel::{DiskModel, FaultedModel};
 use faultkit::{DiskFaultCtx, FaultState, NetClass};
 use ioworkload::{BlockId, FileId, NodeId, Op, ProcId, Workload};
 use lapobs::{Event, NoopRecorder, Obs, Recorder, StationId, NO_RID};
-use prefetch::{FilePrefetcher, PrefetchStats, Request};
+use prefetch::{FilePrefetcher, FxHashMap, FxHashSet, PrefetchStats, Request};
 use simkit::{
     DeviceOp, EventQueue, JobSpec, Priority, ServiceCost, ServiceModel, SimDuration, SimTime,
     StartedJob, Station,
@@ -103,6 +102,20 @@ struct PfKey {
     file: FileId,
 }
 
+/// Position of a prefetch engine in [`Simulation::engines`].
+type EngineId = u32;
+
+/// One prefetch engine, created at the first access it serves.
+struct Engine {
+    key: PfKey,
+    pf: FilePrefetcher,
+    /// Disk serving the engine's latest demand block, tracked only
+    /// under a fault plan: during that disk's error bursts the walk
+    /// stands down (the paper's rule that prefetching never delays
+    /// other operations).
+    demand_disk: Option<usize>,
+}
+
 /// Dispatch record of an in-flight fetch's disk service, captured when
 /// the job starts — the raw material for attributing a waiting read's
 /// latency to queueing vs. mechanical time once the fetch lands.
@@ -122,7 +135,7 @@ struct PendingFetch {
     /// A demand request joined while in flight.
     demanded: bool,
     /// Engine to notify on completion (prefetch fetches only).
-    pf_owner: Option<PfKey>,
+    pf_owner: Option<EngineId>,
     /// Node whose buffer receives the block.
     node: NodeId,
     /// Requests waiting on this block.
@@ -250,8 +263,12 @@ pub struct Simulation<R: Recorder = NoopRecorder> {
     /// position / platter state under the geometry model; prices the
     /// fixed constants otherwise.
     disk_models: Vec<DiskModel>,
-    pending: HashMap<FetchKey, PendingFetch>,
-    engines: HashMap<PfKey, FilePrefetcher>,
+    pending: FxHashMap<FetchKey, PendingFetch>,
+    /// Prefetch engines in creation order. Fetches and completions
+    /// name their engine by position; only a demand looks its engine
+    /// up by key, in `engine_ids`.
+    engines: Vec<Engine>,
+    engine_ids: FxHashMap<PfKey, EngineId>,
     procs: Vec<ProcState>,
     reqs: Vec<ReqState>,
     metrics: Metrics,
@@ -282,10 +299,6 @@ pub struct Simulation<R: Recorder = NoopRecorder> {
     /// When each disk last went down (start of the current/last outage
     /// window) — bounds the held-queue failover attribution.
     last_down: Vec<SimTime>,
-    /// Disk serving each prefetch engine's latest demand block: during
-    /// that disk's error bursts the engine's walk stands down (the
-    /// paper's rule that prefetching never delays other operations).
-    pf_demand_disk: HashMap<PfKey, usize>,
     /// Reusable scratch for [`handle_read`](Self::handle_read)'s
     /// missing-block list: taken at entry, drained, returned empty —
     /// steady-state reads allocate nothing here.
@@ -293,7 +306,7 @@ pub struct Simulation<R: Recorder = NoopRecorder> {
     /// Reusable scratch for [`pump_prefetcher`](Self::pump_prefetcher):
     /// the issue batch and its membership companion set.
     scratch_issue: Vec<(u64, u32)>,
-    scratch_issue_set: HashSet<u64>,
+    scratch_issue_set: FxHashSet<u64>,
     /// Recycled `waiters` vectors from completed fetches, so demand
     /// misses stop paying one allocation each.
     waiters_pool: Vec<Vec<ReqId>>,
@@ -397,8 +410,9 @@ impl<R: Recorder> Simulation<R> {
             cache,
             disks,
             disk_models,
-            pending: HashMap::new(),
-            engines: HashMap::new(),
+            pending: FxHashMap::default(),
+            engines: Vec::new(),
+            engine_ids: FxHashMap::default(),
             procs,
             reqs: Vec::new(),
             metrics,
@@ -410,10 +424,9 @@ impl<R: Recorder> Simulation<R> {
             done_seq: vec![0; ndisks],
             aborted: vec![Vec::new(); ndisks],
             last_down: vec![SimTime::ZERO; ndisks],
-            pf_demand_disk: HashMap::new(),
             scratch_missing: Vec::new(),
             scratch_issue: Vec::new(),
-            scratch_issue_set: HashSet::new(),
+            scratch_issue_set: FxHashSet::default(),
             waiters_pool: Vec::new(),
             oracle,
             rec,
@@ -466,8 +479,8 @@ impl<R: Recorder> Simulation<R> {
         (report, rec, profile)
     }
 
-    /// Assemble the deterministic cost counters from the subsystems.
-    /// Integer sums only, so map iteration order cannot leak in.
+    /// Assemble the deterministic cost counters from the subsystems,
+    /// visiting the engines in creation order.
     fn profile_counters(&self) -> simprof::Counters {
         let q = self.queue.depth_stats().unwrap_or_default();
         let mut c = simprof::Counters {
@@ -480,8 +493,8 @@ impl<R: Recorder> Simulation<R> {
         for disk in &self.disks {
             c.station_dispatches += disk.stats().dispatched;
         }
-        for engine in self.engines.values() {
-            let p = engine.predictor();
+        for engine in &self.engines {
+            let p = engine.pf.predictor();
             c.pred_lookups += p.table_lookups();
             c.pred_updates += p.table_updates();
         }
@@ -1096,9 +1109,7 @@ impl<R: Recorder> Simulation<R> {
 
     fn fetch_done(&mut self, key: FetchKey, now: SimTime) {
         if let Some(owner) = self.complete_fetch_block(key, now) {
-            if let Some(engine) = self.engines.get_mut(&owner) {
-                engine.on_prefetch_complete();
-            }
+            self.engines[owner as usize].pf.on_prefetch_complete();
             self.pump_prefetcher(owner, now);
         }
     }
@@ -1114,9 +1125,7 @@ impl<R: Recorder> Simulation<R> {
             owner = self.complete_fetch_block(key, now).or(owner);
         }
         if let Some(owner) = owner {
-            if let Some(engine) = self.engines.get_mut(&owner) {
-                engine.on_prefetch_complete();
-            }
+            self.engines[owner as usize].pf.on_prefetch_complete();
             self.pump_prefetcher(owner, now);
         }
     }
@@ -1125,7 +1134,7 @@ impl<R: Recorder> Simulation<R> {
     /// reads, and return the prefetch engine to credit (if any) —
     /// crediting is the caller's job because a multi-block run charges
     /// a single in-flight unit.
-    fn complete_fetch_block(&mut self, key: FetchKey, now: SimTime) -> Option<PfKey> {
+    fn complete_fetch_block(&mut self, key: FetchKey, now: SimTime) -> Option<EngineId> {
         let pf = self
             .pending
             .remove(&key)
@@ -1209,6 +1218,22 @@ impl<R: Recorder> Simulation<R> {
         }
     }
 
+    /// The engine for `node`'s accesses to `file`, created on first use.
+    fn engine_for(&mut self, node: NodeId, file: FileId) -> EngineId {
+        let key = self.pf_key(node, file);
+        let next = self.engines.len() as EngineId;
+        let id = *self.engine_ids.entry(key).or_insert(next);
+        if id == next {
+            let pf = FilePrefetcher::new(self.config.prefetch, self.file_blocks[file.0 as usize]);
+            self.engines.push(Engine {
+                key,
+                pf,
+                demand_disk: None,
+            });
+        }
+        id
+    }
+
     fn fetch_key(&self, node: NodeId, block: BlockId) -> FetchKey {
         match self.config.system {
             CacheSystem::Pafs => FetchKey { scope: None, block },
@@ -1241,29 +1266,26 @@ impl<R: Recorder> Simulation<R> {
         if !self.config.prefetch.prefetches() {
             return;
         }
-        let key = self.pf_key(node, file);
+        let id = self.engine_for(node, file);
         if self.faults.is_some() {
-            let disk = self.disk_of(BlockId::new(file, req.offset));
-            self.pf_demand_disk.insert(key, disk);
+            self.engines[id as usize].demand_disk =
+                Some(self.disk_of(BlockId::new(file, req.offset)));
         }
-        let blocks = self.file_blocks[file.0 as usize];
-        let cfg = self.config.prefetch;
         {
             let Simulation { engines, rec, .. } = self;
             let mut obs = Obs::new(now.as_nanos(), file.0, rec);
-            engines
-                .entry(key)
-                .or_insert_with(|| FilePrefetcher::new(cfg, blocks))
+            engines[id as usize]
+                .pf
                 .on_demand_with_residency_obs(req, fully_cached, rid, &mut obs);
         }
-        self.pump_prefetcher(key, now);
+        self.pump_prefetcher(id, now);
     }
 
     /// Pull every block the engine wants to prefetch right now and put
     /// it on the disks.
-    fn pump_prefetcher(&mut self, key: PfKey, now: SimTime) {
+    fn pump_prefetcher(&mut self, id: EngineId, now: SimTime) {
         if let Some(fs) = &mut self.faults {
-            if let Some(&disk) = self.pf_demand_disk.get(&key) {
+            if let Some(disk) = self.engines[id as usize].demand_disk {
                 if fs.plan.in_burst(disk, now) {
                     // The paper's rule is that prefetching never delays
                     // other operations: during an error burst the disk
@@ -1274,6 +1296,7 @@ impl<R: Recorder> Simulation<R> {
                 }
             }
         }
+        let key = self.engines[id as usize].key;
         let home = self.prefetch_home(key);
         // Issue units: `(first, count)` runs. Per-block mode always
         // produces `count == 1`; extent mode batches up to one extent.
@@ -1299,7 +1322,7 @@ impl<R: Recorder> Simulation<R> {
         // into `pending` only after the loop ends — so residency is
         // frozen for the duration of the pump.
         let mut run_resident: Option<(u64, u64)> = None;
-        'walk: {
+        {
             let Simulation {
                 engines,
                 cache,
@@ -1308,9 +1331,7 @@ impl<R: Recorder> Simulation<R> {
                 rec,
                 ..
             } = self;
-            let Some(engine) = engines.get_mut(&key) else {
-                break 'walk;
-            };
+            let engine = &mut engines[id as usize].pf;
             let mut obs = Obs::new(now.as_nanos(), key.file.0, rec);
             let scope = key.node;
             // Without cooperation a node knows only its own cache; the
@@ -1329,15 +1350,14 @@ impl<R: Recorder> Simulation<R> {
                 // in-flight fetches are invisible on xFS, which is what
                 // duplicates prefetch work on shared files (§4).
                 let is_cached = |idx: u64| {
-                    // Cheap, uncounted membership checks answer first,
-                    // cheapest first: ranges a `resident_run` query
-                    // already verified (two compares, no hashing — the
-                    // common case while rescanning resident data),
-                    // blocks this pump already batched, then fetches
-                    // already in flight (a SipHash over the fetch key,
-                    // the priciest of the three). Every check here is
-                    // side-effect-free, so the boolean is the same in
-                    // any order.
+                    // Cheap, uncounted membership checks answer first:
+                    // ranges a `resident_run` query already verified
+                    // (two compares, no hashing — the common case while
+                    // rescanning resident data), blocks this pump
+                    // already batched, then fetches already in flight
+                    // (the last two one Fx hash each). Every check here
+                    // is side-effect-free, so the boolean is the same
+                    // in any order.
                     if let Some((start, end)) = run_resident {
                         if idx >= start && idx < end {
                             return true;
@@ -1400,7 +1420,7 @@ impl<R: Recorder> Simulation<R> {
                     PendingFetch {
                         prefetch: true,
                         demanded: false,
-                        pf_owner: Some(key),
+                        pf_owner: Some(id),
                         node: home,
                         waiters: self.waiters_pool.pop().unwrap_or_default(),
                         svc: None,
@@ -1424,10 +1444,8 @@ impl<R: Recorder> Simulation<R> {
         // (extent batches count one each) must respect the configured
         // aggressiveness.
         if self.oracle.is_some() {
-            if let (Some(limit), Some(engine)) =
-                (self.config.prefetch.aggressive, self.engines.get(&key))
-            {
-                let (in_flight, cap) = (engine.in_flight(), limit.cap());
+            if let Some(limit) = self.config.prefetch.aggressive {
+                let (in_flight, cap) = (self.engines[id as usize].pf.in_flight(), limit.cap());
                 oracle_check!(self, now, |o| o.check_limit(key.file.0, in_flight, cap));
             }
         }
@@ -1844,8 +1862,8 @@ impl<R: Recorder> Simulation<R> {
         let cache_stats = *self.cache.stats();
 
         let mut pf_stats = PrefetchStats::default();
-        for engine in self.engines.values() {
-            pf_stats.merge(&engine.stats());
+        for engine in &self.engines {
+            pf_stats.merge(&engine.pf.stats());
         }
 
         let used = cache_stats.prefetch_used + self.metrics.prefetch_absorbed;
@@ -1866,8 +1884,8 @@ impl<R: Recorder> Simulation<R> {
         let writes_per_block = if wpb.is_empty() {
             0.0
         } else {
-            // Sum in integers: an f64 sum would depend on the HashMap's
-            // iteration order, breaking run-to-run byte stability.
+            // Sum in integers: an f64 sum would depend on the map's
+            // iteration order.
             let total: u64 = wpb.values().map(|&c| u64::from(c)).sum();
             total as f64 / wpb.len() as f64
         };
@@ -1895,11 +1913,10 @@ impl<R: Recorder> Simulation<R> {
             }
         }
         // Predictor-registry metrics, summed over the per-file
-        // predictors in integers (commutative, so the engine map's
-        // iteration order cannot leak into results).
+        // predictors in creation order.
         let (mut pred_emits, mut pred_hits, mut pred_table, mut pred_mined) = (0u64, 0, 0, 0);
-        for engine in self.engines.values() {
-            let p = engine.predictor();
+        for engine in &self.engines {
+            let p = engine.pf.predictor();
             pred_emits += p.emits();
             pred_hits += p.hits();
             pred_table += p.table_size();

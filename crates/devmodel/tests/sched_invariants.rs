@@ -62,11 +62,12 @@ fn drive(sched: Box<dyn Scheduler>, arrivals: &[Arrival], seed: u64) -> Vec<(usi
     let mut queue: EventQueue<usize> = EventQueue::new();
     let mut rec = lapobs::NoopRecorder;
     // Mirror of waiting jobs: tag → priority.
-    let mut waiting: std::collections::HashMap<usize, Priority> = std::collections::HashMap::new();
+    let mut waiting: std::collections::BTreeMap<usize, Priority> =
+        std::collections::BTreeMap::new();
     let mut done: Vec<(usize, u64)> = Vec::new();
 
     let dispatch = |started: Option<simkit::StartedJob<usize>>,
-                    waiting: &mut std::collections::HashMap<usize, Priority>,
+                    waiting: &mut std::collections::BTreeMap<usize, Priority>,
                     queue: &mut EventQueue<usize>| {
         if let Some(j) = started {
             let prio = waiting.remove(&j.tag);

@@ -153,9 +153,10 @@ fn parse_prob(v: &str) -> Result<f64, String> {
 }
 
 /// Longest per-event delay a plan may inject (`backoff-ms`,
-/// `net-delay`): one minute. Each is charged on every faulted disk
-/// attempt or network delivery, so the simulated clock has to absorb
-/// millions of them; at 1e12 ms a handful already overflow it.
+/// `net-delay`, and the summed backoff of one disk dispatch's retries):
+/// one minute. Each is charged on every faulted disk dispatch or
+/// network delivery, so the simulated clock has to absorb millions of
+/// them; at 1e12 ms a handful already overflow it.
 const MAX_MS: f64 = 60_000.0;
 
 /// A duration in milliseconds, in `0..=MAX_MS`.
@@ -254,7 +255,33 @@ impl FaultPlan {
         if plan.burst.is_some() && !burst_error_set {
             plan.burst_error = (plan.disk_error * 10.0).clamp(0.25, 0.9);
         }
+        let worst = plan.worst_backoff_ms();
+        if worst > MAX_MS {
+            return Err(format!(
+                "disk-retries={} with backoff-ms={} backs off up to {worst} ms per disk \
+                 dispatch (need <= {MAX_MS})",
+                plan.disk_retries,
+                plan.backoff.as_millis_f64()
+            ));
+        }
         Ok(plan)
+    }
+
+    /// Most backoff one disk dispatch can be charged, in ms: attempt
+    /// `i` backs off `backoff · 2^min(i, 16)`, summed over every retry
+    /// (see [`FaultState::disk_surcharge`]); zero when no disk error can
+    /// fire.
+    fn worst_backoff_ms(&self) -> f64 {
+        if !self.disk_errors_active() {
+            return 0.0;
+        }
+        let n = f64::from(self.disk_retries);
+        let doublings = if self.disk_retries <= 17 {
+            n.exp2() - 1.0
+        } else {
+            131_071.0 + (n - 17.0) * 65_536.0
+        };
+        self.backoff.as_millis_f64() * doublings
     }
 
     /// True when transient disk errors can fire.
@@ -736,12 +763,24 @@ mod tests {
             "net-delay=nan:2",
             "net-delay=0.5:1e12",
             "backoff-ms=60001",
+            // The summed backoff of one dispatch's retries, not only
+            // each step, must fit in the same minute.
+            "disk-error=1,disk-retries=32,backoff-ms=60000",
+            "disk-retries=40,disk-error=0.5",
+            "disk-error=1,disk-retries=4000000000",
+            "burst=60:5,backoff-ms=20000",
+            "disk-error=0.1,disk-retries=2,backoff-ms=20001",
         ] {
             let e = FaultPlan::parse(spec).unwrap_err();
             assert!(e.contains("fault-plan keys:"), "'{spec}': {e}");
         }
         assert!(FaultPlan::parse("disk-error=1,backoff-ms=0,net-delay=0:0").is_ok());
         assert!(FaultPlan::parse("backoff-ms=60000,net-delay=1:60000").is_ok());
+        // At the bound, and the largest plans the chaos sweep draws
+        // (5 retries, 10 ms).
+        assert!(FaultPlan::parse("disk-error=1,disk-retries=1,backoff-ms=60000").is_ok());
+        assert!(FaultPlan::parse("disk-error=1,disk-retries=2,backoff-ms=20000").is_ok());
+        assert!(FaultPlan::parse("disk-error=1,disk-retries=5,backoff-ms=10").is_ok());
     }
 
     #[test]

@@ -31,6 +31,10 @@
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
+#![allow(
+    clippy::disallowed_types,
+    reason = "std maps build and summarise workloads before a simulation starts, never per event"
+)]
 
 pub mod charisma;
 pub mod mix;

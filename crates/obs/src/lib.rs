@@ -40,6 +40,10 @@
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
+#![allow(
+    clippy::disallowed_types,
+    reason = "std maps serve trace export and span sampling, off the untraced event loop"
+)]
 
 pub mod chrome;
 mod event;

@@ -1,8 +1,8 @@
 //! The Interval and Size PPM predictor (§2.2).
 
-use std::collections::HashMap;
 use std::fmt;
 
+use crate::fxhash::FxHashMap;
 use crate::request::Request;
 
 /// One *(offset interval, request size)* pair — the unit of information
@@ -61,7 +61,7 @@ struct EdgeInfo {
 struct Node {
     ctx: Box<[Pair]>,
     /// Outgoing edges, keyed by target node.
-    edges: HashMap<NodeId, EdgeInfo>,
+    edges: FxHashMap<NodeId, EdgeInfo>,
     /// Target of the most-recently-followed edge. Timestamps only grow,
     /// so the last touched edge is always the MRU — O(1) maintenance.
     mru: Option<NodeId>,
@@ -96,7 +96,7 @@ pub struct IsPpm {
     order: usize,
     edge_choice: EdgeChoice,
     nodes: Vec<Node>,
-    index: HashMap<Box<[Pair]>, NodeId>,
+    index: FxHashMap<Box<[Pair]>, NodeId>,
     /// Sliding window of the most recent pairs (at most `order`).
     history: Vec<Pair>,
     last_req: Option<Request>,
@@ -122,7 +122,7 @@ impl IsPpm {
             order,
             edge_choice,
             nodes: Vec::new(),
-            index: HashMap::new(),
+            index: FxHashMap::default(),
             history: Vec::with_capacity(order),
             last_req: None,
             cur_node: None,

@@ -29,6 +29,8 @@
 //! * [`PredictorSpec`] — the registry: parse CLI strings such as
 //!   `is_ppm:3`, `markov:2` or `mithril+oba` into algorithm
 //!   configurations, with helpful errors listing every valid spec.
+//! * [`FxHashMap`] / [`FxHashSet`] — the workspace's one fixed, fast
+//!   map hasher, used by every per-event map of the simulator.
 //!
 //! The crate is deliberately dependency-free and simulator-agnostic:
 //! predictors see only [`Request`] streams and answer with predicted
@@ -39,6 +41,7 @@
 #![forbid(unsafe_code)]
 
 mod backoff;
+mod fxhash;
 mod isppm;
 mod markov;
 mod mithril;
@@ -48,6 +51,7 @@ mod request;
 mod spec;
 
 pub use backoff::BackoffIsPpm;
+pub use fxhash::{FxHashMap, FxHashSet};
 pub use isppm::{EdgeChoice, IsPpm, Pair};
 pub use markov::BlockMarkov;
 pub use mithril::Mithril;

@@ -10,8 +10,7 @@
 //! discipline: determinism comes for free and *no* new `Rng64` draws
 //! are introduced (existing random streams are never perturbed).
 
-use std::collections::HashMap;
-
+use crate::fxhash::FxHashMap;
 use crate::request::Request;
 
 #[derive(Clone, Copy, Debug)]
@@ -26,7 +25,7 @@ struct Edge {
 pub struct BlockMarkov {
     order: usize,
     /// Transition table: last-`order`-blocks context → successor edges.
-    table: HashMap<Box<[u64]>, HashMap<u64, Edge>>,
+    table: FxHashMap<Box<[u64]>, FxHashMap<u64, Edge>>,
     /// The current context (at most `order` recent blocks).
     hist: Vec<u64>,
     last_req: Option<Request>,
@@ -44,7 +43,7 @@ impl BlockMarkov {
         assert!((1..=2).contains(&order), "Markov order must be 1 or 2");
         BlockMarkov {
             order,
-            table: HashMap::new(),
+            table: FxHashMap::default(),
             hist: Vec::with_capacity(order),
             last_req: None,
             clock: 0,

@@ -18,8 +18,9 @@
 //! Ranking and eviction orders are total (block numbers break every
 //! tie), so hash-map iteration order cannot leak into predictions.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
+use crate::fxhash::FxHashMap;
 use crate::request::Request;
 
 /// Cap on stored associations per source block; the weakest (lowest
@@ -44,7 +45,7 @@ pub struct Mithril {
     /// Circular window of the most recent `(clock, block)` observations.
     window: VecDeque<(u64, u64)>,
     /// Mined rules: source block → capped association list.
-    table: HashMap<u64, Vec<Assoc>>,
+    table: FxHashMap<u64, Vec<Assoc>>,
     clock: u64,
     mined: u64,
     last_req: Option<Request>,
@@ -64,7 +65,7 @@ impl Mithril {
             lookahead,
             min_support,
             window: VecDeque::with_capacity(lookahead),
-            table: HashMap::new(),
+            table: FxHashMap::default(),
             clock: 0,
             mined: 0,
             last_req: None,

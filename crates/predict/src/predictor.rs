@@ -10,9 +10,10 @@
 //! one aggressiveness-limit unit per candidate without knowing which
 //! kind of predictor it is driving.
 
-use std::collections::{HashSet, VecDeque};
+use std::collections::VecDeque;
 
 use crate::backoff::BackoffIsPpm;
+use crate::fxhash::FxHashSet;
 use crate::isppm::{apply_pair, EdgeChoice, IsPpm, Pair};
 use crate::markov::BlockMarkov;
 use crate::mithril::Mithril;
@@ -56,7 +57,7 @@ pub struct Walk {
     frontier: VecDeque<u64>,
     /// Blocks already issued or demanded on this walk (MITHRIL only) —
     /// terminates cycles in the association graph.
-    visited: HashSet<u64>,
+    visited: FxHashSet<u64>,
 }
 
 impl Walk {
@@ -66,7 +67,7 @@ impl Walk {
             pairs,
             blocks: Vec::new(),
             frontier: VecDeque::new(),
-            visited: HashSet::new(),
+            visited: FxHashSet::default(),
         }
     }
 

@@ -235,7 +235,7 @@ mod tests {
     #[test]
     fn suite_has_seven_unique_configs() {
         let suite = PrefetchConfig::paper_suite();
-        let names: std::collections::HashSet<_> = suite.iter().map(|c| c.paper_name()).collect();
+        let names: std::collections::BTreeSet<_> = suite.iter().map(|c| c.paper_name()).collect();
         assert_eq!(names.len(), 7);
     }
 

@@ -1,10 +1,10 @@
 //! The per-file prefetch engine: simple and (linear) aggressive modes.
 
-use std::collections::{HashSet, VecDeque};
+use std::collections::VecDeque;
 
 use lapobs::{Event, NoopRecorder, Obs, Recorder, WalkStopReason, NO_RID};
 
-use predict::{AlgorithmKind, FilePredictor, PredictionSource, Request, Walk};
+use predict::{AlgorithmKind, FilePredictor, FxHashSet, PredictionSource, Request, Walk};
 
 use crate::config::PrefetchConfig;
 use crate::stats::PrefetchStats;
@@ -42,7 +42,7 @@ pub struct FilePrefetcher {
     queue: VecDeque<(u64, PredictionSource)>,
     /// Every block predicted on the current path since the last
     /// restart, whether handed out, queued, or skipped as cached.
-    path: HashSet<u64>,
+    path: FxHashSet<u64>,
     in_flight: usize,
     /// Remaining blocks the current walk may still emit (guards against
     /// cyclic prediction graphs walking forever inside the file).
@@ -85,7 +85,7 @@ impl FilePrefetcher {
             file_blocks,
             walk: None,
             queue: VecDeque::new(),
-            path: HashSet::new(),
+            path: FxHashSet::default(),
             in_flight: 0,
             walk_budget: 0,
             cached_run: 0,

@@ -63,6 +63,7 @@ pub use stats::PrefetchStats;
 // zoo); re-export the full surface so existing `prefetch::` users keep
 // compiling unchanged.
 pub use predict::{
-    registry_help, AlgorithmKind, BackoffIsPpm, BlockMarkov, EdgeChoice, FilePredictor, IsPpm,
-    Mithril, Oba, Pair, PredictionSource, PredictorSpec, Request, SpecError, Walk,
+    registry_help, AlgorithmKind, BackoffIsPpm, BlockMarkov, EdgeChoice, FilePredictor, FxHashMap,
+    FxHashSet, IsPpm, Mithril, Oba, Pair, PredictionSource, PredictorSpec, Request, SpecError,
+    Walk,
 };

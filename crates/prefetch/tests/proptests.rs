@@ -85,7 +85,7 @@ fn engine_invariants() {
             let off = r.offset.min(blocks - 1);
             let size = r.size.min(blocks - off);
             pf.on_demand(Request::new(off, size));
-            let mut seen = std::collections::HashSet::new();
+            let mut seen = std::collections::BTreeSet::new();
             while let Some(b) = pf.next_block(|b| b % cached_mod == 0) {
                 assert!(b < blocks, "issued out-of-file block {b} (case {case})");
                 assert!(b % cached_mod != 0, "issued cached block {b} (case {case})");

@@ -40,7 +40,7 @@ fn event_queue_is_ordered_and_stable() {
             q.schedule(SimTime::from_nanos(t), (t, i));
         }
         let mut last_time = 0u64;
-        let mut last_seq_at_time = std::collections::HashMap::new();
+        let mut last_seq_at_time = std::collections::BTreeMap::new();
         while let Some((at, (t, i))) = q.pop() {
             assert_eq!(at.as_nanos(), t, "seed {seed}");
             assert!(t >= last_time, "seed {seed}");
@@ -66,8 +66,8 @@ fn station_conserves_jobs() {
 
         let mut station: Station<usize> = Station::new(StationId::disk(0));
         let mut queue: EventQueue<usize> = EventQueue::new();
-        let mut started = std::collections::HashSet::new();
-        let mut completed = std::collections::HashSet::new();
+        let mut started = std::collections::BTreeSet::new();
+        let mut completed = std::collections::BTreeSet::new();
 
         // Jobs arrive 1ns apart; completions are processed in order.
         let mut t = SimTime::ZERO;

@@ -36,6 +36,10 @@
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
+#![allow(
+    clippy::disallowed_types,
+    reason = "std maps key ingested traces by external paths and pids at load time, never per event"
+)]
 
 pub mod db;
 pub mod mltrain;

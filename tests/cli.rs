@@ -160,8 +160,9 @@ fn lapsim_rejects_order_zero_algorithms() {
 }
 
 /// A bad fault plan — an unknown key, or a number that is not a
-/// finite duration or too long for the simulated clock — exits 2 with
-/// the key menu, never a panic.
+/// finite duration or too long for the simulated clock, alone or summed
+/// over one dispatch's retries — exits 2 with the key menu, never a
+/// panic.
 #[test]
 fn lapsim_rejects_bad_fault_plan_with_key_menu() {
     for spec in [
@@ -169,6 +170,8 @@ fn lapsim_rejects_bad_fault_plan_with_key_menu() {
         "backoff-ms=nan",
         "net-delay=0.5:1e12",
         "disk-error=0.5,backoff-ms=1e12",
+        "disk-error=1,disk-retries=32,backoff-ms=60000",
+        "disk-error=1,disk-retries=1000000",
     ] {
         let out = lapsim()
             .args(["--workload", "sprite", "--fault-plan", spec])
