@@ -142,14 +142,17 @@ impl CooperativeCache for PafsCache {
         self.probes.set(self.probes.get() + 1);
         // A copy held by a disconnected node cannot be reached over the
         // network: the access misses, but the copy itself survives and
-        // serves again once the holder rejoins.
-        if let Some(meta) = self.pool.get(block) {
-            if meta.owner != node && self.down.contains(meta.owner.0) {
-                self.stats.misses += 1;
-                return AccessOutcome {
-                    lookup: Lookup::Miss,
-                    evicted: Vec::new(),
-                };
+        // serves again once the holder rejoins. With every node up the
+        // check cannot fire, so fault-free accesses probe the table once.
+        if !self.down.is_empty() {
+            if let Some(meta) = self.pool.get(block) {
+                if meta.owner != node && self.down.contains(meta.owner.0) {
+                    self.stats.misses += 1;
+                    return AccessOutcome {
+                        lookup: Lookup::Miss,
+                        evicted: Vec::new(),
+                    };
+                }
             }
         }
         match self.pool.touch(block, write) {

@@ -45,7 +45,7 @@ use devmodel::{DiskModel, FaultedModel};
 use faultkit::{DiskFaultCtx, FaultState, NetClass};
 use ioworkload::{BlockId, FileId, NodeId, Op, ProcId, Workload};
 use lapobs::{Event, NoopRecorder, Obs, Recorder, StationId, NO_RID};
-use prefetch::{FilePrefetcher, FxHashMap, FxHashSet, PrefetchStats, Request};
+use prefetch::{FilePrefetcher, FxHashMap, PrefetchStats, Request};
 use simkit::{
     DeviceOp, EventQueue, JobSpec, Priority, ServiceCost, ServiceModel, SimDuration, SimTime,
     StartedJob, Station,
@@ -304,9 +304,8 @@ pub struct Simulation<R: Recorder = NoopRecorder> {
     /// steady-state reads allocate nothing here.
     scratch_missing: Vec<BlockId>,
     /// Reusable scratch for [`pump_prefetcher`](Self::pump_prefetcher):
-    /// the issue batch and its membership companion set.
+    /// the issue batch.
     scratch_issue: Vec<(u64, u32)>,
-    scratch_issue_set: FxHashSet<u64>,
     /// Recycled `waiters` vectors from completed fetches, so demand
     /// misses stop paying one allocation each.
     waiters_pool: Vec<Vec<ReqId>>,
@@ -426,7 +425,6 @@ impl<R: Recorder> Simulation<R> {
             last_down: vec![SimTime::ZERO; ndisks],
             scratch_missing: Vec::new(),
             scratch_issue: Vec::new(),
-            scratch_issue_set: FxHashSet::default(),
             waiters_pool: Vec::new(),
             oracle,
             rec,
@@ -1300,12 +1298,11 @@ impl<R: Recorder> Simulation<R> {
         let home = self.prefetch_home(key);
         // Issue units: `(first, count)` runs. Per-block mode always
         // produces `count == 1`; extent mode batches up to one extent.
-        // Both buffers are recycled scratch — drained/cleared and put
-        // back below, so steady-state pumps allocate nothing.
+        // The buffer is recycled scratch — drained and put back below,
+        // so steady-state pumps allocate nothing. The engine never hands
+        // out a block twice between two demands (its path set dedups
+        // every walk), so the batch needs no membership check of its own.
         let mut to_issue = std::mem::take(&mut self.scratch_issue);
-        // Companion set for O(1) membership while `to_issue` keeps the
-        // deterministic issue order.
-        let mut to_issue_set = std::mem::take(&mut self.scratch_issue_set);
         // Extent-granular batching applies to the aggressive walkers
         // only: a one-block-ahead engine has nothing to batch, and the
         // paper's non-aggressive modes must stay untouched. With
@@ -1353,18 +1350,14 @@ impl<R: Recorder> Simulation<R> {
                     // Cheap, uncounted membership checks answer first:
                     // ranges a `resident_run` query already verified
                     // (two compares, no hashing — the common case while
-                    // rescanning resident data), blocks this pump
-                    // already batched, then fetches already in flight
-                    // (the last two one Fx hash each). Every check here
-                    // is side-effect-free, so the boolean is the same
-                    // in any order.
+                    // rescanning resident data), then fetches already in
+                    // flight (one Fx hash). Every check here is
+                    // side-effect-free, so the boolean is the same in
+                    // any order.
                     if let Some((start, end)) = run_resident {
                         if idx >= start && idx < end {
                             return true;
                         }
-                    }
-                    if to_issue_set.contains(&idx) {
-                        return true;
                     }
                     let block = BlockId::new(key.file, idx);
                     if pending.contains_key(&FetchKey { scope, block }) {
@@ -1397,12 +1390,7 @@ impl<R: Recorder> Simulation<R> {
                     engine.next_block_obs(is_cached, &mut obs).map(|b| (b, 1))
                 };
                 match next {
-                    Some((first, count)) => {
-                        for i in 0..u64::from(count) {
-                            to_issue_set.insert(first + i);
-                        }
-                        to_issue.push((first, count));
-                    }
+                    Some(unit) => to_issue.push(unit),
                     None => break,
                 }
             }
@@ -1437,9 +1425,7 @@ impl<R: Recorder> Simulation<R> {
                 self.issue_fetch_run(fkey, count, now);
             }
         }
-        to_issue_set.clear();
         self.scratch_issue = to_issue;
-        self.scratch_issue_set = to_issue_set;
         // Post-pump linear-limit audit: the engine's in-flight units
         // (extent batches count one each) must respect the configured
         // aggressiveness.

@@ -159,6 +159,21 @@ fn parse_prob(v: &str) -> Result<f64, String> {
 /// them; at 1e12 ms a handful already overflow it.
 const MAX_MS: f64 = 60_000.0;
 
+/// Most retries a plan may give one disk dispatch or one network
+/// delivery (`disk-retries`, `net-retries`, `net-ctrl-retries`). Each
+/// retry is one random draw in the loop that charges it, so a count in
+/// the millions spins for seconds per faulted event even when its
+/// backoff is zero; the chaos sweep draws at most 5.
+const MAX_RETRIES: u32 = 64;
+
+/// A retry count, in `0..=MAX_RETRIES`.
+fn parse_retries(key: &str, v: &str) -> Result<u32, String> {
+    match v.parse::<u32>() {
+        Ok(n) if n <= MAX_RETRIES => Ok(n),
+        _ => Err(format!("bad {key} '{v}' (need 0 <= N <= {MAX_RETRIES})")),
+    }
+}
+
 /// A duration in milliseconds, in `0..=MAX_MS`.
 fn parse_ms(what: &str, v: &str) -> Result<SimDuration, String> {
     match v.parse::<f64>() {
@@ -218,11 +233,7 @@ impl FaultPlan {
                     plan.burst_error = parse_prob(value)?;
                     burst_error_set = true;
                 }
-                "disk-retries" => {
-                    plan.disk_retries = value
-                        .parse()
-                        .map_err(|_| format!("bad retry count '{value}'"))?;
-                }
+                "disk-retries" => plan.disk_retries = parse_retries(key, value)?,
                 "backoff-ms" => plan.backoff = parse_ms("backoff", value)?,
                 "burst" => plan.burst = Some(parse_window(value)?),
                 "outage" => plan.outage = Some(parse_window(value)?),
@@ -239,16 +250,8 @@ impl FaultPlan {
                     plan.net_delay_p = parse_prob(p)?;
                     plan.net_delay = parse_ms("delay", ms)?;
                 }
-                "net-retries" => {
-                    plan.net_retries = value
-                        .parse()
-                        .map_err(|_| format!("bad retry count '{value}'"))?;
-                }
-                "net-ctrl-retries" => {
-                    plan.net_ctrl_retries = value
-                        .parse()
-                        .map_err(|_| format!("bad retry count '{value}'"))?;
-                }
+                "net-retries" => plan.net_retries = parse_retries(key, value)?,
+                "net-ctrl-retries" => plan.net_ctrl_retries = parse_retries(key, value)?,
                 other => return Err(format!("unknown fault-plan key '{other}'")),
             }
         }
@@ -768,6 +771,16 @@ mod tests {
             "disk-error=1,disk-retries=32,backoff-ms=60000",
             "disk-retries=40,disk-error=0.5",
             "disk-error=1,disk-retries=4000000000",
+            // Retry counts are capped on their own: with zero backoff
+            // the count alone decides how long one faulted event spins.
+            "disk-error=1,disk-retries=3000000,backoff-ms=0",
+            "disk-retries=4000000000",
+            "net-loss=1,net-retries=4000000000",
+            "net-loss=1,net-ctrl-retries=4000000000",
+            "disk-error=1,disk-retries=65,backoff-ms=0",
+            "net-retries=65",
+            "net-ctrl-retries=65",
+            "net-retries=-1",
             "burst=60:5,backoff-ms=20000",
             "disk-error=0.1,disk-retries=2,backoff-ms=20001",
         ] {
@@ -781,6 +794,16 @@ mod tests {
         assert!(FaultPlan::parse("disk-error=1,disk-retries=1,backoff-ms=60000").is_ok());
         assert!(FaultPlan::parse("disk-error=1,disk-retries=2,backoff-ms=20000").is_ok());
         assert!(FaultPlan::parse("disk-error=1,disk-retries=5,backoff-ms=10").is_ok());
+        // The retry cap itself.
+        let p = FaultPlan::parse(
+            "disk-error=1,disk-retries=64,backoff-ms=0,net-loss=1,net-retries=64,\
+             net-ctrl-retries=64",
+        )
+        .unwrap();
+        assert_eq!(
+            (p.disk_retries, p.net_retries, p.net_ctrl_retries),
+            (64, 64, 64)
+        );
     }
 
     #[test]

@@ -38,6 +38,8 @@
 
 pub mod charisma;
 pub mod mix;
+#[cfg(test)]
+mod reference;
 pub mod sprite;
 mod stats;
 pub mod streams;

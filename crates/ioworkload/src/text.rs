@@ -14,10 +14,13 @@
 //! w 0 65536 8192           # write file 0, offset 64K, 8 KB
 //! ```
 //!
-//! Operations attach to the most recently declared `proc`.
+//! Operations attach to the most recently declared `proc`. Tokens are
+//! separated by ASCII whitespace (space, `\t`, `\x0B`, `\x0C`, `\r`);
+//! other Unicode spaces such as NBSP are token bytes, so a line that
+//! uses one fails with a line-numbered error. Lines end at `\n` or
+//! `\r\n`, and the last line needs no line end.
 
 use std::fmt::Write as _;
-use std::str::FromStr;
 
 use simkit::SimDuration;
 
@@ -73,6 +76,17 @@ impl Workload {
     }
 
     /// Parse a workload from the text format and [`check`](Workload::check) it.
+    ///
+    /// One pass over the bytes, with no allocation per line: a cursor
+    /// reads each line's directive and then only the fields it needs,
+    /// stopping at `#`, and skips the rest of the line. A field that is
+    /// a plain run of up to 19 digits, which cannot overflow, is read in
+    /// the same scan that finds its end; any other field goes to
+    /// `str::parse`, so every field reads as `str::parse` reads it.
+    ///
+    /// # Errors
+    /// The first malformed line, by number, or (line 0) a missing
+    /// header line or a failed [`check`](Workload::check).
     pub fn from_text(text: &str) -> Result<Workload, ParseError> {
         let mut name = None;
         let mut block_size = None;
@@ -80,88 +94,54 @@ impl Workload {
         let mut files = Vec::new();
         let mut processes: Vec<ProcessTrace> = Vec::new();
 
-        fn field<T: FromStr>(
-            parts: &[&str],
-            idx: usize,
-            what: &str,
-            line: usize,
-        ) -> Result<T, ParseError> {
-            parts
-                .get(idx)
-                .ok_or_else(|| ParseError {
-                    line,
-                    message: format!("missing {what}"),
-                })?
-                .parse()
-                .map_err(|_| ParseError {
-                    line,
-                    message: format!("invalid {what}: {:?}", parts[idx]),
-                })
-        }
-
-        for (i, raw) in text.lines().enumerate() {
-            let lineno = i + 1;
-            let line = raw.split('#').next().unwrap_or("").trim();
-            if line.is_empty() {
-                continue;
-            }
-            let parts: Vec<&str> = line.split_whitespace().collect();
-            match parts[0] {
-                "workload" => {
-                    name = Some(parts.get(1).map(|s| s.to_string()).ok_or(ParseError {
-                        line: lineno,
-                        message: "missing workload name".into(),
-                    })?)
-                }
-                "blocksize" => block_size = Some(field(&parts, 1, "block size", lineno)?),
-                "nodes" => nodes = Some(field(&parts, 1, "node count", lineno)?),
-                "file" => {
-                    let id: u32 = field(&parts, 1, "file id", lineno)?;
-                    let size: u64 = field(&parts, 2, "file size", lineno)?;
-                    files.push(FileMeta {
-                        id: FileId(id),
-                        size,
-                    });
-                }
-                "proc" => {
-                    let id: u32 = field(&parts, 1, "proc id", lineno)?;
-                    let node: u32 = field(&parts, 2, "proc node", lineno)?;
-                    processes.push(ProcessTrace {
-                        proc: ProcId(id),
-                        node: NodeId(node),
-                        ops: Vec::new(),
-                    });
-                }
-                "c" | "r" | "w" => {
-                    let cur = processes.last_mut().ok_or(ParseError {
-                        line: lineno,
-                        message: "operation before any 'proc' line".into(),
-                    })?;
-                    let op = match parts[0] {
-                        "c" => Op::Compute(SimDuration::from_nanos(field(
-                            &parts, 1, "duration", lineno,
-                        )?)),
-                        kind => {
-                            let file: u32 = field(&parts, 1, "file id", lineno)?;
-                            let offset = field(&parts, 2, "offset", lineno)?;
-                            let len = field(&parts, 3, "length", lineno)?;
-                            let file = FileId(file);
-                            if kind == "r" {
+        let mut cur = Cursor {
+            text,
+            at: 0,
+            line: 0,
+        };
+        while cur.at < text.len() {
+            cur.line += 1;
+            if let Some(directive) = cur.token() {
+                match directive {
+                    "r" | "w" | "c" => {
+                        let ops = &mut processes
+                            .last_mut()
+                            .ok_or_else(|| cur.error("operation before any 'proc' line".into()))?
+                            .ops;
+                        ops.push(if directive == "c" {
+                            Op::Compute(SimDuration::from_nanos(cur.u64("duration")?))
+                        } else {
+                            let file = FileId(cur.u32("file id")?);
+                            let offset = cur.u64("offset")?;
+                            let len = cur.u64("length")?;
+                            if directive == "r" {
                                 Op::Read { file, offset, len }
                             } else {
                                 Op::Write { file, offset, len }
                             }
-                        }
-                    };
-                    cur.ops.push(op);
-                }
-                other => {
-                    return Err(ParseError {
-                        line: lineno,
-                        message: format!("unknown directive {other:?}"),
-                    })
+                        });
+                    }
+                    "workload" => name = Some(cur.field("workload name")?.to_string()),
+                    "blocksize" => block_size = Some(cur.u64("block size")?),
+                    "nodes" => nodes = Some(cur.u32("node count")?),
+                    "file" => {
+                        let id = FileId(cur.u32("file id")?);
+                        let size = cur.u64("file size")?;
+                        files.push(FileMeta { id, size });
+                    }
+                    "proc" => {
+                        let proc = ProcId(cur.u32("proc id")?);
+                        let node = NodeId(cur.u32("proc node")?);
+                        processes.push(ProcessTrace {
+                            proc,
+                            node,
+                            ops: Vec::new(),
+                        });
+                    }
+                    other => return Err(cur.error(format!("unknown directive {other:?}"))),
                 }
             }
+            cur.skip_line();
         }
 
         let wl = Workload {
@@ -186,9 +166,126 @@ impl Workload {
     }
 }
 
+/// Most digits the fast path of [`Cursor::number`] reads: 10^19 - 1 <
+/// 2^64, so 19 digits cannot overflow.
+const MAX_DIGITS: usize = 19;
+
+/// Byte classes of the format: token bytes (every non-ASCII byte among
+/// them), blanks (ASCII whitespace but `\n`), and the two bytes that
+/// end a line's tokens, `\n` and `#`.
+const TOKEN: u8 = 0;
+const BLANK: u8 = 1;
+const STOP: u8 = 2;
+
+static CLASS: [u8; 256] = {
+    let mut class = [TOKEN; 256];
+    class[b' ' as usize] = BLANK;
+    class[b'\t' as usize] = BLANK;
+    class[0x0B] = BLANK;
+    class[0x0C] = BLANK;
+    class[b'\r' as usize] = BLANK;
+    class[b'\n' as usize] = STOP;
+    class[b'#' as usize] = STOP;
+    class
+};
+
+/// A read position in the trace text and the number of its line.
+struct Cursor<'a> {
+    text: &'a str,
+    at: usize,
+    /// 1-based, counted as `str::lines` counts.
+    line: usize,
+}
+
+impl<'a> Cursor<'a> {
+    /// The text from the cursor on.
+    fn rest(&self) -> &'a [u8] {
+        &self.text.as_bytes()[self.at..]
+    }
+
+    /// Length of the run of `class` bytes at the cursor.
+    fn run(&self, class: u8) -> usize {
+        let rest = self.rest();
+        rest.iter()
+            .position(|&b| CLASS[b as usize] != class)
+            .unwrap_or(rest.len())
+    }
+
+    /// The line's next token, or `None` once its tokens end (at the line
+    /// end, a `#`, or the end of the text).
+    fn token(&mut self) -> Option<&'a str> {
+        self.at += self.run(BLANK);
+        let start = self.at;
+        self.at += self.run(TOKEN);
+        // Both ends sit on an ASCII byte or the text's end, so the
+        // slice always falls on char boundaries.
+        (self.at > start).then(|| &self.text[start..self.at])
+    }
+
+    /// Past the rest of the line and its `\n`.
+    fn skip_line(&mut self) {
+        let rest = self.rest();
+        self.at += rest
+            .iter()
+            .position(|&b| b == b'\n')
+            .map_or(rest.len(), |p| p + 1);
+    }
+
+    fn error(&self, message: String) -> ParseError {
+        ParseError {
+            line: self.line,
+            message,
+        }
+    }
+
+    fn field(&mut self, what: &str) -> Result<&'a str, ParseError> {
+        self.token()
+            .ok_or_else(|| self.error(format!("missing {what}")))
+    }
+
+    /// The next field as a number no larger than `max`.
+    fn number(&mut self, what: &str, max: u64) -> Result<u64, ParseError> {
+        self.at += self.run(BLANK);
+        let rest = self.rest();
+        let (mut digits, mut value) = (0, 0u64);
+        for d in rest.iter().take(MAX_DIGITS).map(|b| b.wrapping_sub(b'0')) {
+            if d > 9 {
+                break;
+            }
+            value = value * 10 + u64::from(d);
+            digits += 1;
+        }
+        let ends = rest.get(digits).is_none_or(|&b| CLASS[b as usize] != TOKEN);
+        if digits > 0 && ends && value <= max {
+            self.at += digits;
+            return Ok(value);
+        }
+        // Anything else — a sign, 20 or more digits, another byte, a
+        // value over `max`, no token at all — takes the general path.
+        let tok = self.field(what)?;
+        tok.parse()
+            .ok()
+            .filter(|&v| v <= max)
+            .ok_or_else(|| self.error(format!("invalid {what}: {tok:?}")))
+    }
+
+    fn u64(&mut self, what: &str) -> Result<u64, ParseError> {
+        self.number(what, u64::MAX)
+    }
+
+    fn u32(&mut self, what: &str) -> Result<u32, ParseError> {
+        let v = self.number(what, u32::MAX.into())?;
+        Ok(u32::try_from(v).expect("number() bounds the value by u32::MAX"))
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::charisma::CharismaParams;
+    use crate::reference;
+    use crate::sprite::SpriteParams;
+    use crate::util::Rng64;
 
     fn sample() -> Workload {
         Workload {
@@ -271,5 +368,242 @@ mod tests {
     fn missing_header_is_rejected() {
         let err = Workload::from_text("nodes 1\nblocksize 1\n").unwrap_err();
         assert!(err.message.contains("workload"));
+    }
+
+    #[test]
+    fn fields_parse_as_str_parse_does() {
+        for tok in [
+            "0",
+            "+7",
+            "007",
+            "+",
+            "-",
+            "-1",
+            "++1",
+            "1+",
+            "4294967295",
+            "4294967296",
+            "9999999999999999999",
+            "18446744073709551615",
+            "18446744073709551616",
+            "00000000000000000000042",
+            "99999999999999999999999",
+            "1a",
+            "\u{e9}",
+        ] {
+            for tail in ["", " 5", "\t#", "\r\n"] {
+                let text = format!(" {tok}{tail}");
+                let mut cur = Cursor {
+                    text: &text,
+                    at: 0,
+                    line: 1,
+                };
+                assert_eq!(cur.u64("n").ok(), tok.parse::<u64>().ok(), "{text:?}");
+                cur.at = 0;
+                assert_eq!(cur.u32("n").ok(), tok.parse::<u32>().ok(), "{text:?}");
+            }
+        }
+    }
+
+    /// The one deliberate narrowing from the reference parser: only
+    /// ASCII whitespace separates tokens, so a line that uses NBSP fails
+    /// with its line number instead of parsing.
+    #[test]
+    fn non_ascii_whitespace_fails_with_line_number() {
+        let text = "workload t\nblocksize 8192\nnodes 1\nfile 0 8192\nproc 0 0\nr 0\u{a0}0 10\n";
+        assert!(reference::from_text(text).is_ok());
+        let err = Workload::from_text(text).unwrap_err();
+        assert_eq!(err.line, 6);
+        assert_eq!(err.message, format!("invalid file id: {:?}", "0\u{a0}0"));
+    }
+
+    /// A small CHARISMA or Sprite trace, seeded.
+    fn generated_trace(rng: &mut Rng64) -> String {
+        let seed = rng.range_u64(0, 499);
+        let wl = if rng.chance(0.5) {
+            let mut p = CharismaParams::small();
+            p.nodes = rng.range_u32(1, 5);
+            p.apps = rng.range_u32(1, 2) as usize;
+            p.procs_per_app = rng.range_u32(1, 3);
+            let fmin = rng.range_u64(16, 63);
+            p.file_blocks = (fmin, fmin * 2);
+            p.record_blocks = (1, rng.range_u64(1, 5));
+            p.passes = (1, 1);
+            p.generate(seed)
+        } else {
+            let mut p = SpriteParams::small();
+            p.nodes = rng.range_u32(1, 5);
+            p.users = rng.range_u32(1, 4);
+            p.files_per_user = rng.range_u32(1, 4);
+            p.file_blocks = (1, rng.range_u64(1, 19));
+            p.opens_per_user = rng.range_u32(1, 9);
+            p.shared_files = 0;
+            p.shared_open_prob = 0.0;
+            p.generate(seed)
+        };
+        wl.to_text()
+    }
+
+    /// Bytes the ASCII mutations draw from: token bytes, every ASCII
+    /// blank, line ends, comment marks and signs.
+    const ALPHABET: &[u8] = b"abcrwz019 \t\x0B\x0C\r\n#+-";
+
+    /// One seeded ASCII mutation of `text`.
+    fn mutate(rng: &mut Rng64, text: &mut Vec<u8>) {
+        let pos = |rng: &mut Rng64, len: usize| rng.range_u64(0, len as u64) as usize;
+        let byte = |rng: &mut Rng64| ALPHABET[rng.range_u64(0, ALPHABET.len() as u64 - 1) as usize];
+        match rng.range_u64(0, 10) {
+            0 if !text.is_empty() => {
+                let at = pos(rng, text.len() - 1);
+                text[at] = byte(rng);
+            }
+            1 => {
+                let at = pos(rng, text.len());
+                let b = byte(rng);
+                text.insert(at, b);
+            }
+            2 if !text.is_empty() => {
+                let at = pos(rng, text.len() - 1);
+                text.remove(at);
+            }
+            3 => {
+                // Duplicate the line that holds a random byte.
+                let at = pos(rng, text.len());
+                let start = text[..at]
+                    .iter()
+                    .rposition(|&b| b == b'\n')
+                    .map_or(0, |p| p + 1);
+                let end = text[at..]
+                    .iter()
+                    .position(|&b| b == b'\n')
+                    .map_or(text.len(), |p| at + p + 1);
+                let line = text[start..end].to_vec();
+                text.splice(end..end, line);
+            }
+            4 => {
+                // A `+` before the digit run at or after a random byte.
+                let at = pos(rng, text.len());
+                if let Some(p) = text[at..].iter().position(u8::is_ascii_digit) {
+                    text.insert(at + p, b'+');
+                }
+            }
+            5 => {
+                // A 20-to-25-digit number in place of a digit run.
+                let at = pos(rng, text.len());
+                if let Some(p) = text[at..].iter().position(u8::is_ascii_digit) {
+                    let start = at + p;
+                    let end = text[start..]
+                        .iter()
+                        .position(|b| !b.is_ascii_digit())
+                        .map_or(text.len(), |q| start + q);
+                    let digits = rng.range_u64(20, 25) as usize;
+                    let big: Vec<u8> = (0..digits).map(|i| b"98765432109"[i % 11]).collect();
+                    text.splice(start..end, big);
+                }
+            }
+            6 => {
+                // CRLF line ends on every line.
+                let crlf: Vec<u8> = text
+                    .iter()
+                    .flat_map(|&b| {
+                        if b == b'\n' {
+                            vec![b'\r', b'\n']
+                        } else {
+                            vec![b]
+                        }
+                    })
+                    .collect();
+                *text = crlf;
+            }
+            7 => {
+                // Every space after a random byte becomes another blank.
+                let at = pos(rng, text.len());
+                let blank = [b'\t', 0x0B, 0x0C][rng.range_u64(0, 2) as usize];
+                for b in &mut text[at..] {
+                    if *b == b' ' {
+                        *b = blank;
+                    }
+                }
+            }
+            8 => {
+                let at = pos(rng, text.len());
+                let comment: &[u8] =
+                    [&b"# note 1 2"[..], b"#", b" #r 0 0 1"][rng.range_u64(0, 2) as usize];
+                text.splice(at..at, comment.iter().copied());
+            }
+            9 if text.last() == Some(&b'\n') => {
+                text.pop();
+            }
+            10 if rng.chance(0.1) => text.clear(),
+            _ => {}
+        }
+    }
+
+    /// Both parsers' verdicts on `text`, comparable: the rendered
+    /// workload, or the error's line and message.
+    fn verdict(r: Result<Workload, ParseError>) -> Result<String, (usize, String)> {
+        r.map(|wl| wl.to_text()).map_err(|e| (e.line, e.message))
+    }
+
+    /// Differential fuzz: seeded ASCII mutations of generated CHARISMA
+    /// and Sprite traces give the one-pass parser and the reference
+    /// parser the same verdict — an equal workload or an equal error
+    /// (line and message). Arbitrary non-ASCII bytes never panic, and
+    /// agree too unless they put Unicode whitespace between tokens.
+    #[test]
+    fn parser_rejects_garbage_gracefully() {
+        let (mut oks, mut errs) = (0, 0);
+        for case in 0..160u64 {
+            let mut rng = Rng64::new(case ^ 0x6A4B);
+            let trace = generated_trace(&mut rng);
+            for m in 0..12u64 {
+                let mut text = trace.clone().into_bytes();
+                for _ in 0..rng.range_u64(1, 4) {
+                    mutate(&mut rng, &mut text);
+                }
+                let text = String::from_utf8(text).expect("ASCII mutations");
+                let got = verdict(Workload::from_text(&text));
+                assert_eq!(
+                    got,
+                    verdict(reference::from_text(&text)),
+                    "case {case}/{m}:\n{text}"
+                );
+                if got.is_ok() {
+                    oks += 1;
+                } else {
+                    errs += 1;
+                }
+            }
+            // Raw bytes and whole non-ASCII chars (Unicode spaces among
+            // them), read lossily. Parsing must not panic either way.
+            let mut bytes = trace.into_bytes();
+            for _ in 0..rng.range_u64(1, 8) {
+                let at = rng.range_u64(0, bytes.len() as u64) as usize;
+                let b = rng.range_u64(0, 255) as u8;
+                if rng.chance(0.3) {
+                    let c = [
+                        "\u{a0}", "\u{85}", "\u{2003}", "\u{3000}", "\u{e9}", "\u{fffd}",
+                    ][rng.range_u64(0, 5) as usize];
+                    bytes.splice(at..at, c.bytes());
+                } else if at < bytes.len() && rng.chance(0.5) {
+                    bytes[at] = b;
+                } else {
+                    bytes.insert(at, b);
+                }
+            }
+            let text = String::from_utf8_lossy(&bytes);
+            let got = verdict(Workload::from_text(&text));
+            if !text.chars().any(|c| c.is_whitespace() && !c.is_ascii()) {
+                assert_eq!(
+                    got,
+                    verdict(reference::from_text(&text)),
+                    "case {case}:\n{text}"
+                );
+            }
+        }
+        assert!(
+            oks > 100 && errs > 100,
+            "the fuzz reaches both verdicts: {oks} ok, {errs} err"
+        );
     }
 }

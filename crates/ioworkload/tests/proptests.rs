@@ -102,20 +102,3 @@ fn stats_are_consistent() {
         assert_eq!(total_io, wl.io_ops(), "seed {seed}");
     }
 }
-
-/// The text parser never panics on mangled input (errors instead).
-#[test]
-fn parser_rejects_garbage_gracefully() {
-    let alphabet: Vec<char> = "abcdefghijklmnopqrstuvwxyz0123456789 \n#".chars().collect();
-    for case in 0..64u64 {
-        let mut rng = Rng64::new(case ^ 0x6A4B);
-        let len = rng.range_u64(0, 200) as usize;
-        let mut text = String::from("workload t\nblocksize 8192\nnodes 1\n");
-        for _ in 0..len {
-            text.push(alphabet[rng.range_u64(0, alphabet.len() as u64 - 1) as usize]);
-        }
-        // Must not panic; any Result is fine unless it parses, in which
-        // case validate() already ran.
-        let _ = Workload::from_text(&text);
-    }
-}

@@ -97,6 +97,63 @@ fn engine_invariants() {
     }
 }
 
+/// Between two demands the engine never hands out a block twice — in
+/// per-block and extent modes, aggressive and simple, under any
+/// in-flight limit and lead cap, however its pulls interleave with
+/// completions, and whether or not a demand found its blocks covered.
+/// The simulator's prefetch pump batches handed-out blocks without a
+/// membership check of its own and relies on this.
+#[test]
+fn handed_out_blocks_are_distinct_between_demands() {
+    for case in 0..192u64 {
+        let mut rng = Rng64::new(case ^ 0xD157);
+        let base = PrefetchConfig::paper_suite()[rng.range_u64(0, 6) as usize];
+        let limit = match rng.range_u64(0, 2) {
+            0 => AggressiveLimit::One,
+            1 => AggressiveLimit::Window(rng.range_u64(2, 4) as usize),
+            _ => AggressiveLimit::Unlimited,
+        };
+        let cfg = PrefetchConfig {
+            aggressive: base.aggressive.map(|_| limit),
+            lead_cap: Some(rng.range_u64(4, 64)).filter(|_| rng.chance(0.5)),
+            ..base
+        };
+        let extent_blocks = rng.range_u64(1, 8);
+        let extent_mode = rng.chance(0.5);
+        let blocks = rng.range_u64(8, 127);
+        let reqs = request_stream(&mut rng, blocks, 40);
+        let cached_mod = rng.range_u64(2, 7);
+        let is_cached = |b: u64| b.is_multiple_of(cached_mod);
+        let mut pf = FilePrefetcher::new(cfg, blocks);
+        let mut in_flight = 0u64;
+        for &r in &reqs {
+            pf.on_demand_with_residency(r, rng.chance(0.7));
+            let mut seen = std::collections::BTreeSet::new();
+            for _pump in 0..rng.range_u64(1, 5) {
+                loop {
+                    let unit = if extent_mode {
+                        pf.next_extent(extent_blocks, is_cached)
+                    } else {
+                        pf.next_block(is_cached).map(|b| (b, 1))
+                    };
+                    let Some((first, count)) = unit else { break };
+                    for b in first..first + u64::from(count) {
+                        assert!(
+                            seen.insert(b),
+                            "block {b} handed out twice (case {case}, {cfg}, extent {extent_mode})"
+                        );
+                    }
+                    in_flight += 1;
+                }
+                for _ in 0..rng.range_u64(0, in_flight) {
+                    pf.on_prefetch_complete();
+                    in_flight -= 1;
+                }
+            }
+        }
+    }
+}
+
 /// Linear aggressive OBA from block 0 issues exactly the uncached
 /// tail of the file, in order.
 #[test]

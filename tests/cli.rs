@@ -172,6 +172,10 @@ fn lapsim_rejects_bad_fault_plan_with_key_menu() {
         "disk-error=0.5,backoff-ms=1e12",
         "disk-error=1,disk-retries=32,backoff-ms=60000",
         "disk-error=1,disk-retries=1000000",
+        // Retry counts are capped even at zero backoff, where only the
+        // count decides how long a faulted event spins.
+        "disk-error=1,disk-retries=4000000000,backoff-ms=0",
+        "net-loss=1,net-retries=4000000000",
     ] {
         let out = lapsim()
             .args(["--workload", "sprite", "--fault-plan", spec])
@@ -302,6 +306,52 @@ fn lapsim_rejects_traces_that_do_not_fit_the_machine() {
         );
         assert!(!err.contains("panicked"), "{name}: stderr: {err}");
     }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Lines the trace format cannot read — a number too large for its
+/// field, a non-ASCII space between tokens — exit 2 naming the line,
+/// never a panic; CRLF line ends read like plain ones.
+#[test]
+fn lapsim_rejects_malformed_trace_lines_with_line_number() {
+    let dir = std::env::temp_dir().join(format!("lap-cli-parse-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let head = "workload t\nblocksize 8192\nnodes 1\nfile 0 8192\nproc 0 0\n";
+    for (name, last, problem) in [
+        (
+            "overflow",
+            "r 0 18446744073709551616 10\n",
+            "line 6: invalid offset",
+        ),
+        ("nbsp", "r 0\u{a0}0 10\n", "line 6: invalid file id"),
+    ] {
+        let trace = dir.join(format!("{name}.trace"));
+        std::fs::write(&trace, format!("{head}{last}")).unwrap();
+        let out = lapsim()
+            .arg("--trace")
+            .arg(&trace)
+            .output()
+            .expect("run lapsim");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{name}: stderr: {err}");
+        assert!(
+            err.contains(problem),
+            "{name}: stderr names the line: {err}"
+        );
+        assert!(!err.contains("panicked"), "{name}: stderr: {err}");
+    }
+    let trace = dir.join("crlf.trace");
+    std::fs::write(&trace, format!("{head}r 0 0 10\n").replace('\n', "\r\n")).unwrap();
+    let out = lapsim()
+        .arg("--trace")
+        .arg(&trace)
+        .output()
+        .expect("run lapsim");
+    assert!(
+        out.status.success(),
+        "CRLF trace runs: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
     std::fs::remove_dir_all(&dir).ok();
 }
 
