@@ -129,43 +129,77 @@ pub enum MetaLayout {
 /// Sentinel for "no slot" in the index table and the intrusive list.
 const NIL: u32 = u32::MAX;
 
-/// Per-file presence bitmaps — the "`Vec`-backed presence map keyed by
-/// block index" side of the dense layout. One bit per block, outer
-/// index the (dense, workload-assigned) file id, maintained alongside
-/// the owning table's membership. Its payoff is the *range* residency
-/// query [`run_len`](Self::run_len): the prefetch walk's rescan of
-/// already-resident data becomes a word scan instead of one
-/// point probe per block.
+/// Presence bitmaps — the range-residency side of the dense layout.
+/// One bit per block, in 64-block words keyed by `(file, index / 64)`
+/// in a [`BlockTable`]: a word exists only while one of its blocks is
+/// present, so storage grows with the resident blocks and never with
+/// the highest block index. Maintained alongside the owning table's
+/// membership. Its payoff is the *range* residency query
+/// [`run_len`](Self::run_len): the prefetch walk's rescan of
+/// already-resident data becomes a word scan instead of one point
+/// probe per block.
 pub(crate) struct PresenceMap {
-    files: Vec<Vec<u64>>,
+    words: BlockTable<PresenceWord>,
+}
+
+/// One non-zero 64-block word of a [`PresenceMap`].
+struct PresenceWord {
+    /// `(file, block index / 64)`.
+    key: BlockId,
+    bits: u64,
+}
+
+impl Keyed for PresenceWord {
+    #[inline]
+    fn block(&self) -> BlockId {
+        self.key
+    }
 }
 
 impl PresenceMap {
     pub(crate) fn new() -> Self {
-        PresenceMap { files: Vec::new() }
+        PresenceMap {
+            words: BlockTable::new(),
+        }
+    }
+
+    /// The key of `block`'s word.
+    #[inline]
+    fn word_key(block: BlockId) -> BlockId {
+        BlockId::new(block.file, block.index / 64)
+    }
+
+    /// The bits of word `key`, zero if it holds no present block.
+    #[inline]
+    fn word(&self, key: BlockId) -> u64 {
+        self.words
+            .find(key)
+            .map_or(0, |s| self.words.slab[s as usize].bits)
     }
 
     /// Mark `block` present (idempotent).
     #[inline]
     pub(crate) fn set(&mut self, block: BlockId) {
-        let f = block.file.0 as usize;
-        if f >= self.files.len() {
-            self.files.resize_with(f + 1, Vec::new);
+        let key = Self::word_key(block);
+        let bit = 1u64 << (block.index % 64);
+        match self.words.find(key) {
+            Some(s) => self.words.slab[s as usize].bits |= bit,
+            None => {
+                self.words.insert(PresenceWord { key, bits: bit });
+            }
         }
-        let bits = &mut self.files[f];
-        let w = (block.index / 64) as usize;
-        if w >= bits.len() {
-            bits.resize(w + 1, 0);
-        }
-        bits[w] |= 1u64 << (block.index % 64);
     }
 
-    /// Mark `block` absent (idempotent).
+    /// Mark `block` absent (idempotent). A word whose last block goes
+    /// is freed.
     #[inline]
     pub(crate) fn clear(&mut self, block: BlockId) {
-        if let Some(bits) = self.files.get_mut(block.file.0 as usize) {
-            if let Some(word) = bits.get_mut((block.index / 64) as usize) {
-                *word &= !(1u64 << (block.index % 64));
+        let key = Self::word_key(block);
+        if let Some(s) = self.words.find(key) {
+            let word = &mut self.words.slab[s as usize].bits;
+            *word &= !(1u64 << (block.index % 64));
+            if *word == 0 {
+                self.words.remove(key);
             }
         }
     }
@@ -174,16 +208,10 @@ impl PresenceMap {
     /// (ascending index, same file), capped at `max` — one word scan,
     /// not `max` point lookups.
     pub(crate) fn run_len(&self, block: BlockId, max: u32) -> u32 {
-        let Some(bits) = self.files.get(block.file.0 as usize) else {
-            return 0;
-        };
         let mut n = 0u32;
         let mut idx = block.index;
         while n < max {
-            let word = match bits.get((idx / 64) as usize) {
-                Some(&w) => w,
-                None => 0,
-            };
+            let word = self.word(Self::word_key(BlockId::new(block.file, idx)));
             let bit = (idx % 64) as u32;
             let avail = 64 - bit;
             // Consecutive ones from `bit` upward within this word.
@@ -196,6 +224,12 @@ impl PresenceMap {
             }
         }
         n
+    }
+
+    /// Words currently stored (tests only).
+    #[cfg(test)]
+    fn stored_words(&self) -> usize {
+        self.words.len
     }
 }
 
@@ -410,14 +444,17 @@ pub(crate) struct DensePool {
     /// MRU end of the recency list.
     tail: u32,
     policy: Replacement,
-    /// Presence bitmaps mirroring the table's membership exactly, for
-    /// the range residency query [`resident_run`](Self::resident_run).
-    presence: PresenceMap,
     /// Slots that went from clean to dirty since the last sweep. Lazy:
     /// an entry may be stale (the copy was since removed, overwritten
     /// clean, or its slot reused) or repeated, so
     /// [`sweep_dirty`](Self::sweep_dirty) re-checks `meta.dirty`.
     dirtied: Vec<u32>,
+    /// The slot that followed the last touched one on the recency list,
+    /// as it stood before that touch, or [`NIL`]. Data re-read in the
+    /// order it was last read asks for exactly this slot next, so a
+    /// touch checks it before probing the table. Cleared when its slot
+    /// is freed, so it only ever names a live copy.
+    hint: u32,
 }
 
 impl DensePool {
@@ -427,8 +464,8 @@ impl DensePool {
             head: NIL,
             tail: NIL,
             policy,
-            presence: PresenceMap::new(),
             dirtied: Vec::new(),
+            hint: NIL,
         }
     }
 
@@ -438,12 +475,6 @@ impl DensePool {
 
     pub(crate) fn contains(&self, block: BlockId) -> bool {
         self.table.find(block).is_some()
-    }
-
-    /// Consecutive resident blocks starting at `block`, capped at
-    /// `max` — answered from the presence bitmaps in O(max/64) words.
-    pub(crate) fn resident_run(&self, block: BlockId, max: u32) -> u32 {
-        self.presence.run_len(block, max)
     }
 
     pub(crate) fn get(&self, block: BlockId) -> Option<&Meta> {
@@ -499,7 +530,11 @@ impl DensePool {
     }
 
     fn touch_inner(&mut self, block: BlockId, write: bool, mark_used: bool) -> Option<Meta> {
-        let s = self.table.find(block)?;
+        let s = match self.hint {
+            h if h != NIL && self.table.slab[h as usize].block == block => h,
+            _ => self.table.find(block)?,
+        };
+        self.hint = self.table.slab[s as usize].next;
         let meta = &mut self.table.slab[s as usize].meta;
         let before = *meta;
         if mark_used {
@@ -529,7 +564,6 @@ impl DensePool {
                 (s, old.dirty)
             }
             None => {
-                self.presence.set(block);
                 let s = self.table.insert(Slot {
                     block,
                     meta,
@@ -548,10 +582,12 @@ impl DensePool {
     /// Remove a specific block, returning its metadata.
     pub(crate) fn remove(&mut self, block: BlockId) -> Option<Meta> {
         let s = self.table.remove(block)?;
+        if s == self.hint {
+            self.hint = NIL;
+        }
         self.unlink(s);
         let slot = &mut self.table.slab[s as usize];
         let meta = slot.meta;
-        self.presence.clear(block);
         // Neutralize the flags the slot scans look at, so a stale
         // `dirtied` entry and `count_unused_prefetched`'s sequential slab
         // walk need no liveness check.
@@ -839,6 +875,26 @@ mod tests {
                             dense.insert(d, meta);
                         }
                     }
+                    112..=113 => {
+                        // Free the hinted slot: the hint must not answer
+                        // for the freed block, then reuse the slot for a
+                        // block of a file no other step uses and touch
+                        // both again.
+                        assert_eq!(classic.touch(block, false), dense.touch(block, false));
+                        if dense.hint != NIL {
+                            let hinted = dense.table.slab[dense.hint as usize].block;
+                            assert_eq!(classic.remove(hinted), dense.remove(hinted));
+                            assert_eq!(classic.touch(hinted, false), dense.touch(hinted, false));
+                            let other = b(3, rng.next() % 64);
+                            if !classic.contains(other) {
+                                let meta = Meta::fresh(n(2), false, false);
+                                classic.insert(other, meta);
+                                dense.insert(other, meta);
+                            }
+                            assert_eq!(classic.touch(hinted, true), dense.touch(hinted, true));
+                            assert_eq!(classic.touch(other, false), dense.touch(other, false));
+                        }
+                    }
                     _ => {
                         // Dirty the same block repeatedly, by touch and
                         // by refresh.
@@ -854,11 +910,6 @@ mod tests {
                 assert_eq!(classic.len(), dense.len());
                 assert_eq!(classic.contains(block), dense.contains(block));
                 assert_eq!(classic.get(block), dense.get(block));
-                assert_eq!(
-                    classic.resident_run(block, 8),
-                    dense.resident_run(block, 8),
-                    "step {step}"
-                );
             }
             // Drain both fully: complete victim order must agree.
             loop {
@@ -948,6 +999,26 @@ mod tests {
         // Other files are independent.
         assert_eq!(p.run_len(b(0, 60), 10), 0);
         assert_eq!(p.run_len(b(2, 60), 10), 0);
+    }
+
+    /// Storage follows the present blocks, not the highest index: a
+    /// block at 2^44 costs one word, and clearing frees it.
+    #[test]
+    fn presence_storage_grows_with_present_blocks_only() {
+        let mut p = PresenceMap::new();
+        let far = 1u64 << 44;
+        p.set(b(0, 0));
+        p.set(b(0, far));
+        p.set(b(0, far + 1));
+        assert_eq!(p.stored_words(), 2);
+        assert!(p.words.index.len() <= 64, "index stays at its initial size");
+        assert_eq!(p.run_len(b(0, far), 64), 2);
+        assert_eq!(p.run_len(b(0, far - 1), 64), 0);
+        p.clear(b(0, far));
+        p.clear(b(0, far + 1));
+        assert_eq!(p.stored_words(), 1, "an emptied word is freed");
+        assert_eq!(p.run_len(b(0, far), 64), 0);
+        assert_eq!(p.run_len(b(0, 0), 64), 1);
     }
 
     /// A sweep costs the writes since the last one, not the pool's

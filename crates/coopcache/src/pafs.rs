@@ -5,7 +5,7 @@ use std::cell::Cell;
 
 use ioworkload::{BlockId, FileId, NodeId};
 
-use crate::dense::{DensePool, Meta, MetaLayout, NodeSet, Replacement, MAX_NODES};
+use crate::dense::{DensePool, Meta, MetaLayout, NodeSet, PresenceMap, Replacement, MAX_NODES};
 use crate::stats::CacheStats;
 use crate::{AccessOutcome, CooperativeCache, Evicted, InsertOrigin, Lookup};
 
@@ -50,6 +50,10 @@ pub fn server_node(file: FileId, nodes: u32) -> NodeId {
 /// ```
 pub struct PafsCache {
     pool: DensePool,
+    /// Presence bitmaps mirroring the pool's membership exactly, for
+    /// the range residency query the aggressive walk asks
+    /// ([`resident_run`](CooperativeCache::resident_run)).
+    presence: PresenceMap,
     nodes: u32,
     capacity: u64,
     /// Nodes currently disconnected from the cooperative cache
@@ -78,6 +82,7 @@ impl PafsCache {
         assert!((1..=MAX_NODES).contains(&nodes) && blocks_per_node > 0);
         PafsCache {
             pool: DensePool::with_policy(policy),
+            presence: PresenceMap::new(),
             nodes,
             capacity: nodes as u64 * blocks_per_node,
             down: NodeSet::default(),
@@ -131,6 +136,7 @@ impl PafsCache {
         let mut out = Vec::new();
         while self.pool.len() as u64 >= self.capacity {
             let (block, meta) = self.pool.pop_lru().expect("capacity > 0");
+            self.presence.clear(block);
             out.push(self.stats.account_eviction(block, &meta));
         }
         out
@@ -196,9 +202,9 @@ impl CooperativeCache for PafsCache {
 
     fn resident_run(&self, block: BlockId, max: u32) -> u32 {
         // One range query against the pool = one metadata probe,
-        // answered from the pool's presence bitmaps.
+        // answered from the presence bitmaps.
         self.probes.set(self.probes.get() + 1);
-        self.pool.resident_run(block, max)
+        self.presence.run_len(block, max)
     }
 
     fn insert(
@@ -228,6 +234,7 @@ impl CooperativeCache for PafsCache {
         }
         self.pool
             .insert(block, Meta::fresh(node, dirty, prefetched));
+        self.presence.set(block);
         evicted
     }
 
@@ -251,6 +258,7 @@ impl CooperativeCache for PafsCache {
         });
         for &block in &owned {
             let meta = self.pool.remove(block).expect("collected above");
+            self.presence.clear(block);
             self.stats.account_eviction(block, &meta);
         }
         owned.len() as u64
@@ -492,5 +500,34 @@ mod tests {
         c.insert(n(0), b(0, 0), InsertOrigin::Demand, false);
         let ev = c.insert(n(0), b(0, 2), InsertOrigin::Demand, false);
         assert_eq!(ev[0].block, b(0, 1), "block 1 is now the LRU victim");
+    }
+
+    /// The range query agrees with point probes through inserts, LRU
+    /// evictions and node wipes: the presence bitmaps track the pool.
+    #[test]
+    fn resident_run_matches_point_probes() {
+        let mut c = PafsCache::new(4, 16);
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        for step in 0..4000 {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            let block = b((x % 2) as u32, (x >> 8) % 130);
+            let node = n(((x >> 30) % 4) as u32);
+            match (x >> 20) % 20 {
+                0 => {
+                    c.wipe_node(node);
+                }
+                1..=11 => {
+                    c.insert(node, block, InsertOrigin::Demand, false);
+                }
+                _ => {}
+            }
+            let mut want = 0u32;
+            while want < 70 && c.contains(b(block.file.0, block.index + u64::from(want))) {
+                want += 1;
+            }
+            assert_eq!(c.resident_run(block, 70), want, "step {step}");
+        }
     }
 }

@@ -49,16 +49,6 @@ impl LruPool {
         self.map.contains_key(&block)
     }
 
-    /// Consecutive resident blocks starting at `block`, capped at
-    /// `max`, by point probes.
-    pub(crate) fn resident_run(&self, block: BlockId, max: u32) -> u32 {
-        let mut n = 0;
-        while n < max && self.contains(BlockId::new(block.file, block.index + u64::from(n))) {
-            n += 1;
-        }
-        n
-    }
-
     pub(crate) fn get(&self, block: BlockId) -> Option<&Meta> {
         self.map.get(&block).map(|(m, _)| m)
     }

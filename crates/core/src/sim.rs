@@ -35,6 +35,7 @@
 //! prefetches (the paper's rule is only that prefetching never delays
 //! other operations).
 
+use std::collections::VecDeque;
 use std::sync::Arc;
 
 use coopcache::{
@@ -51,7 +52,7 @@ use simkit::{
     StartedJob, Station,
 };
 
-use crate::config::{CacheSystem, PrefetchGranularity, SimConfig};
+use crate::config::{CacheSystem, MachineConfig, PrefetchGranularity, SimConfig};
 use crate::metrics::{Metrics, ReadOutcome, SimReport, SpanBreakdown};
 
 /// Run one oracle call and escalate a violation to a panic carrying
@@ -190,7 +191,10 @@ fn run_keys(first: FetchKey, count: u32) -> impl Iterator<Item = FetchKey> {
     })
 }
 
-/// Simulation events.
+/// Simulation events. Kept to 16 bytes: a disk completion names its
+/// disk and sequence number only, and the job itself waits in
+/// [`Simulation::in_service`] (or, once aborted, in
+/// [`Simulation::aborted`]).
 #[derive(Clone, Copy, Debug)]
 enum Ev {
     /// Continue replaying a process trace.
@@ -200,8 +204,7 @@ enum Ev {
     /// counter, so a completion whose `seq` no longer matches is stale
     /// — the job it announces was aborted and must be requeued instead.
     DiskDone {
-        disk: usize,
-        job: DiskJob,
+        disk: u32,
         seq: u64,
     },
     /// A request's last transfer finished; deliver to the process.
@@ -224,6 +227,45 @@ enum Ev {
     },
 }
 
+const _: () = assert!(std::mem::size_of::<Ev>() == 16);
+
+/// A job an outage took off its disk, waiting for its stale completion
+/// to requeue it.
+struct AbortedJob {
+    prio: Priority,
+    rid: u32,
+    at: SimTime,
+    /// The job and the sequence number of the completion that will
+    /// announce it.
+    job: (u64, DiskJob),
+}
+
+/// Delivery costs priced once per request size: entry `n` is what
+/// handing `n` blocks to the reader costs in memory (`local`) and
+/// across the network (`remote`; `remote[0]` is the zero-byte
+/// coordination hop). Larger requests are priced on the spot by the
+/// same [`MachineConfig`] formulas.
+struct DeliveryCosts {
+    local: Vec<SimDuration>,
+    remote: Vec<SimDuration>,
+}
+
+/// Request sizes, in blocks, that [`DeliveryCosts`] prices up front.
+const PRICED_SIZES: u64 = 256;
+
+impl DeliveryCosts {
+    fn new(m: &MachineConfig) -> Self {
+        DeliveryCosts {
+            local: (0..=PRICED_SIZES)
+                .map(|n| m.local_transfer(n * m.block_size))
+                .collect(),
+            remote: (0..=PRICED_SIZES)
+                .map(|n| m.remote_transfer(n * m.block_size))
+                .collect(),
+        }
+    }
+}
+
 struct ProcState {
     node: NodeId,
     next_op: usize,
@@ -233,7 +275,8 @@ struct ProcState {
 struct ReqState {
     proc: ProcId,
     started: SimTime,
-    bytes: u64,
+    /// Request size in blocks.
+    blocks: u64,
     remaining: usize,
     all_local: bool,
     /// Request id stamped on this read's trace events.
@@ -292,10 +335,12 @@ pub struct Simulation<R: Recorder = NoopRecorder> {
     /// is aborted, so at most one scheduled completion per disk is
     /// genuine (the one whose `seq` matches).
     done_seq: Vec<u64>,
-    /// Per-disk FIFO of outage-aborted jobs `(prio, rid, aborted_at)`,
-    /// matched against stale completions in order (the station does
-    /// not keep the aborted tag — the stale event carries it).
-    aborted: Vec<Vec<(Priority, u32, SimTime)>>,
+    /// Per-disk job in service: what the disk's genuine
+    /// [`Ev::DiskDone`] announces.
+    in_service: Vec<Option<DiskJob>>,
+    /// Per-disk FIFO of outage-aborted jobs (the station does not keep
+    /// an aborted job), requeued by their stale completions.
+    aborted: Vec<VecDeque<AbortedJob>>,
     /// When each disk last went down (start of the current/last outage
     /// window) — bounds the held-queue failover attribution.
     last_down: Vec<SimTime>,
@@ -309,6 +354,8 @@ pub struct Simulation<R: Recorder = NoopRecorder> {
     /// Recycled `waiters` vectors from completed fetches, so demand
     /// misses stop paying one allocation each.
     waiters_pool: Vec<Vec<ReqId>>,
+    /// Delivery costs by request size, priced at construction.
+    delivery: DeliveryCosts,
     /// Runtime invariant oracle (DESIGN.md §15). `None` when
     /// [`SimConfig::check`] resolves to disabled: every check site
     /// below then costs one branch on an always-false `Option`.
@@ -398,6 +445,7 @@ impl<R: Recorder> Simulation<R> {
             .filter(|p| !p.is_empty())
             .map(|p| FaultState::new(p, config.machine.nodes as usize));
         let queue = EventQueue::new();
+        let delivery = DeliveryCosts::new(&config.machine);
         let oracle = config
             .check
             .enabled()
@@ -421,11 +469,13 @@ impl<R: Recorder> Simulation<R> {
             next_rid: 0,
             faults,
             done_seq: vec![0; ndisks],
-            aborted: vec![Vec::new(); ndisks],
+            in_service: vec![None; ndisks],
+            aborted: (0..ndisks).map(|_| VecDeque::new()).collect(),
             last_down: vec![SimTime::ZERO; ndisks],
             scratch_missing: Vec::new(),
             scratch_issue: Vec::new(),
             waiters_pool: Vec::new(),
+            delivery,
             oracle,
             rec,
         })
@@ -536,7 +586,7 @@ impl<R: Recorder> Simulation<R> {
             }
             match ev {
                 Ev::Resume(p) => self.step_proc(p, now),
-                Ev::DiskDone { disk, job, seq } => self.disk_done(disk, job, seq, now),
+                Ev::DiskDone { disk, seq } => self.disk_done(disk as usize, seq, now),
                 Ev::RequestDone(r) => self.request_done(r, now),
                 Ev::Sweep => self.sweep(now, true),
                 Ev::DiskDown { disk } => self.disk_down(disk, now),
@@ -747,16 +797,16 @@ impl<R: Recorder> Simulation<R> {
         // evicted.
         self.notify_prefetcher(node, file, req, fresh_misses == 0, rid, now);
 
-        let bytes = req.size * bs;
+        let blocks = req.size;
         if remaining == 0 {
             let (nretry, ndelay) = if all_local {
                 (SimDuration::ZERO, SimDuration::ZERO)
             } else {
-                self.net_fault_extra(bytes, rid, now)
+                self.net_fault_extra(blocks, rid, now)
             };
-            let cost = self.transfer_cost(bytes, all_local) + nretry + ndelay;
+            let cost = self.transfer_cost(blocks, all_local) + nretry + ndelay;
             self.metrics.record_read(now, cost);
-            let mut breakdown = self.delivery_breakdown(bytes, all_local);
+            let mut breakdown = self.delivery_breakdown(blocks, all_local);
             breakdown.retry += nretry;
             breakdown.network += ndelay;
             oracle_check!(self, now, |o| o.read_completed(rid));
@@ -784,7 +834,7 @@ impl<R: Recorder> Simulation<R> {
             self.reqs.push(ReqState {
                 proc: p,
                 started: now,
-                bytes,
+                blocks,
                 remaining,
                 all_local,
                 rid,
@@ -835,7 +885,7 @@ impl<R: Recorder> Simulation<R> {
         // read id to attribute prefetches to).
         self.notify_prefetcher(node, file, req, true, NO_RID, now);
 
-        let cost = self.transfer_cost(req.size * bs, all_local);
+        let cost = self.transfer_cost(req.size, all_local);
         self.metrics.record_write(now, cost);
         if self.rec.enabled() {
             self.rec.record(
@@ -1046,11 +1096,11 @@ impl<R: Recorder> Simulation<R> {
         }
         self.note_fetch_started(now, &started);
         self.done_seq[disk] += 1;
+        self.in_service[disk] = Some(started.tag);
         self.queue.schedule(
             started.completes_at,
             Ev::DiskDone {
-                disk,
-                job: started.tag,
+                disk: disk as u32,
                 seq: self.done_seq[disk],
             },
         );
@@ -1084,16 +1134,19 @@ impl<R: Recorder> Simulation<R> {
         }
     }
 
-    fn disk_done(&mut self, disk: usize, job: DiskJob, seq: u64, now: SimTime) {
+    fn disk_done(&mut self, disk: usize, seq: u64, now: SimTime) {
         if seq != self.done_seq[disk] {
             // Stale completion: the job this event announces was
             // aborted by an outage after the event was scheduled. Its
             // arrival is exactly when the issuer would have noticed the
             // job never finished — the failover timeout — so the job
             // goes back to the front of its queue now.
-            self.requeue_aborted(disk, job, now);
+            self.requeue_aborted(disk, seq, now);
             return;
         }
+        let job = self.in_service[disk]
+            .take()
+            .expect("completion for an idle disk");
         let started = self.with_disk_model(disk, |st, model, rec| st.complete_job(now, model, rec));
         if let Some(started) = started {
             self.after_start(disk, now, started);
@@ -1164,16 +1217,16 @@ impl<R: Recorder> Simulation<R> {
         for req_idx in waiters.drain(..) {
             self.reqs[req_idx].remaining -= 1;
             if self.reqs[req_idx].remaining == 0 {
-                let (bytes, all_local) = (self.reqs[req_idx].bytes, self.reqs[req_idx].all_local);
+                let (blocks, all_local) = (self.reqs[req_idx].blocks, self.reqs[req_idx].all_local);
                 let rid = self.reqs[req_idx].rid;
                 let (nretry, ndelay) = if all_local {
                     (SimDuration::ZERO, SimDuration::ZERO)
                 } else {
-                    self.net_fault_extra(bytes, rid, now)
+                    self.net_fault_extra(blocks, rid, now)
                 };
-                let cost = self.transfer_cost(bytes, all_local) + nretry + ndelay;
+                let cost = self.transfer_cost(blocks, all_local) + nretry + ndelay;
                 self.record_read_span(
-                    req_idx, pf.svc, failover, now, bytes, all_local, nretry, ndelay,
+                    req_idx, pf.svc, failover, now, blocks, all_local, nretry, ndelay,
                 );
                 self.queue.schedule(now + cost, Ev::RequestDone(req_idx));
             }
@@ -1460,11 +1513,24 @@ impl<R: Recorder> Simulation<R> {
 
     // ----- misc ----------------------------------------------------------
 
-    fn transfer_cost(&self, bytes: u64, all_local: bool) -> SimDuration {
-        if all_local {
-            self.config.machine.local_transfer(bytes)
+    /// What handing a `blocks`-block request to its reader costs.
+    fn transfer_cost(&self, blocks: u64, all_local: bool) -> SimDuration {
+        let priced = if all_local {
+            &self.delivery.local
         } else {
-            self.config.machine.remote_transfer(bytes)
+            &self.delivery.remote
+        };
+        match priced.get(blocks as usize) {
+            Some(&d) => d,
+            None => {
+                let m = &self.config.machine;
+                let bytes = blocks * m.block_size;
+                if all_local {
+                    m.local_transfer(bytes)
+                } else {
+                    m.remote_transfer(bytes)
+                }
+            }
         }
     }
 
@@ -1474,13 +1540,13 @@ impl<R: Recorder> Simulation<R> {
     /// i.e. the messaging needed to locate and request the copy) plus
     /// the wire time for the payload (`network`). The components sum
     /// exactly to [`transfer_cost`](Self::transfer_cost).
-    fn delivery_breakdown(&self, bytes: u64, all_local: bool) -> SpanBreakdown {
+    fn delivery_breakdown(&self, blocks: u64, all_local: bool) -> SpanBreakdown {
         let mut b = SpanBreakdown::default();
         if all_local {
-            b.transfer = self.config.machine.local_transfer(bytes);
+            b.transfer = self.transfer_cost(blocks, true);
         } else {
-            let total = self.config.machine.remote_transfer(bytes);
-            b.coordination = self.config.machine.remote_transfer(0).min(total);
+            let total = self.transfer_cost(blocks, false);
+            b.coordination = self.delivery.remote[0].min(total);
             b.network = total - b.coordination;
         }
         b
@@ -1501,14 +1567,14 @@ impl<R: Recorder> Simulation<R> {
         svc: Option<FetchSvc>,
         failover: SimDuration,
         disk_done: SimTime,
-        bytes: u64,
+        blocks: u64,
         all_local: bool,
         net_retry: SimDuration,
         net_delay: SimDuration,
     ) {
         let req = &self.reqs[req_idx];
         let started = req.started;
-        let mut b = self.delivery_breakdown(bytes, all_local);
+        let mut b = self.delivery_breakdown(blocks, all_local);
         b.retry += net_retry;
         b.network += net_delay;
         match svc {
@@ -1558,7 +1624,7 @@ impl<R: Recorder> Simulation<R> {
         // `slack + delivery` is exactly the latency `request_done`
         // will record for this read; the oracle makes the equality a
         // release-mode check when enabled.
-        let expect = slack + self.transfer_cost(bytes, all_local) + net_retry + net_delay;
+        let expect = slack + self.transfer_cost(blocks, all_local) + net_retry + net_delay;
         debug_assert_eq!(
             b.total(),
             expect,
@@ -1574,13 +1640,26 @@ impl<R: Recorder> Simulation<R> {
     /// The elapsed abort -> stale-completion time is credited to the
     /// job's pending fetches as failover wait (the requeue is the
     /// issuer's timeout-and-retry in one step).
-    fn requeue_aborted(&mut self, disk: usize, job: DiskJob, now: SimTime) {
-        let (prio, rid, aborted_at) = if self.aborted[disk].is_empty() {
-            debug_assert!(false, "stale completion with no abort record");
-            (PRIO_DEMAND, NO_RID, now)
-        } else {
-            self.aborted[disk].remove(0)
-        };
+    fn requeue_aborted(&mut self, disk: usize, seq: u64, now: SimTime) {
+        let fifo = &mut self.aborted[disk];
+        let k = fifo
+            .iter()
+            .position(|a| a.job.0 == seq)
+            .expect("stale completion with no abort record");
+        // Stale completions arrive in abort order unless a job's
+        // retry-inflated service outlasts a whole outage period. Either
+        // way the requeued job is this completion's own, while the
+        // priority, read id and abort time come from the oldest record.
+        if k > 0 {
+            let oldest = fifo[0].job;
+            fifo[0].job = std::mem::replace(&mut fifo[k].job, oldest);
+        }
+        let AbortedJob {
+            prio,
+            rid,
+            at: aborted_at,
+            job: (_, job),
+        } = fifo.pop_front().expect("found above");
         self.add_failover(job, now.saturating_since(aborted_at));
         let (op, block, blocks) = match job {
             DiskJob::Fetch(key) => (DeviceOp::Read, key.block, 1),
@@ -1648,7 +1727,15 @@ impl<R: Recorder> Simulation<R> {
             disks[disk].abort_current(now, rec)
         };
         if let Some((prio, rid)) = aborted {
-            self.aborted[disk].push((prio, rid, now));
+            let job = self.in_service[disk]
+                .take()
+                .expect("aborted job was in service");
+            self.aborted[disk].push_back(AbortedJob {
+                prio,
+                rid,
+                at: now,
+                job: (self.done_seq[disk], job),
+            });
             // Invalidate the outstanding completion: its arrival now
             // means "requeue", not "done".
             self.done_seq[disk] += 1;
@@ -1792,26 +1879,24 @@ impl<R: Recorder> Simulation<R> {
         self.edge_checks(now);
     }
 
-    /// Price network faults on one remote delivery of `bytes`: the
+    /// Price network faults on one remote delivery of `blocks`: the
     /// zero-byte coordination hop draws against the control retry
     /// budget, the payload against the data budget. Returns the extra
     /// `(retry, delay)` time — both zero when no plan is active, so
     /// fault-free deliveries cost exactly what they always did.
     fn net_fault_extra(
         &mut self,
-        bytes: u64,
+        blocks: u64,
         rid: u32,
         now: SimTime,
     ) -> (SimDuration, SimDuration) {
-        let Some(fs) = &mut self.faults else {
-            return (SimDuration::ZERO, SimDuration::ZERO);
-        };
-        if !fs.plan.net_active() {
+        if !self.faults.as_ref().is_some_and(|fs| fs.plan.net_active()) {
             return (SimDuration::ZERO, SimDuration::ZERO);
         }
-        let total = self.config.machine.remote_transfer(bytes);
-        let coord = self.config.machine.remote_transfer(0).min(total);
+        let total = self.transfer_cost(blocks, false);
+        let coord = self.delivery.remote[0].min(total);
         let payload = total - coord;
+        let fs = self.faults.as_mut().expect("checked above");
         let e1 = fs.net_extra(NetClass::Control, coord);
         let e2 = fs.net_extra(NetClass::Data, payload);
         let retry = e1.retry + e2.retry;

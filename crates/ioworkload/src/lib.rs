@@ -49,6 +49,6 @@ mod types;
 pub mod util;
 
 pub use stats::WorkloadStats;
-pub use text::ParseError;
+pub use text::{utf8_text, ParseError};
 pub use trace::{FileMeta, Op, ProcessTrace, Workload};
 pub use types::{BlockId, FileId, NodeId, ProcId};

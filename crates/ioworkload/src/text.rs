@@ -27,6 +27,21 @@ use simkit::SimDuration;
 use crate::trace::{FileMeta, Op, ProcessTrace, Workload};
 use crate::types::{FileId, NodeId, ProcId};
 
+/// The bytes of a text trace as a `&str`.
+///
+/// # Errors
+/// A [`ParseError`] on the line (counted as `str::lines` counts) of the
+/// first byte that is not part of valid UTF-8.
+pub fn utf8_text(bytes: &[u8]) -> Result<&str, ParseError> {
+    std::str::from_utf8(bytes).map_err(|e| {
+        let at = e.valid_up_to();
+        ParseError {
+            line: 1 + bytes[..at].iter().filter(|&&b| b == b'\n').count(),
+            message: format!("invalid UTF-8 (byte 0x{:02x})", bytes[at]),
+        }
+    })
+}
+
 /// Parsing failure with its line number.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ParseError {
@@ -73,6 +88,16 @@ impl Workload {
             }
         }
         out
+    }
+
+    /// [`from_text`](Self::from_text) over the raw bytes of a trace
+    /// file, which must be UTF-8.
+    ///
+    /// # Errors
+    /// The line of the first byte that is not UTF-8, or any error of
+    /// [`from_text`](Self::from_text).
+    pub fn from_bytes(bytes: &[u8]) -> Result<Workload, ParseError> {
+        Workload::from_text(utf8_text(bytes)?)
     }
 
     /// Parse a workload from the text format and [`check`](Workload::check) it.
@@ -605,5 +630,18 @@ mod tests {
             oks > 100 && errs > 100,
             "the fuzz reaches both verdicts: {oks} ok, {errs} err"
         );
+    }
+
+    #[test]
+    fn invalid_utf8_names_its_line() {
+        let mut bytes = b"workload w\nblocksize 8\nnodes 1\nfile 0 64\nproc 0 0\nr 0 ".to_vec();
+        bytes.extend_from_slice(b"\xff0 8\n");
+        let err = Workload::from_bytes(&bytes).unwrap_err();
+        assert_eq!(err.line, 6);
+        assert_eq!(err.to_string(), "line 6: invalid UTF-8 (byte 0xff)");
+        // A truncated multi-byte sequence on the last, unterminated line.
+        let err = utf8_text(b"a\r\nb\nc\xe2\x82").unwrap_err();
+        assert_eq!(err.line, 3);
+        assert_eq!(utf8_text(b"ok\n").unwrap(), "ok\n");
     }
 }

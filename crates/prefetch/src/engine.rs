@@ -4,9 +4,10 @@ use std::collections::VecDeque;
 
 use lapobs::{Event, NoopRecorder, Obs, Recorder, WalkStopReason, NO_RID};
 
-use predict::{AlgorithmKind, FilePredictor, FxHashSet, PredictionSource, Request, Walk};
+use predict::{AlgorithmKind, FilePredictor, PredictionSource, Request, Walk};
 
 use crate::config::PrefetchConfig;
+use crate::runs::RunSet;
 use crate::stats::PrefetchStats;
 
 /// Per-file prefetch driver implementing §3 of the paper.
@@ -38,11 +39,14 @@ pub struct FilePrefetcher {
     predictor: FilePredictor,
     /// Active aggressive walk, if any.
     walk: Option<Walk>,
-    /// Blocks already decided but not yet handed out.
-    queue: VecDeque<(u64, PredictionSource)>,
+    /// Block runs `(first, end, source)` already decided but not yet
+    /// handed out, in walk order: the new parts of each predicted
+    /// request. Blocks leave from the front one at a time.
+    queue: VecDeque<(u64, u64, PredictionSource)>,
     /// Every block predicted on the current path since the last
-    /// restart, whether handed out, queued, or skipped as cached.
-    path: FxHashSet<u64>,
+    /// restart, whether handed out, queued, or skipped as cached — one
+    /// run per predicted request, merged where they touch.
+    path: RunSet,
     in_flight: usize,
     /// Remaining blocks the current walk may still emit (guards against
     /// cyclic prediction graphs walking forever inside the file).
@@ -74,7 +78,7 @@ pub struct FilePrefetcher {
 /// walk on a fully cached file grinds block-by-block to end-of-file,
 /// which no real prefetcher would do — it would also make large-cache
 /// simulations quadratically slow.
-const CACHED_RUN_STOP: u64 = 64;
+pub(crate) const CACHED_RUN_STOP: u64 = 64;
 
 impl FilePrefetcher {
     /// Create an engine for one file of `file_blocks` blocks.
@@ -85,7 +89,7 @@ impl FilePrefetcher {
             file_blocks,
             walk: None,
             queue: VecDeque::new(),
-            path: FxHashSet::default(),
+            path: RunSet::default(),
             in_flight: 0,
             walk_budget: 0,
             cached_run: 0,
@@ -114,7 +118,7 @@ impl FilePrefetcher {
     pub fn set_file_blocks(&mut self, blocks: u64) {
         if blocks < self.file_blocks {
             self.queue.clear();
-            self.path.retain(|&b| b < blocks);
+            self.path.truncate(blocks);
             self.walk = None;
         }
         self.file_blocks = blocks;
@@ -195,7 +199,7 @@ impl FilePrefetcher {
         }
         self.parent_rid = rid;
         let had_prediction = !self.path.is_empty();
-        let on_path = had_prediction && req.blocks().all(|b| self.path.contains(&b));
+        let on_path = had_prediction && self.path.covers(req.offset, req.end());
         if had_prediction {
             if on_path {
                 self.stats.requests_on_path += 1;
@@ -249,10 +253,10 @@ impl FilePrefetcher {
             self.queue.clear();
             self.path.clear();
             if let Some((pred, source)) = self.predictor.predict(self.file_blocks) {
-                for b in pred.blocks() {
-                    self.path.insert(b);
-                    self.queue.push_back((b, source));
-                }
+                let queue = &mut self.queue;
+                self.path.insert(pred.offset, pred.end(), |a, b| {
+                    queue.push_back((a, b, source))
+                });
             }
         }
     }
@@ -294,14 +298,11 @@ impl FilePrefetcher {
             if self.in_flight >= cap {
                 return None;
             }
-            let (block, source) = match self.queue.pop_front() {
-                Some(entry) => entry,
-                None => {
-                    if !self.refill_from_walk(obs) {
-                        return None;
-                    }
-                    continue;
+            let Some((block, source)) = self.pop_block() else {
+                if !self.refill_from_walk(obs) {
+                    return None;
                 }
+                continue;
             };
             if is_cached(block) {
                 self.stats.already_cached += 1;
@@ -322,26 +323,42 @@ impl FilePrefetcher {
             }
             self.cached_run = 0;
             self.in_flight += 1;
-            if self.config.is_aggressive() {
-                self.lead += 1;
-            }
-            self.stats.issued += 1;
-            if source == PredictionSource::ObaFallback {
-                self.stats.issued_by_fallback += 1;
-            }
-            let (rid, gen) = (self.parent_rid, self.walk_gen);
-            obs.emit(|file| Event::PrefetchIssue {
-                file,
-                block,
-                rid,
-                gen,
-            });
+            self.issue(block, source, obs);
             return Some(block);
         }
     }
 
+    /// Take the next queued block off the front run.
+    fn pop_block(&mut self) -> Option<(u64, PredictionSource)> {
+        let front = self.queue.front_mut()?;
+        let (block, source) = (front.0, front.2);
+        front.0 += 1;
+        if front.0 == front.1 {
+            self.queue.pop_front();
+        }
+        Some((block, source))
+    }
+
+    /// Account for one handed-out block.
+    fn issue<R: Recorder>(&mut self, block: u64, source: PredictionSource, obs: &mut Obs<'_, R>) {
+        if self.config.is_aggressive() {
+            self.lead += 1;
+        }
+        self.stats.issued += 1;
+        if source == PredictionSource::ObaFallback {
+            self.stats.issued_by_fallback += 1;
+        }
+        let (rid, gen) = (self.parent_rid, self.walk_gen);
+        obs.emit(|file| Event::PrefetchIssue {
+            file,
+            block,
+            rid,
+            gen,
+        });
+    }
+
     /// Pull the next predicted request from the aggressive walk into
-    /// the queue. Returns false when the walk is over (or absent), or
+    /// the path, queueing the sub-ranges it adds. Returns false when the walk is over (or absent), or
     /// when the walk has reached its lead cap and must wait for the
     /// consumer to catch up (the walk itself stays alive).
     fn refill_from_walk<R: Recorder>(&mut self, obs: &mut Obs<'_, R>) -> bool {
@@ -366,14 +383,13 @@ impl FilePrefetcher {
             Some((req, source)) => {
                 let take = req.size.min(self.walk_budget);
                 self.walk_budget -= take;
-                for b in req.blocks().take(take as usize) {
-                    // Blocks already on the path would re-enter the
-                    // queue forever on cyclic patterns; path membership
-                    // also dedups them.
-                    if self.path.insert(b) {
-                        self.queue.push_back((b, source));
-                    }
-                }
+                // Blocks already on the path would re-enter the queue
+                // forever on cyclic patterns; only the new sub-ranges
+                // are queued.
+                let queue = &mut self.queue;
+                self.path.insert(req.offset, req.offset + take, |a, b| {
+                    queue.push_back((a, b, source))
+                });
                 true
             }
             None => {
@@ -433,7 +449,7 @@ impl FilePrefetcher {
                 break;
             }
             match self.queue.front() {
-                Some(&(b, _)) if b == next => {}
+                Some(&(b, _, _)) if b == next => {}
                 _ => break, // prediction is not the contiguous next block
             }
             if is_cached(next) {
@@ -441,22 +457,9 @@ impl FilePrefetcher {
                 // cached-run accounting) on the next pull.
                 break;
             }
-            let (block, source) = self.queue.pop_front().expect("peeked above");
+            let (block, source) = self.pop_block().expect("peeked above");
             self.cached_run = 0;
-            if self.config.is_aggressive() {
-                self.lead += 1;
-            }
-            self.stats.issued += 1;
-            if source == PredictionSource::ObaFallback {
-                self.stats.issued_by_fallback += 1;
-            }
-            let (rid, gen) = (self.parent_rid, self.walk_gen);
-            obs.emit(|file| Event::PrefetchIssue {
-                file,
-                block,
-                rid,
-                gen,
-            });
+            self.issue(block, source, obs);
             count += 1;
         }
         self.stats.extent_batches += 1;
@@ -497,6 +500,7 @@ impl FilePrefetcher {
 mod tests {
     use super::*;
     use crate::config::AggressiveLimit;
+    use crate::reference::BlockPrefetcher;
 
     /// Drain every block the engine wants right now, acknowledging
     /// completions immediately (an infinitely fast disk).
@@ -975,5 +979,204 @@ mod tests {
         assert_eq!(pf.next_extent(8, |_| false), Some((1, 3)));
         pf.on_prefetch_complete();
         assert_eq!(pf.next_extent(8, |_| false), None, "lead cap reached");
+    }
+
+    /// Keeps every event, in order.
+    #[derive(Default)]
+    struct Log(Vec<Event>);
+
+    impl Recorder for Log {
+        fn enabled(&self) -> bool {
+            true
+        }
+        fn record(&mut self, _t: u64, ev: Event) {
+            self.0.push(ev);
+        }
+    }
+
+    /// xorshift64: a tiny seeded stream for the equivalence drive.
+    struct TestRng(u64);
+
+    impl TestRng {
+        fn next(&mut self) -> u64 {
+            self.0 ^= self.0 << 13;
+            self.0 ^= self.0 >> 7;
+            self.0 ^= self.0 << 17;
+            self.0
+        }
+        fn below(&mut self, n: u64) -> u64 {
+            self.next() % n
+        }
+    }
+
+    /// The configurations the equivalence drive covers: every paper
+    /// algorithm, the other limits, a lead cap, and the predictors
+    /// whose walks jump around the file.
+    fn equivalence_configs() -> Vec<PrefetchConfig> {
+        let mut v = PrefetchConfig::paper_suite().to_vec();
+        v.push(PrefetchConfig::ln_agr_is_ppm(2));
+        v.push(PrefetchConfig::ln_agr_is_ppm_backoff(3));
+        v.push(PrefetchConfig {
+            lead_cap: Some(5),
+            ..PrefetchConfig::ln_agr_is_ppm(1)
+        });
+        v.push(PrefetchConfig {
+            aggressive: Some(AggressiveLimit::Window(3)),
+            ..PrefetchConfig::ln_agr_oba()
+        });
+        v.push(PrefetchConfig {
+            aggressive: Some(AggressiveLimit::Unlimited),
+            ..PrefetchConfig::ln_agr_is_ppm(1)
+        });
+        for fallback in [false, true] {
+            v.push(PrefetchConfig::with_predictor(
+                AlgorithmKind::Markov { order: 1, fallback },
+                Some(AggressiveLimit::One),
+            ));
+            v.push(PrefetchConfig::with_predictor(
+                AlgorithmKind::Mithril {
+                    lookahead: 3,
+                    min_support: 2,
+                    fallback,
+                },
+                Some(AggressiveLimit::One),
+            ));
+        }
+        v
+    }
+
+    /// The run-granular engine against the block-granular reference:
+    /// the same seeded demands (sequential, strided and random, covered
+    /// or not), completions, truncations and growths, block and extent
+    /// pulls with the same random residency answers. Every pull must
+    /// return the same unit after the same residency queries, and the
+    /// stats, walk generations, in-flight counts, predictor work and
+    /// recorded events must be identical.
+    #[test]
+    fn run_granular_engine_matches_block_reference() {
+        for (ci, cfg) in equivalence_configs().into_iter().enumerate() {
+            for seed in 0..24u64 {
+                let mut rng = TestRng(0x9E37_79B9_7F4A_7C15 ^ (seed << 8) ^ ci as u64);
+                let mut file_blocks = 8 + rng.below(400);
+                let mut a = FilePrefetcher::new(cfg, file_blocks);
+                let mut b = BlockPrefetcher::new(cfg, file_blocks);
+                let (mut la, mut lb) = (Log::default(), Log::default());
+                let (mut cursor, mut stride, mut size) = (0u64, 1u64, 1u64);
+                for step in 0..600u64 {
+                    let t = step * 10;
+                    match rng.below(12) {
+                        0..=3 => {
+                            match rng.below(6) {
+                                0 => cursor = rng.below(file_blocks),
+                                1 => {
+                                    stride = 1 + rng.below(9);
+                                    size = 1 + rng.below(4);
+                                }
+                                _ => cursor += stride.max(size),
+                            }
+                            if cursor >= file_blocks {
+                                cursor = 0;
+                            }
+                            let req = Request::new(cursor, size.min(file_blocks - cursor));
+                            let covered = rng.below(4) != 0;
+                            a.on_demand_with_residency_obs(
+                                req,
+                                covered,
+                                step as u32,
+                                &mut Obs::new(t, 3, &mut la),
+                            );
+                            b.on_demand_with_residency_obs(
+                                req,
+                                covered,
+                                step as u32,
+                                &mut Obs::new(t, 3, &mut lb),
+                            );
+                        }
+                        4..=8 => {
+                            // Residency: none, a random third, or all
+                            // cached (which drives cached-run stops).
+                            let salt = rng.next();
+                            let density = rng.below(3);
+                            let answer = move |blk: u64| match density {
+                                0 => false,
+                                1 => (blk ^ salt).wrapping_mul(0x2545_F491_4F6C_DD1D) >> 62 == 0,
+                                _ => true,
+                            };
+                            let extent = (rng.below(3) == 0).then(|| 1 + rng.below(8));
+                            for _ in 0..1 + rng.below(6) {
+                                let (mut qa, mut qb) = (Vec::new(), Vec::new());
+                                let (ua, ub) = match extent {
+                                    Some(e) => (
+                                        a.next_extent_obs(
+                                            e,
+                                            |k| {
+                                                qa.push(k);
+                                                answer(k)
+                                            },
+                                            &mut Obs::new(t, 3, &mut la),
+                                        ),
+                                        b.next_extent_obs(
+                                            e,
+                                            |k| {
+                                                qb.push(k);
+                                                answer(k)
+                                            },
+                                            &mut Obs::new(t, 3, &mut lb),
+                                        ),
+                                    ),
+                                    None => (
+                                        a.next_block_obs(
+                                            |k| {
+                                                qa.push(k);
+                                                answer(k)
+                                            },
+                                            &mut Obs::new(t, 3, &mut la),
+                                        )
+                                        .map(|k| (k, 1)),
+                                        b.next_block_obs(
+                                            |k| {
+                                                qb.push(k);
+                                                answer(k)
+                                            },
+                                            &mut Obs::new(t, 3, &mut lb),
+                                        )
+                                        .map(|k| (k, 1)),
+                                    ),
+                                };
+                                assert_eq!(ua, ub, "cfg {ci} seed {seed} step {step}");
+                                assert_eq!(qa, qb, "residency queries, cfg {ci} step {step}");
+                                if ua.is_none() {
+                                    break;
+                                }
+                            }
+                        }
+                        9 | 10 => {
+                            for _ in 0..rng.below(3) {
+                                if a.in_flight() > 0 {
+                                    a.on_prefetch_complete();
+                                    b.on_prefetch_complete();
+                                }
+                            }
+                        }
+                        _ => {
+                            file_blocks = if rng.below(2) == 0 {
+                                1 + rng.below(file_blocks)
+                            } else {
+                                file_blocks + rng.below(64)
+                            };
+                            a.set_file_blocks(file_blocks);
+                            b.set_file_blocks(file_blocks);
+                        }
+                    }
+                    assert_eq!(a.stats(), b.stats(), "cfg {ci} seed {seed} step {step}");
+                    assert_eq!(a.walk_gen(), b.walk_gen());
+                    assert_eq!(a.in_flight(), b.in_flight());
+                }
+                assert_eq!(la.0, lb.0, "events, cfg {ci} seed {seed}");
+                let (pa, pb) = (a.predictor(), b.predictor());
+                assert_eq!(pa.table_lookups(), pb.table_lookups());
+                assert_eq!(pa.table_updates(), pb.table_updates());
+            }
+        }
     }
 }

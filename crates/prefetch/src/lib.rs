@@ -53,7 +53,10 @@
 
 mod config;
 mod engine;
+#[cfg(test)]
+mod reference;
 pub mod replay;
+mod runs;
 mod stats;
 
 pub use config::{AggressiveLimit, PrefetchConfig, DEFAULT_LEAD_CAP};

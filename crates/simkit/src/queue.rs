@@ -1,39 +1,57 @@
 //! The central event list: a `BinaryHeap` ordered by ascending
 //! `(time, schedule sequence)`, so simultaneous events pop in the
 //! order they were scheduled and simulations are bit-reproducible.
+//! A front slot in front of the heap holds the earliest event whenever
+//! it was scheduled ahead of everything pending, so the common
+//! "handle one event, schedule its successor soon" step pays no heap
+//! sift at all.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 
 use crate::time::SimTime;
 
-/// A future event: delivery time, a monotonically increasing sequence
-/// number for stable FIFO ordering of simultaneous events, and the
-/// payload.
+/// A future event: its delivery time and a monotonically increasing
+/// sequence number for stable FIFO ordering of simultaneous events,
+/// packed into one `u128` key (time in the high half) so ordering is a
+/// single integer comparison, and the payload.
 struct Entry<E> {
-    at: SimTime,
-    seq: u64,
+    key: u128,
     event: E,
+}
+
+impl<E> Entry<E> {
+    #[inline]
+    fn new(at: SimTime, seq: u64, event: E) -> Self {
+        Entry {
+            key: (u128::from(at.as_nanos()) << 64) | u128::from(seq),
+            event,
+        }
+    }
+
+    #[inline]
+    fn at(&self) -> SimTime {
+        SimTime::from_nanos((self.key >> 64) as u64)
+    }
 }
 
 impl<E> PartialEq for Entry<E> {
     fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
+        self.key == other.key
     }
 }
 impl<E> Eq for Entry<E> {}
 
 impl<E> Ord for Entry<E> {
+    #[inline]
     fn cmp(&self, other: &Self) -> Ordering {
         // BinaryHeap is a max-heap; invert so the earliest (and, among
         // equals, the first-scheduled) entry surfaces first.
-        other
-            .at
-            .cmp(&self.at)
-            .then_with(|| other.seq.cmp(&self.seq))
+        other.key.cmp(&self.key)
     }
 }
 impl<E> PartialOrd for Entry<E> {
+    #[inline]
     fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
         Some(self.cmp(other))
     }
@@ -77,6 +95,9 @@ pub struct QueueDepthStats {
 /// they were scheduled (FIFO), which makes simulations reproducible
 /// bit-for-bit.
 pub struct EventQueue<E> {
+    /// When set, the earliest pending event: it orders before every
+    /// entry of `heap`.
+    front: Option<Entry<E>>,
     heap: BinaryHeap<Entry<E>>,
     next_seq: u64,
     now: SimTime,
@@ -95,6 +116,7 @@ impl<E> EventQueue<E> {
     /// Create an empty queue with the clock at `SimTime::ZERO`.
     pub fn new() -> Self {
         EventQueue {
+            front: None,
             heap: BinaryHeap::new(),
             next_seq: 0,
             now: SimTime::ZERO,
@@ -145,42 +167,61 @@ impl<E> EventQueue<E> {
         );
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.heap.push(Entry { at, seq, event });
+        let entry = Entry::new(at, seq, event);
+        // The newest entry has the largest `seq`, so it orders first
+        // only if its time is strictly earlier.
+        match &self.front {
+            Some(f) if entry.key < f.key => {
+                let old = self.front.replace(entry).expect("matched Some");
+                self.heap.push(old);
+            }
+            Some(_) => self.heap.push(entry),
+            None if self.heap.peek().is_none_or(|h| entry.key < h.key) => self.front = Some(entry),
+            None => self.heap.push(entry),
+        }
+        let len = self.len() as u64;
         if let Some(d) = &mut self.depth {
             d.pushes += 1;
-            d.peak_depth = d.peak_depth.max(self.heap.len() as u64);
+            d.peak_depth = d.peak_depth.max(len);
         }
     }
 
     /// Remove and return the next event, advancing the clock to its
     /// delivery time.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
+        let len = self.len();
         if let Some(d) = &mut self.depth {
-            let len = self.heap.len();
             if len > 0 {
                 d.pops += 1;
                 d.depth_ticks += len as u64;
             }
         }
-        let entry = self.heap.pop()?;
-        debug_assert!(entry.at >= self.now);
-        self.now = entry.at;
-        Some((entry.at, entry.event))
+        let entry = match self.front.take() {
+            Some(entry) => entry,
+            None => self.heap.pop()?,
+        };
+        let at = entry.at();
+        debug_assert!(at >= self.now);
+        self.now = at;
+        Some((at, entry.event))
     }
 
     /// Delivery time of the next event, if any, without popping it.
     pub fn peek_time(&self) -> Option<SimTime> {
-        self.heap.peek().map(|e| e.at)
+        self.front
+            .as_ref()
+            .or_else(|| self.heap.peek())
+            .map(Entry::at)
     }
 
     /// Number of pending events.
     pub fn len(&self) -> usize {
-        self.heap.len()
+        self.heap.len() + usize::from(self.front.is_some())
     }
 
     /// True if no events are pending.
     pub fn is_empty(&self) -> bool {
-        self.heap.len() == 0
+        self.len() == 0
     }
 
     /// Drop all pending events without advancing the clock.
@@ -189,9 +230,11 @@ impl<E> EventQueue<E> {
     /// holding) but contribute no depth ticks — they were never seen
     /// by the consumer.
     pub fn clear(&mut self) {
+        let len = self.len() as u64;
         if let Some(d) = &mut self.depth {
-            d.pops += self.heap.len() as u64;
+            d.pops += len;
         }
+        self.front = None;
         self.heap.clear();
     }
 }
@@ -349,5 +392,63 @@ mod tests {
         q.schedule(at(10), 1); // same instant as `now` — legal
         let (t, e) = q.pop().unwrap();
         assert_eq!((t, e), (at(10), 1));
+    }
+
+    /// The front slot against a plain `BinaryHeap` of `(time, seq)`:
+    /// seeded schedule/pop/clear interleavings with many equal
+    /// timestamps must pop the same events in the same order, report
+    /// the same lengths and peeks, and keep the same depth statistics.
+    #[test]
+    fn front_slot_matches_a_plain_heap() {
+        use std::cmp::Reverse;
+        let mut x = 0x2545_F491_4F6C_DD1Du64;
+        let mut rng = move || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x
+        };
+        for round in 0..200u64 {
+            let mut q: EventQueue<u64> = EventQueue::new();
+            q.enable_depth_tracking();
+            let mut model: BinaryHeap<Reverse<(u64, u64)>> = BinaryHeap::new();
+            let mut model_stats = QueueDepthStats::default();
+            let (mut now, mut seq) = (0u64, 0u64);
+            // Few distinct delays, so equal timestamps are common.
+            let spread = 1 + round % 5;
+            for _ in 0..2000 {
+                match rng() % 16 {
+                    0..=7 => {
+                        let t = now + rng() % spread;
+                        q.schedule(at(t), seq);
+                        model.push(Reverse((t, seq)));
+                        seq += 1;
+                        model_stats.pushes += 1;
+                        model_stats.peak_depth = model_stats.peak_depth.max(model.len() as u64);
+                    }
+                    8..=14 => {
+                        if !model.is_empty() {
+                            model_stats.pops += 1;
+                            model_stats.depth_ticks += model.len() as u64;
+                        }
+                        let want = model.pop().map(|Reverse((t, s))| {
+                            now = t;
+                            (at(t), s)
+                        });
+                        assert_eq!(q.pop(), want);
+                    }
+                    _ => {
+                        if rng() % 8 == 0 {
+                            model_stats.pops += model.len() as u64;
+                            model.clear();
+                            q.clear();
+                        }
+                    }
+                }
+                assert_eq!(q.len(), model.len());
+                assert_eq!(q.peek_time(), model.peek().map(|Reverse((t, _))| at(*t)));
+            }
+            assert_eq!(q.depth_stats(), Some(model_stats));
+        }
     }
 }

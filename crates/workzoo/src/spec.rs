@@ -350,12 +350,14 @@ impl WorkloadSpec {
             }
             .generate(seed),
             ZooKind::Strace { path } => {
-                let text = std::fs::read_to_string(path).map_err(|e| err(e.to_string()))?;
-                tracefile::parse_strace(path, &text).map_err(|e| err(e.to_string()))?
+                let bytes = std::fs::read(path).map_err(|e| err(e.to_string()))?;
+                let text = tracefile::utf8_text(path, &bytes).map_err(|e| err(e.to_string()))?;
+                tracefile::parse_strace(path, text).map_err(|e| err(e.to_string()))?
             }
             ZooKind::Blktrace { path } => {
-                let text = std::fs::read_to_string(path).map_err(|e| err(e.to_string()))?;
-                tracefile::parse_blktrace(path, &text).map_err(|e| err(e.to_string()))?
+                let bytes = std::fs::read(path).map_err(|e| err(e.to_string()))?;
+                let text = tracefile::utf8_text(path, &bytes).map_err(|e| err(e.to_string()))?;
+                tracefile::parse_blktrace(path, text).map_err(|e| err(e.to_string()))?
             }
         })
     }

@@ -48,6 +48,19 @@ impl std::fmt::Display for TraceParseError {
 
 impl std::error::Error for TraceParseError {}
 
+/// The bytes of a trace file at `path` as text, or the line of the
+/// first byte that is not UTF-8.
+///
+/// # Errors
+/// A [`TraceParseError`] on the line of the first invalid byte.
+pub fn utf8_text<'a>(path: &str, bytes: &'a [u8]) -> Result<&'a str, TraceParseError> {
+    ioworkload::utf8_text(bytes).map_err(|e| TraceParseError {
+        path: path.to_string(),
+        line: e.line,
+        msg: e.message,
+    })
+}
+
 /// Per-pid accumulation state shared by both parsers.
 struct PidState {
     ops: Vec<Op>,

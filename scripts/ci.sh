@@ -17,6 +17,13 @@ run cargo build --offline --workspace --all-targets
 # span-sum, linear-limit, degraded-safety, and liveness check.
 run cargo test --offline --workspace
 
+# The benchmark is a package of its own (perfbench/, outside the
+# workspace) that calls public APIs of the crates. Build and test it
+# here, so an API change that breaks it fails CI rather than only the
+# benchmark run. Its own target directory keeps its release build
+# apart from the workspace's.
+run cargo test --release --offline --manifest-path perfbench/Cargo.toml --target-dir target/perfbench
+
 # Experiment-harness smoke: table1 + the devmodel, extent, faults,
 # predictors and zoo ablations at small scale (the ids marked for
 # --smoke in the binary's id table). Catches panics and degenerate

@@ -258,11 +258,11 @@ fn main() {
     let args = parse_args();
 
     let workload = if let Some(path) = &args.trace {
-        let text = fs::read_to_string(path).unwrap_or_else(|e| {
+        let bytes = fs::read(path).unwrap_or_else(|e| {
             eprintln!("cannot read {path}: {e}");
             exit(1);
         });
-        Workload::from_text(&text).unwrap_or_else(|e| {
+        Workload::from_bytes(&bytes).unwrap_or_else(|e| {
             eprintln!("{path}: {e}");
             exit(2);
         })

@@ -355,6 +355,58 @@ fn lapsim_rejects_malformed_trace_lines_with_line_number() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// A trace byte that is not UTF-8 is a parse error on its line (exit
+/// 2), for a text trace and for an strace capture alike — not an I/O
+/// error (exit 1) and not an error without a line.
+#[test]
+fn lapsim_rejects_invalid_utf8_with_line_number() {
+    let dir = std::env::temp_dir().join(format!("lap-cli-utf8-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let trace = dir.join("bad.trace");
+    let mut bytes = b"workload t\nblocksize 8192\nnodes 1\nfile 0 8192\nproc 0 0\nr 0 ".to_vec();
+    bytes.extend_from_slice(b"\xff0 8192\n");
+    std::fs::write(&trace, &bytes).unwrap();
+    let out = lapsim()
+        .arg("--trace")
+        .arg(&trace)
+        .output()
+        .expect("run lapsim");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "stderr: {err}");
+    assert!(err.contains("line 6: invalid UTF-8"), "stderr: {err}");
+
+    // The committed strace fixture with one byte of its line 3 broken.
+    let fixture = std::fs::read(concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/tests/golden/strace_small.txt"
+    ))
+    .unwrap();
+    let line3 = fixture
+        .iter()
+        .enumerate()
+        .filter(|&(_, &b)| b == b'\n')
+        .nth(1)
+        .map(|(i, _)| i + 1)
+        .expect("fixture has three lines");
+    let mut broken = fixture.clone();
+    broken[line3] = 0xff;
+    let capture = dir.join("bad.strace");
+    std::fs::write(&capture, &broken).unwrap();
+    let out = lapsim()
+        .arg("--workload")
+        .arg(format!("strace:{}", capture.display()))
+        .args(["--machine", "now", "--cache-mb", "1"])
+        .output()
+        .expect("run lapsim");
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "stderr: {err}");
+    assert!(
+        err.contains("bad.strace:3: invalid UTF-8 (byte 0xff)"),
+        "stderr: {err}"
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 /// Numeric flags the simulator cannot represent are rejected while
 /// parsing, naming the flag — not a `SimDuration overflow` panic, not
 /// a silently wrapped cache size, and not a zero-MB cache quietly run
