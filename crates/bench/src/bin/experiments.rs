@@ -11,27 +11,28 @@
 //! experiments all --out results --obs  # plus per-cell unified metrics
 //! ```
 //!
-//! Every ablation is a list of labelled cells: [`sweep`] runs them on
-//! the worker pool and checks each one, the ablation scores and prints
-//! the results in cell order, and [`write_out`] writes its files.
+//! Every ablation is a list of labelled cells: [`bench::sweep()`] runs
+//! them on the worker pool and checks each one, the ablation scores
+//! and prints the results in cell order, and [`write_out`] writes its
+//! files.
 //! [`IDS`] is the one table of runnable ids.
 
-use std::fmt::{Debug, Display, Write as _};
+use std::fmt::{Display, Write as _};
 use std::fs;
 use std::path::PathBuf;
 use std::process::exit;
 use std::sync::Arc;
 
 use bench::{
-    build_config, build_workload, experiment, render_csv, render_table, run_grid, Experiment,
-    Scale, WorkloadKind, CACHE_MBS, EXPERIMENTS,
+    build_config, build_workload, experiment, render_csv, render_table, run_grid, sweep,
+    Experiment, Scale, WorkloadKind, CACHE_MBS, EXPERIMENTS,
 };
 use devmodel::DiskSched;
 use faultkit::FaultPlan;
 use ioworkload::Workload;
 use lap_core::{
-    run_simulation_profiled, run_simulation_shared, CacheSystem, CheckMode, MachineConfig,
-    PrefetchGranularity, Replacement, SimConfig, SimReport,
+    run_simulation, CacheSystem, CheckMode, MachineConfig, PrefetchGranularity, Replacement,
+    SimConfig, SimReport, Simulation,
 };
 use lapobs::MetricValue;
 use prefetch::{AggressiveLimit, EdgeChoice, PredictorSpec, PrefetchConfig};
@@ -257,29 +258,6 @@ fn write_out(opts: &Options, name: &str, contents: impl FnOnce() -> String) {
     }
 }
 
-/// The one sweep: run an ablation's labelled cells on the worker pool
-/// and check that each did real work — a finite, positive read time
-/// over at least one read. Results come back in cell order, so every
-/// table and CSV is byte-identical for any `--workers`.
-fn sweep<K: Debug + Sync>(
-    opts: &Options,
-    cells: Vec<(K, SimConfig, Arc<Workload>)>,
-) -> Vec<(K, SimReport)> {
-    let reports = bench::par_map(&cells, opts.workers, |(key, cfg, wl)| {
-        let r = run_simulation_shared(cfg.clone(), Arc::clone(wl));
-        assert!(
-            r.avg_read_ms.is_finite() && r.avg_read_ms > 0.0 && r.reads > 0,
-            "degenerate cell: {key:?}"
-        );
-        r
-    });
-    cells
-        .into_iter()
-        .map(|(key, ..)| key)
-        .zip(reports)
-        .collect()
-}
-
 fn workload(opts: &Options, kind: WorkloadKind) -> Arc<Workload> {
     Arc::new(build_workload(kind, opts.scale, opts.seed))
 }
@@ -354,7 +332,10 @@ fn bench_json(opts: &Options, path: &PathBuf) {
     for (i, (name, kind, system, pf, mb)) in bench_scenarios().into_iter().enumerate() {
         let wl = build_workload(kind, opts.scale, opts.seed);
         let cfg = build_config(kind, opts.scale, system, pf, mb);
-        let (r, p) = run_simulation_profiled(cfg, wl);
+        let run = Simulation::try_new(cfg, wl, lapobs::NoopRecorder)
+            .unwrap_or_else(|e| panic!("{name}: {e}"))
+            .run();
+        let (r, p) = (run.report, run.profile);
         let _ = writeln!(
             out,
             "{{\"name\":\"{name}\",\"avg_read_ms\":{},\"reads\":{},\"disk_accesses\":{},\"perf\":{}}}{}",
@@ -466,7 +447,7 @@ fn fallback_share(opts: &Options) {
         let cfg = build_config(kind, opts.scale, CacheSystem::Pafs, pf, 4);
         ((label, paper), cfg, workload(opts, kind))
     });
-    for ((label, paper), r) in sweep(opts, cells.into()) {
+    for ((label, paper), r) in sweep(cells.into(), opts.workers) {
         println!(
             "  {label:<10} {:>6.2}%  (paper: {paper} )",
             r.prefetch.fallback_share() * 100.0
@@ -491,7 +472,7 @@ fn mispredict(opts: &Options) {
         let cfg = build_config(kind, opts.scale, CacheSystem::Pafs, pf, 4);
         ((pf.paper_name(), paper), cfg, Arc::clone(&wl))
     });
-    for ((name, paper), r) in sweep(opts, cells.into()) {
+    for ((name, paper), r) in sweep(cells.into(), opts.workers) {
         println!(
             "  {name:<18} {:>6.2}%  (paper: {paper})",
             r.mispredict_ratio * 100.0
@@ -560,7 +541,7 @@ fn cooperation(opts: &Options) {
         "cooperation — CHARISMA, read time in ms (seed {}, scale {:?})",
         opts.seed, opts.scale
     );
-    let mut results = sweep(opts, cells).into_iter();
+    let mut results = sweep(cells, opts.workers).into_iter();
     for pf in pfs {
         println!("\n[{}]", pf.paper_name());
         print!("{:<22}", "system");
@@ -695,7 +676,7 @@ fn ablations(opts: &Options) {
         opts.seed, opts.scale
     );
     let mut section = "";
-    for ((title, name), r) in sweep(opts, cells) {
+    for ((title, name), r) in sweep(cells, opts.workers) {
         if title != section {
             println!("\n[{title}]");
             section = title;
@@ -756,7 +737,7 @@ fn devmodel_ablation(opts: &Options) {
         }
     }
     let last = DiskSched::ALL.last().copied();
-    for ((name, sched), r) in sweep(opts, cells) {
+    for ((name, sched), r) in sweep(cells, opts.workers) {
         if sched.is_none() {
             print!("{name:<18}");
         }
@@ -805,7 +786,7 @@ fn extent_ablation(opts: &Options) {
     let mut csv = String::from(
         "algorithm,extent_blocks,block_read_ms,extent_read_ms,delta_pct,extent_covered_rate,blocks_per_issue\n",
     );
-    for pair in sweep(opts, cells).chunks(2) {
+    for pair in sweep(cells, opts.workers).chunks(2) {
         let (((pf, n, _), blk), (_, ext)) = (&pair[0], &pair[1]);
         let name = pf.paper_name();
         if *n == 1 || !pf.is_aggressive() {
@@ -903,7 +884,7 @@ fn faults_ablation(opts: &Options) {
         "algorithm,plan,read_ms,reads,writes,faults_injected,failovers,prefetch_suppressed,degraded_s\n",
     );
     let mut recovery: Vec<(String, f64, f64)> = Vec::new();
-    for runs in sweep(opts, cells).chunks(plans.len()) {
+    for runs in sweep(cells, opts.workers).chunks(plans.len()) {
         let name = runs[0].0 .0.paper_name();
         // Conservation must compare warm + warm-up totals: fault
         // delays shift when later requests *start*, so a request
@@ -1073,7 +1054,7 @@ fn predictors_ablation(opts: &Options) {
     );
     let mut saw_mithril = false;
     let mut mithril_covered = false;
-    for ((wl_name, pred, mode), r) in sweep(opts, cells) {
+    for ((wl_name, pred, mode), r) in sweep(cells, opts.workers) {
         let coverage = r.span_score().coverage;
         if pred == "np" {
             assert_eq!(
@@ -1182,7 +1163,7 @@ fn zoo_ablation(opts: &Options) {
     );
     let mut replay_covered = false;
     let mut verdicts: Vec<String> = Vec::new();
-    for runs in sweep(opts, cells).chunks(algos.len()) {
+    for runs in sweep(cells, opts.workers).chunks(algos.len()) {
         for ((wl_name, name), r) in runs {
             let replay = name.contains("MARKOV") || name.contains("MITHRIL");
             replay_covered |= replay && r.span_score().coverage > 0.0;
@@ -1258,7 +1239,7 @@ fn mithril_sweep(opts: &Options) {
     }
     let mut csv =
         String::from("workload,window,support,read_ms,coverage,accuracy,table_size,emits,mined\n");
-    for ((wl_name, w, s), r) in sweep(opts, cells) {
+    for ((wl_name, w, s), r) in sweep(cells, opts.workers) {
         let (row, csv_row) = score_cols(&r, false);
         println!("{wl_name:<22} {w:>4} {s:>3} {row}");
         let _ = writeln!(csv, "{wl_name},{w},{s},{csv_row}");
@@ -1350,7 +1331,7 @@ fn chaos(opts: &Options) {
             injected: 0,
             failovers: 0,
         };
-        match catch_unwind(AssertUnwindSafe(|| run_simulation_shared(cfg, wl))) {
+        match catch_unwind(AssertUnwindSafe(|| run_simulation(cfg, wl))) {
             Ok(r) => {
                 cell.read_ms = r.avg_read_ms;
                 cell.reads = r.reads;

@@ -1,18 +1,19 @@
 //! Experiment harness behind the `experiments` binary: the
-//! figure/table definitions of the paper's evaluation (§5) and a
-//! parallel sweep runner.
+//! figure/table definitions of the paper's evaluation (§5) and the
+//! parallel [`sweep()`] runner every figure and ablation goes through.
 
 pub mod plot;
-pub mod sweep;
+mod sweep;
 
 pub use sweep::par_map;
 
+use std::fmt::Debug;
 use std::sync::Arc;
 
 use ioworkload::charisma::CharismaParams;
 use ioworkload::sprite::SpriteParams;
 use ioworkload::Workload;
-use lap_core::{run_simulation_shared, CacheSystem, SimConfig, SimReport};
+use lap_core::{run_simulation, CacheSystem, SimConfig, SimReport};
 use prefetch::PrefetchConfig;
 use simkit::SimDuration;
 
@@ -215,10 +216,35 @@ pub struct Cell {
     pub report: SimReport,
 }
 
-/// Run a full figure grid (algorithms × cache sizes), fanning the
-/// independent simulations out over `threads` workers via
-/// [`par_map`]. Cells come back in roster order (algorithm, then
-/// cache size) regardless of worker count.
+/// The one sweep: run labelled cells on `workers` workers via
+/// [`par_map`] and check that each did real work — a finite, positive
+/// read time over at least one read. Results come back in cell order,
+/// so every table and CSV is byte-identical for any worker count.
+///
+/// # Panics
+/// On a degenerate cell, naming its label.
+pub fn sweep<K: Debug + Sync>(
+    cells: Vec<(K, SimConfig, Arc<Workload>)>,
+    workers: usize,
+) -> Vec<(K, SimReport)> {
+    let reports = par_map(&cells, workers, |(key, cfg, wl)| {
+        let r = run_simulation(cfg.clone(), Arc::clone(wl));
+        assert!(
+            r.avg_read_ms.is_finite() && r.avg_read_ms > 0.0 && r.reads > 0,
+            "degenerate cell: {key:?}"
+        );
+        r
+    });
+    cells
+        .into_iter()
+        .map(|(key, ..)| key)
+        .zip(reports)
+        .collect()
+}
+
+/// Run a full figure grid (algorithms × cache sizes) through
+/// [`sweep()`]. Cells come back in roster order (algorithm, then cache
+/// size) regardless of worker count.
 pub fn run_grid(
     exp: Experiment,
     scale: Scale,
@@ -227,18 +253,21 @@ pub fn run_grid(
     threads: usize,
 ) -> Vec<Cell> {
     let workload = Arc::new(build_workload(exp.workload, scale, seed));
-    let jobs: Vec<(PrefetchConfig, u64)> = algorithms(exp.aggressive_only)
-        .iter()
-        .flat_map(|&a| cache_mbs.iter().map(move |&mb| (a, mb)))
-        .collect();
-    par_map(&jobs, threads, |&(pf, mb)| {
-        let cfg = build_config(exp.workload, scale, exp.system, pf, mb);
-        Cell {
-            algorithm: pf.paper_name(),
-            cache_mb: mb,
-            report: run_simulation_shared(cfg, Arc::clone(&workload)),
+    let mut cells = Vec::new();
+    for pf in algorithms(exp.aggressive_only) {
+        for &mb in cache_mbs {
+            let cfg = build_config(exp.workload, scale, exp.system, pf, mb);
+            cells.push(((pf.paper_name(), mb), cfg, Arc::clone(&workload)));
         }
-    })
+    }
+    sweep(cells, threads)
+        .into_iter()
+        .map(|((algorithm, cache_mb), report)| Cell {
+            algorithm,
+            cache_mb,
+            report,
+        })
+        .collect()
 }
 
 /// Extract the plotted metric from a cell.

@@ -8,7 +8,7 @@
 use std::sync::Arc;
 
 use bench::{build_config, build_workload, Scale, WorkloadKind};
-use lap_core::{run_simulation_shared, CacheSystem, PrefetchGranularity};
+use lap_core::{run_simulation, CacheSystem, PrefetchGranularity};
 use prefetch::PrefetchConfig;
 
 fn run(pf: PrefetchConfig, extent_blocks: u64, gran: PrefetchGranularity) -> lap_core::SimReport {
@@ -22,7 +22,7 @@ fn run(pf: PrefetchConfig, extent_blocks: u64, gran: PrefetchGranularity) -> lap
     );
     cfg.machine = cfg.machine.with_geometry_extent(extent_blocks);
     cfg.machine.prefetch_granularity = gran;
-    run_simulation_shared(cfg, wl)
+    run_simulation(cfg, wl)
 }
 
 #[test]

@@ -17,7 +17,7 @@ use std::sync::Arc;
 
 use bench::{build_config, build_workload, Scale, WorkloadKind};
 use ioworkload::{FileId, FileMeta, NodeId, Op, ProcId, ProcessTrace, Workload};
-use lap_core::{run_simulation, run_simulation_shared, CacheSystem, SimConfig, SimReport};
+use lap_core::{run_simulation, CacheSystem, SimConfig, SimReport};
 use prefetch::{AggressiveLimit, PredictorSpec, PrefetchConfig};
 use simkit::SimDuration;
 
@@ -155,7 +155,7 @@ fn run_paired_jump(spec: &str) -> SimReport {
     // re-read block has been evicted, so prefetching is the only way
     // to cover a read.
     cfg.cache_bytes_per_node = 16 * BLOCK;
-    run_simulation_shared(cfg, Arc::new(paired_jump_workload(25)))
+    run_simulation(cfg, Arc::new(paired_jump_workload(25)))
 }
 
 #[test]

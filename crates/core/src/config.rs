@@ -356,12 +356,8 @@ impl SimConfig {
     /// caches, and the workload is consistent in itself, needs no more
     /// nodes than the machine has and uses the same block size.
     /// [`Simulation::try_new`](crate::Simulation::try_new) returns this
-    /// error and [`Simulation::new`](crate::Simulation::new) panics
-    /// with it; a front end can report it instead.
-    ///
-    /// # Errors
-    /// A description of the first problem found.
-    pub fn check_workload(&self, workload: &ioworkload::Workload) -> Result<(), String> {
+    /// error.
+    pub(crate) fn check_workload(&self, workload: &ioworkload::Workload) -> Result<(), String> {
         if !(1..=MAX_NODES).contains(&self.machine.nodes) {
             return Err(format!(
                 "machine has {} nodes; the cache models support 1 to {MAX_NODES}",

@@ -10,7 +10,11 @@
 //!   and remote startups;
 //! * the [`Simulation`] that replays an [`ioworkload::Workload`]
 //!   against a cooperative cache ([`CacheSystem::Pafs`] or
-//!   [`CacheSystem::Xfs`]) with any [`prefetch::PrefetchConfig`];
+//!   [`CacheSystem::Xfs`]) with any [`prefetch::PrefetchConfig`]. It
+//!   has one start path: [`Simulation::try_new`] checks that the
+//!   machine can run the workload, and [`Simulation::run`] returns an
+//!   [`Outcome`] — the report, the recorder and the [`SimProfile`].
+//!   [`run_simulation`] wraps both for inputs a program builds itself;
 //! * the [`SimReport`] carrying everything Figures 4–11 and Table 2
 //!   plot: average read time, disk accesses by kind, writes-per-block,
 //!   hit ratios and the miss-prediction ratio.
@@ -26,8 +30,15 @@
 //! let mut cfg = SimConfig::pm(CacheSystem::Pafs, PrefetchConfig::ln_agr_is_ppm(1), 1);
 //! cfg.machine.nodes = 8; // shrink the machine to the workload
 //! cfg.machine.disks = 4;
-//! let report = run_simulation(cfg, wl);
+//! let report = run_simulation(cfg.clone(), wl.clone());
 //! assert!(report.reads > 0);
+//!
+//! // The same run through the start path, keeping the profile.
+//! let run = lap_core::Simulation::try_new(cfg, wl, lapobs::NoopRecorder)
+//!     .expect("the machine fits the workload")
+//!     .run();
+//! assert_eq!(run.report, report);
+//! assert!(run.profile.counters.events > 0);
 //! ```
 
 #![warn(missing_docs)]
@@ -37,49 +48,28 @@ mod config;
 mod metrics;
 mod sim;
 
+use std::sync::Arc;
+
+use ioworkload::Workload;
+
 pub use config::{CacheSystem, MachineConfig, PrefetchGranularity, SimConfig};
 pub use coopcache::Replacement;
 pub use metrics::{SimReport, SpanScore, TimeBucket};
-pub use sim::Simulation;
+pub use sim::{Outcome, Simulation};
 pub use simcheck::CheckMode;
 pub use simprof::{Counters as ProfileCounters, PhaseWall, SimProfile};
 
-/// Convenience: build and run a simulation in one call.
-pub fn run_simulation(config: SimConfig, workload: ioworkload::Workload) -> SimReport {
-    Simulation::new(config, workload).run()
-}
-
-/// Convenience: run a simulation over a shared workload (no deep clone
-/// per run — use in parameter sweeps).
-pub fn run_simulation_shared(
-    config: SimConfig,
-    workload: std::sync::Arc<ioworkload::Workload>,
-) -> SimReport {
-    Simulation::new_shared(config, workload).run()
-}
-
-/// Convenience: run a simulation with event tracing enabled, returning
-/// the report together with the captured trace (export it with
-/// [`lapobs::chrome::export`]).
-pub fn run_simulation_traced(
-    config: SimConfig,
-    workload: std::sync::Arc<ioworkload::Workload>,
-) -> (SimReport, lapobs::TraceRecorder) {
-    Simulation::with_recorder(config, workload, lapobs::TraceRecorder::new()).run_traced()
-}
-
-/// Convenience: build and run a simulation with self-profiling,
-/// returning the report (bit-identical to [`run_simulation`]'s)
-/// together with the [`SimProfile`]. Construction is timed as the
-/// profile's `setup` phase.
-pub fn run_simulation_profiled(
-    config: SimConfig,
-    workload: ioworkload::Workload,
-) -> (SimReport, SimProfile) {
-    let t0 = std::time::Instant::now();
-    let sim = Simulation::new(config, workload);
-    let setup = t0.elapsed();
-    let (report, _rec, mut profile) = sim.run_profiled();
-    profile.wall.setup = setup;
-    (report, profile)
+/// Build and run a simulation in one call, with no recorder, and
+/// return its report. For configurations and workloads a program
+/// builds itself; input from outside goes through
+/// [`Simulation::try_new`], which says what is wrong instead.
+///
+/// # Panics
+/// With [`Simulation::try_new`]'s message, if `config` cannot run
+/// `workload`.
+pub fn run_simulation(config: SimConfig, workload: impl Into<Arc<Workload>>) -> SimReport {
+    Simulation::try_new(config, workload, lapobs::NoopRecorder)
+        .unwrap_or_else(|e| panic!("{e}"))
+        .run()
+        .report
 }

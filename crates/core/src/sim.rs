@@ -37,6 +37,7 @@
 
 use std::collections::VecDeque;
 use std::sync::Arc;
+use std::time::{Duration, Instant};
 
 use coopcache::{
     CacheStats, CooperativeCache, Evicted, InsertOrigin, LocalOnlyCache, Lookup, PafsCache,
@@ -51,6 +52,7 @@ use simkit::{
     DeviceOp, EventQueue, JobSpec, Priority, ServiceCost, ServiceModel, SimDuration, SimTime,
     StartedJob, Station,
 };
+use simprof::{PhaseWall, SimProfile};
 
 use crate::config::{CacheSystem, MachineConfig, PrefetchGranularity, SimConfig};
 use crate::metrics::{Metrics, ReadOutcome, SimReport, SpanBreakdown};
@@ -288,14 +290,14 @@ struct ReqState {
     joined_prefetch: bool,
 }
 
-/// The simulator. Build with [`Simulation::new`], run with
+/// The simulator. Build with [`Simulation::try_new`], run with
 /// [`Simulation::run`] (or use [`crate::run_simulation`]).
 ///
 /// The recorder type parameter selects the observability backend: the
 /// default [`NoopRecorder`] compiles every emission site away (the
-/// untraced simulation pays nothing), while
-/// [`Simulation::with_recorder`] + [`run_traced`](Simulation::run_traced)
-/// capture the full event stream.
+/// untraced simulation pays nothing), while a
+/// [`lapobs::TraceRecorder`] captures the full event stream and comes
+/// back in the [`Outcome`].
 pub struct Simulation<R: Recorder = NoopRecorder> {
     config: SimConfig,
     workload: Arc<Workload>,
@@ -361,44 +363,58 @@ pub struct Simulation<R: Recorder = NoopRecorder> {
     /// below then costs one branch on an always-false `Option`.
     oracle: Option<simcheck::Oracle>,
     rec: R,
+    /// Host time [`try_new`](Self::try_new) took: the profile's
+    /// `setup` phase.
+    setup: Duration,
+}
+
+/// What [`Simulation::run`] returns.
+pub struct Outcome<R> {
+    /// The report every figure and table reads.
+    pub report: SimReport,
+    /// The recorder, holding whatever it captured.
+    pub rec: R,
+    /// The run's self-profile. Its counters are deterministic and
+    /// its phase timers cover construction, the event loop and the
+    /// report; profiling only reads what the run keeps anyway, so
+    /// `report` is the same with or without anyone looking at it.
+    pub profile: SimProfile,
 }
 
 impl Simulation {
-    /// Build a simulation of `workload` under `config`.
-    ///
-    /// # Panics
-    /// Panics if [`SimConfig::check_workload`] rejects the pair: an
-    /// inconsistent trace, more nodes than the machine has, or a
-    /// different block size would silently invalidate every result.
-    /// [`try_new`](Simulation::try_new) returns the error instead.
-    pub fn new(config: SimConfig, workload: Workload) -> Self {
-        Self::new_shared(config, Arc::new(workload))
-    }
-
-    /// Like [`new`](Self::new), but sharing the workload — sweeps that
-    /// run one workload under many configurations avoid a deep clone
-    /// per run.
+    /// [`try_new`](Self::try_new) with no recorder, panicking on its
+    /// error. Kept only so `perfbench` builds unchanged.
+    #[doc(hidden)]
     pub fn new_shared(config: SimConfig, workload: Arc<Workload>) -> Self {
         Self::with_recorder(config, workload, NoopRecorder)
     }
 }
 
 impl<R: Recorder> Simulation<R> {
-    /// Build a simulation that records events into `rec`. The recorder
-    /// comes back out of [`run_traced`](Self::run_traced).
-    ///
-    /// # Panics
-    /// Same contract as [`Simulation::new`].
+    /// [`try_new`](Self::try_new), panicking on its error. Kept only
+    /// so `perfbench` builds unchanged.
+    #[doc(hidden)]
     pub fn with_recorder(config: SimConfig, workload: Arc<Workload>, rec: R) -> Self {
         Self::try_new(config, workload, rec).unwrap_or_else(|e| panic!("{e}"))
     }
 
-    /// Build a simulation that records events into `rec`, or say why
-    /// `config` cannot run `workload`.
+    /// Build a simulation of `workload` under `config` that records
+    /// events into `rec`, or say why `config` cannot run `workload`.
+    /// Pass the workload in an [`Arc`] to share one across the cells
+    /// of a sweep without a deep clone per cell. The construction time
+    /// becomes the profile's `setup` phase.
     ///
     /// # Errors
-    /// The first problem [`SimConfig::check_workload`] finds.
-    pub fn try_new(config: SimConfig, workload: Arc<Workload>, rec: R) -> Result<Self, String> {
+    /// The first reason the pair cannot run: an inconsistent trace,
+    /// more nodes than the machine has, a different block size, or a
+    /// machine the cache models do not support.
+    pub fn try_new(
+        config: SimConfig,
+        workload: impl Into<Arc<Workload>>,
+        rec: R,
+    ) -> Result<Self, String> {
+        let t0 = Instant::now();
+        let workload = workload.into();
         config.check_workload(&workload)?;
         let cache: Box<dyn CooperativeCache> = match config.system {
             CacheSystem::Pafs => Box::new(PafsCache::with_policy(
@@ -450,7 +466,7 @@ impl<R: Recorder> Simulation<R> {
             .check
             .enabled()
             .then(|| simcheck::Oracle::new(config.machine.nodes as usize));
-        Ok(Simulation {
+        let mut sim = Simulation {
             config,
             workload,
             queue,
@@ -478,33 +494,16 @@ impl<R: Recorder> Simulation<R> {
             delivery,
             oracle,
             rec,
-        })
+            setup: Duration::ZERO,
+        };
+        sim.setup = t0.elapsed();
+        Ok(sim)
     }
 
-    /// Run to completion and produce the report.
-    pub fn run(self) -> SimReport {
-        self.run_traced().0
-    }
-
-    /// Run to completion, returning the report together with the
-    /// recorder (and thus the captured event stream).
-    pub fn run_traced(mut self) -> (SimReport, R) {
-        self.drive();
-        self.finish()
-    }
-
-    /// Run to completion with self-profiling: the report and recorder
-    /// as from [`run_traced`](Self::run_traced) — bit-identical, since
-    /// profiling only reads deterministic counters the run maintains
-    /// anyway — plus the [`simprof::SimProfile`].
-    ///
-    /// The profile's `wall.setup` is zero here: construction happened
-    /// before this call. [`crate::run_simulation_profiled`] fills it
-    /// in.
-    pub fn run_profiled(mut self) -> (SimReport, R, simprof::SimProfile) {
-        self.queue.enable_depth_tracking();
+    /// Run to completion: the report, the recorder and the profile.
+    pub fn run(mut self) -> Outcome<R> {
         let allocs_before = simprof::alloc_count();
-        let t_loop = std::time::Instant::now();
+        let t_loop = Instant::now();
         self.drive();
         let event_loop = t_loop.elapsed();
         let allocs = match (allocs_before, simprof::alloc_count()) {
@@ -512,25 +511,38 @@ impl<R: Recorder> Simulation<R> {
             _ => None,
         };
         let counters = self.profile_counters();
-        let t_report = std::time::Instant::now();
+        let setup = self.setup;
+        let t_report = Instant::now();
         let (report, rec) = self.finish();
-        let profile = simprof::SimProfile {
+        let profile = SimProfile {
             counters,
             reads: report.reads,
-            wall: simprof::PhaseWall {
-                setup: std::time::Duration::ZERO,
+            wall: PhaseWall {
+                setup,
                 event_loop,
                 report: t_report.elapsed(),
             },
             allocs,
         };
-        (report, rec, profile)
+        Outcome {
+            report,
+            rec,
+            profile,
+        }
+    }
+
+    /// [`run`](Self::run) as a tuple. Kept only so `perfbench` builds
+    /// unchanged.
+    #[doc(hidden)]
+    pub fn run_profiled(self) -> (SimReport, R, SimProfile) {
+        let o = self.run();
+        (o.report, o.rec, o.profile)
     }
 
     /// Assemble the deterministic cost counters from the subsystems,
     /// visiting the engines in creation order.
     fn profile_counters(&self) -> simprof::Counters {
-        let q = self.queue.depth_stats().unwrap_or_default();
+        let q = self.queue.depth_stats();
         let mut c = simprof::Counters {
             events: q.pops,
             queue_pushes: q.pushes,
@@ -1641,25 +1653,21 @@ impl<R: Recorder> Simulation<R> {
     /// job's pending fetches as failover wait (the requeue is the
     /// issuer's timeout-and-retry in one step).
     fn requeue_aborted(&mut self, disk: usize, seq: u64, now: SimTime) {
+        // Stale completions arrive in abort order unless a job's
+        // retry-inflated service outlasts a whole outage period, so the
+        // record is usually, but not always, the oldest.
         let fifo = &mut self.aborted[disk];
         let k = fifo
             .iter()
             .position(|a| a.job.0 == seq)
             .expect("stale completion with no abort record");
-        // Stale completions arrive in abort order unless a job's
-        // retry-inflated service outlasts a whole outage period. Either
-        // way the requeued job is this completion's own, while the
-        // priority, read id and abort time come from the oldest record.
-        if k > 0 {
-            let oldest = fifo[0].job;
-            fifo[0].job = std::mem::replace(&mut fifo[k].job, oldest);
-        }
         let AbortedJob {
             prio,
             rid,
             at: aborted_at,
             job: (_, job),
-        } = fifo.pop_front().expect("found above");
+        } = fifo.remove(k).expect("found above");
+        oracle_check!(self, now, |o| o.check_requeue(disk as u32, seq, rid, prio));
         self.add_failover(job, now.saturating_since(aborted_at));
         let (op, block, blocks) = match job {
             DiskJob::Fetch(key) => (DeviceOp::Read, key.block, 1),
@@ -1730,12 +1738,16 @@ impl<R: Recorder> Simulation<R> {
             let job = self.in_service[disk]
                 .take()
                 .expect("aborted job was in service");
+            let seq = self.done_seq[disk];
             self.aborted[disk].push_back(AbortedJob {
                 prio,
                 rid,
                 at: now,
-                job: (self.done_seq[disk], job),
+                job: (seq, job),
             });
+            if let Some(o) = self.oracle.as_mut() {
+                o.job_aborted(disk as u32, seq, rid, prio);
+            }
             // Invalidate the outstanding completion: its arrival now
             // means "requeue", not "done".
             self.done_seq[disk] += 1;

@@ -57,7 +57,7 @@ impl DiskGeometry {
     /// a small explicit `rotation` term for phase effects:
     /// random-to-random seek distance is triangular with
     /// E[√d] = (8/15)·√2048 ≈ 24.1 cylinders^½, giving
-    /// E[seek] ≈ 8.41 ms + 70 µs·24.1 ≈ 10.1 ms, E[rot] ≈ 0.25 ms,
+    /// E\[seek\] ≈ 8.41 ms + 70 µs·24.1 ≈ 10.1 ms, E\[rot\] ≈ 0.25 ms,
     /// total ≈ 11.2 ms — and, on the seed scenarios, per-op means and
     /// end-to-end read times within 2% of the fixed model (verified by
     /// the workspace-root `tests/devmodel.rs`).

@@ -77,10 +77,10 @@ impl Hasher for FxHasher {
 /// Builds [`FxHasher`]s; stateless, so every map hashes alike.
 pub type FxBuildHasher = BuildHasherDefault<FxHasher>;
 
-/// A `HashMap` under [`FxHasher`]. Construct with `FxHashMap::default()`.
+/// A `HashMap` under `FxHasher`. Construct with `FxHashMap::default()`.
 pub type FxHashMap<K, V> = HashMap<K, V, FxBuildHasher>;
 
-/// A `HashSet` under [`FxHasher`]. Construct with `FxHashSet::default()`.
+/// A `HashSet` under `FxHasher`. Construct with `FxHashSet::default()`.
 pub type FxHashSet<T> = HashSet<T, FxBuildHasher>;
 
 #[cfg(test)]

@@ -154,9 +154,10 @@ impl FilePrefetcher {
     /// Report a demand request (block-granular). Updates the predictor
     /// and the prefetching path.
     ///
-    /// Equivalent to [`on_demand_with_residency`]
-    /// (Self::on_demand_with_residency) with `fully_cached = true`:
-    /// an on-path request never restarts the walk.
+    /// Equivalent to
+    /// [`on_demand_with_residency`](Self::on_demand_with_residency)
+    /// with `fully_cached = true`: an on-path request never restarts
+    /// the walk.
     pub fn on_demand(&mut self, req: Request) {
         self.on_demand_with_residency(req, true);
     }
@@ -412,9 +413,9 @@ impl FilePrefetcher {
     ///
     /// The whole batch counts as **one** in-flight unit: under the
     /// linear limit, at most one *extent* of the file is being
-    /// prefetched at any time, and one [`on_prefetch_complete`]
-    /// (Self::on_prefetch_complete) frees the unit when the batch's
-    /// job completes. The batch never crosses an extent boundary, and
+    /// prefetched at any time, and one
+    /// [`on_prefetch_complete`](Self::on_prefetch_complete) frees the
+    /// unit when the batch's job completes. The batch never crosses an extent boundary, and
     /// stops early at a cached block, a non-contiguous prediction, the
     /// lead cap, or the end of the walk — whatever comes first (the
     /// per-block machinery picks up from there on the next call).

@@ -20,6 +20,9 @@
 //!   exceed the configured aggressiveness.
 //! * **Degraded safety** — a remote hit is never served from a node
 //!   currently in a node-outage window.
+//! * **Requeue pairing** — a disk job an outage aborted goes back on
+//!   its queue with the read id and priority it had when aborted, even
+//!   when its stale completion overtakes an older one.
 //! * **Queue monotonicity** — event timestamps never run backwards.
 //! * **Liveness** — a watchdog trips if the loop processes a large
 //!   number of events without simulated time advancing or a read
@@ -32,7 +35,9 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-use simkit::SimTime;
+use std::collections::BTreeMap;
+
+use simkit::{Priority, SimTime};
 
 /// Whether the invariant oracle runs.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
@@ -86,9 +91,10 @@ impl CheckMode {
 pub const WATCHDOG_EVENTS: u64 = 5_000_000;
 
 /// The invariant oracle. Purely observational bookkeeping: per-read
-/// completion counts, the degraded-node set, the last event timestamp
-/// and the watchdog counter. Allocation is amortized (one growing
-/// `Vec<u8>` indexed by read id), so per-event cost is a few loads.
+/// completion counts, the degraded-node set, the aborted disk jobs,
+/// the last event timestamp and the watchdog counter. Allocation is
+/// amortized (one growing `Vec<u8>` indexed by read id), so per-event
+/// cost is a few loads.
 #[derive(Debug, Default)]
 pub struct Oracle {
     /// Completion count per read id (ids are dense, so a Vec indexes
@@ -96,6 +102,10 @@ pub struct Oracle {
     completions: Vec<u8>,
     /// Nodes currently inside a node-outage window.
     degraded: Vec<bool>,
+    /// Read id and priority of every outage-aborted disk job not yet
+    /// requeued, by disk and the sequence number of the stale
+    /// completion that will requeue it.
+    aborts: BTreeMap<(u32, u64), (u32, Priority)>,
     last_time: Option<SimTime>,
     /// Events since time last advanced or a read last completed.
     stuck_events: u64,
@@ -107,6 +117,7 @@ impl Oracle {
         Oracle {
             completions: Vec::new(),
             degraded: vec![false; nodes],
+            aborts: BTreeMap::new(),
             last_time: None,
             stuck_events: 0,
         }
@@ -224,6 +235,35 @@ impl Oracle {
         Ok(())
     }
 
+    /// An outage aborted `disk`'s job of read `rid` at priority
+    /// `prio`; the stale completion numbered `seq` will requeue it.
+    pub fn job_aborted(&mut self, disk: u32, seq: u64, rid: u32, prio: Priority) {
+        self.aborts.insert((disk, seq), (rid, prio));
+    }
+
+    /// The stale completion numbered `seq` requeues a job on `disk`
+    /// as read `rid` at priority `prio`: both must be what the job's
+    /// abort recorded.
+    pub fn check_requeue(
+        &mut self,
+        disk: u32,
+        seq: u64,
+        rid: u32,
+        prio: Priority,
+    ) -> Result<(), String> {
+        match self.aborts.remove(&(disk, seq)) {
+            Some(at_abort) if at_abort == (rid, prio) => Ok(()),
+            Some((was_rid, was_prio)) => Err(format!(
+                "disk {disk} requeued aborted job {seq} as read {rid} at priority {}, \
+                 but it was aborted as read {was_rid} at priority {}",
+                prio.0, was_prio.0
+            )),
+            None => Err(format!(
+                "disk {disk} requeued job {seq}, which no outage aborted"
+            )),
+        }
+    }
+
     /// End-of-run conservation: every issued read completed exactly
     /// once, and no fetch is still pending.
     pub fn end_of_run(&self, pending_fetches: usize) -> Result<(), String> {
@@ -333,6 +373,20 @@ mod tests {
         assert!(o.check_span(0, d, d + SimDuration::from_nanos(1)).is_err());
         o.check_limit(9, 3, 3).unwrap();
         assert!(o.check_limit(9, 4, 3).is_err());
+    }
+
+    #[test]
+    fn requeue_must_match_its_abort() {
+        let mut o = Oracle::new(1);
+        o.job_aborted(3, 7, 11, Priority(0));
+        o.job_aborted(3, 8, 12, Priority(2));
+        let e = o.check_requeue(3, 8, 11, Priority(0)).unwrap_err();
+        assert!(e.contains("aborted as read 12 at priority 2"), "{e}");
+        o.check_requeue(3, 7, 11, Priority(0)).unwrap();
+        assert!(
+            o.check_requeue(3, 7, 11, Priority(0)).is_err(),
+            "requeued twice"
+        );
     }
 
     #[test]

@@ -68,8 +68,8 @@ pub enum QueueBackend {
     Heap,
 }
 
-/// Occupancy accounting for an [`EventQueue`], collected only when
-/// depth tracking is enabled.
+/// Occupancy accounting for an [`EventQueue`], kept from its
+/// creation on.
 ///
 /// All fields count deterministic quantities: they depend on the
 /// push/pop sequence alone, never on wall time, so two same-seed runs
@@ -77,9 +77,9 @@ pub enum QueueBackend {
 /// at every instant (see the `depth_accounting_never_drifts` test).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct QueueDepthStats {
-    /// Events pushed since tracking was enabled.
+    /// Events pushed.
     pub pushes: u64,
-    /// Events popped since tracking was enabled.
+    /// Events popped.
     pub pops: u64,
     /// Largest pending-event count observed after any push.
     pub peak_depth: u64,
@@ -101,9 +101,7 @@ pub struct EventQueue<E> {
     heap: BinaryHeap<Entry<E>>,
     next_seq: u64,
     now: SimTime,
-    // `None` is the default zero-cost path: push/pop pay one branch on
-    // an always-false discriminant and no accounting writes.
-    depth: Option<QueueDepthStats>,
+    depth: QueueDepthStats,
 }
 
 impl<E> Default for EventQueue<E> {
@@ -120,7 +118,7 @@ impl<E> EventQueue<E> {
             heap: BinaryHeap::new(),
             next_seq: 0,
             now: SimTime::ZERO,
-            depth: None,
+            depth: QueueDepthStats::default(),
         }
     }
 
@@ -130,18 +128,8 @@ impl<E> EventQueue<E> {
         Self::new()
     }
 
-    /// Start collecting occupancy statistics. Off by default so the
-    /// hot loop stays free of accounting work; profiled runs switch it
-    /// on before the first event is scheduled.
-    pub fn enable_depth_tracking(&mut self) {
-        self.depth = Some(QueueDepthStats::default());
-    }
-
-    /// Occupancy statistics since [`enable_depth_tracking`] was
-    /// called, or `None` when tracking is off.
-    ///
-    /// [`enable_depth_tracking`]: EventQueue::enable_depth_tracking
-    pub fn depth_stats(&self) -> Option<QueueDepthStats> {
+    /// Occupancy statistics since the queue was created.
+    pub fn depth_stats(&self) -> QueueDepthStats {
         self.depth
     }
 
@@ -179,22 +167,17 @@ impl<E> EventQueue<E> {
             None if self.heap.peek().is_none_or(|h| entry.key < h.key) => self.front = Some(entry),
             None => self.heap.push(entry),
         }
-        let len = self.len() as u64;
-        if let Some(d) = &mut self.depth {
-            d.pushes += 1;
-            d.peak_depth = d.peak_depth.max(len);
-        }
+        self.depth.pushes += 1;
+        self.depth.peak_depth = self.depth.peak_depth.max(self.len() as u64);
     }
 
     /// Remove and return the next event, advancing the clock to its
     /// delivery time.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        let len = self.len();
-        if let Some(d) = &mut self.depth {
-            if len > 0 {
-                d.pops += 1;
-                d.depth_ticks += len as u64;
-            }
+        let len = self.len() as u64;
+        if len > 0 {
+            self.depth.pops += 1;
+            self.depth.depth_ticks += len;
         }
         let entry = match self.front.take() {
             Some(entry) => entry,
@@ -230,10 +213,7 @@ impl<E> EventQueue<E> {
     /// holding) but contribute no depth ticks — they were never seen
     /// by the consumer.
     pub fn clear(&mut self) {
-        let len = self.len() as u64;
-        if let Some(d) = &mut self.depth {
-            d.pops += len;
-        }
+        self.depth.pops += self.len() as u64;
         self.front = None;
         self.heap.clear();
     }
@@ -312,9 +292,8 @@ mod tests {
     #[test]
     fn depth_accounting_never_drifts() {
         let mut q: EventQueue<u64> = EventQueue::new();
-        q.enable_depth_tracking();
         let check = |q: &EventQueue<u64>| {
-            let d = q.depth_stats().unwrap();
+            let d = q.depth_stats();
             assert_eq!(
                 d.pushes - d.pops,
                 q.len() as u64,
@@ -335,7 +314,7 @@ mod tests {
                 check(&q);
             }
         }
-        let d = q.depth_stats().unwrap();
+        let d = q.depth_stats();
         assert!(d.depth_ticks >= d.pops, "each pop ticks at least depth 1");
         // Drain and re-check; then clear must also keep the invariant.
         q.schedule(at(t + 1), 0);
@@ -345,22 +324,13 @@ mod tests {
         while q.pop().is_some() {
             check(&q);
         }
-        let d = q.depth_stats().unwrap();
+        let d = q.depth_stats();
         assert_eq!(d.pushes, d.pops, "drained queue must balance");
-    }
-
-    #[test]
-    fn depth_tracking_off_by_default() {
-        let mut q: EventQueue<u64> = EventQueue::new();
-        q.schedule(at(1), 0);
-        q.pop();
-        assert_eq!(q.depth_stats(), None);
     }
 
     #[test]
     fn depth_stats_match_a_known_sequence() {
         let mut q: EventQueue<u64> = EventQueue::new();
-        q.enable_depth_tracking();
         q.schedule(at(1), 0);
         q.schedule(at(2), 1);
         q.schedule(at(3), 2);
@@ -369,7 +339,7 @@ mod tests {
         q.schedule(at(9), 3);
         q.pop(); // depth 2 at pop
         q.pop(); // depth 1 at pop
-        let d = q.depth_stats().unwrap();
+        let d = q.depth_stats();
         assert_eq!(
             d,
             QueueDepthStats {
@@ -381,7 +351,7 @@ mod tests {
         );
         // Popping empty must not tick.
         assert_eq!(q.pop(), None);
-        assert_eq!(q.depth_stats().unwrap(), d);
+        assert_eq!(q.depth_stats(), d);
     }
 
     #[test]
@@ -410,7 +380,6 @@ mod tests {
         };
         for round in 0..200u64 {
             let mut q: EventQueue<u64> = EventQueue::new();
-            q.enable_depth_tracking();
             let mut model: BinaryHeap<Reverse<(u64, u64)>> = BinaryHeap::new();
             let mut model_stats = QueueDepthStats::default();
             let (mut now, mut seq) = (0u64, 0u64);
@@ -448,7 +417,7 @@ mod tests {
                 assert_eq!(q.len(), model.len());
                 assert_eq!(q.peek_time(), model.peek().map(|Reverse((t, _))| at(*t)));
             }
-            assert_eq!(q.depth_stats(), Some(model_stats));
+            assert_eq!(q.depth_stats(), model_stats);
         }
     }
 }

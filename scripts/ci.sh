@@ -11,6 +11,9 @@ run() {
 
 run cargo fmt --all -- --check
 run cargo clippy --offline --workspace --all-targets -- -D warnings
+# Docs build clean: a broken intra-doc link (say, to an entry point
+# that was deleted or made private) fails CI instead of rotting.
+run env RUSTDOCFLAGS="-D warnings" cargo doc --offline --workspace --no-deps
 run cargo build --offline --workspace --all-targets
 # Debug tests run with the invariant oracle enabled (CheckMode::Auto
 # is on under debug_assertions), so every test is also a conservation,

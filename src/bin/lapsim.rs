@@ -326,32 +326,16 @@ fn main() {
     config.machine.prefetch_granularity = args.prefetch_gran;
     config.fault_plan = args.fault_plan;
     config.check = args.check;
-    // A trace that does not fit the machine is bad input, not a bug:
-    // report it instead of letting the simulator's assert panic.
-    if let Err(e) = config.check_workload(&workload) {
-        eprintln!("bad workload for --machine {}: {e}", args.machine);
-        exit(2);
-    }
 
     let t0 = std::time::Instant::now();
-    let mut profile: Option<SimProfile> = None;
-    let report = if let Some(trace_path) = &args.trace_out {
+    let (report, profile) = if let Some(trace_path) = &args.trace_out {
         // Tracing requested: run with a recording backend and export
         // the event stream as Chrome trace-event JSON. `--trace-sample N`
         // keeps only 1-in-N of the high-volume per-block event kinds so
         // long runs fit the ring buffer; structural events always stay.
         let rec = TraceRecorder::with_sampling(TraceRecorder::DEFAULT_CAPACITY, args.trace_sample);
-        let t_setup = std::time::Instant::now();
-        let sim = Simulation::with_recorder(config, std::sync::Arc::new(workload), rec);
-        let setup = t_setup.elapsed();
-        let (report, rec) = if args.profile {
-            let (report, rec, mut p) = sim.run_profiled();
-            p.wall.setup = setup;
-            profile = Some(p);
-            (report, rec)
-        } else {
-            sim.run_traced()
-        };
+        let out = simulate(config, workload, &args.machine, rec);
+        let rec = out.rec;
         if rec.sample_every() > 1 {
             for (label, seen, kept) in rec.sampled_counts() {
                 eprintln!("trace-sample: {label}: kept {kept} of {seen}");
@@ -368,13 +352,10 @@ fn main() {
             eprintln!("cannot write {trace_path}: {e}");
             exit(1);
         });
-        report
-    } else if args.profile {
-        let (report, p) = run_simulation_profiled(config, workload);
-        profile = Some(p);
-        report
+        (out.report, out.profile)
     } else {
-        run_simulation(config, workload)
+        let out = simulate(config, workload, &args.machine, NoopRecorder);
+        (out.report, out.profile)
     };
     if let Some(metrics_path) = &args.metrics_out {
         fs::write(metrics_path, report.obs.to_csv()).unwrap_or_else(|e| {
@@ -390,7 +371,24 @@ fn main() {
     }
     // The profile is printed after (never inside) the report output, so
     // everything above stays byte-identical to an unprofiled run.
-    if let Some(p) = &profile {
-        print!("{}", p.render());
+    if args.profile {
+        print!("{}", profile.render());
     }
+}
+
+/// Build and run the simulation, recording into `rec`. A workload that
+/// does not fit the machine is bad input, not a bug: say why and exit
+/// 2 instead of panicking.
+fn simulate<R: Recorder>(
+    config: SimConfig,
+    workload: Workload,
+    machine: &str,
+    rec: R,
+) -> Outcome<R> {
+    Simulation::try_new(config, workload, rec)
+        .unwrap_or_else(|e| {
+            eprintln!("bad workload for --machine {machine}: {e}");
+            exit(2)
+        })
+        .run()
 }

@@ -58,6 +58,11 @@
 //! assert!(with_prefetch.avg_read_ms < baseline.avg_read_ms);
 //! ```
 //!
+//! `run_simulation` is for inputs a program builds itself. Input from
+//! outside goes through `Simulation::try_new`, which returns the reason
+//! a workload does not fit the machine; its `run` returns an `Outcome`
+//! with the report, the recorder and the simulator's self-profile.
+//!
 //! See `examples/` for runnable scenarios and the `bench` crate for the
 //! harness that regenerates every figure and table of the paper.
 
@@ -87,8 +92,8 @@ pub mod prelude {
     pub use ioworkload::sprite::SpriteParams;
     pub use ioworkload::{BlockId, FileId, NodeId, Op, ProcId, Workload};
     pub use lap_core::{
-        run_simulation, run_simulation_profiled, run_simulation_traced, CacheSystem, CheckMode,
-        MachineConfig, PrefetchGranularity, SimConfig, SimProfile, SimReport, Simulation,
+        run_simulation, CacheSystem, CheckMode, MachineConfig, Outcome, PrefetchGranularity,
+        SimConfig, SimProfile, SimReport, Simulation,
     };
     pub use lapobs::{NoopRecorder, Recorder, Registry, TraceRecorder};
     pub use prefetch::{

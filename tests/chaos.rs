@@ -7,7 +7,7 @@
 
 use std::sync::Arc;
 
-use lap::lap_core::run_simulation_shared;
+use lap::lap_core::run_simulation;
 use lap::prelude::*;
 
 #[test]
@@ -26,7 +26,7 @@ fn random_fault_plans_hold_invariants() {
         cfg.machine.disks = 4;
         cfg.check = CheckMode::On;
         cfg.fault_plan = Some(plan);
-        injected += run_simulation_shared(cfg, Arc::clone(&wl)).faults_injected;
+        injected += run_simulation(cfg, Arc::clone(&wl)).faults_injected;
     }
     assert!(injected > 0, "no plan injected anything — sweep is vacuous");
 }

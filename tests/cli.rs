@@ -276,7 +276,7 @@ fn lapsim_supports_every_documented_algorithm() {
 }
 
 /// A trace that cannot run on the chosen machine is bad input: lapsim
-/// exits 2 and says what is wrong instead of panicking.
+/// exits 2 and says what is wrong, once, instead of panicking.
 #[test]
 fn lapsim_rejects_traces_that_do_not_fit_the_machine() {
     let dir = std::env::temp_dir().join(format!("lap-cli-bad-{}", std::process::id()));
@@ -300,9 +300,10 @@ fn lapsim_rejects_traces_that_do_not_fit_the_machine() {
             .expect("run lapsim");
         let err = String::from_utf8_lossy(&out.stderr);
         assert_eq!(out.status.code(), Some(2), "{name}: stderr: {err}");
-        assert!(
-            err.contains(problem),
-            "{name}: stderr names the problem: {err}"
+        assert_eq!(
+            err.matches(problem).count(),
+            1,
+            "{name}: stderr names the problem once: {err}"
         );
         assert!(!err.contains("panicked"), "{name}: stderr: {err}");
     }

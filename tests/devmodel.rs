@@ -8,56 +8,8 @@ use std::sync::Arc;
 
 use lap::prelude::*;
 
-/// Build the same configuration the `lapsim` CLI would for the seed
-/// scenarios, including its shrink-to-workload rule.
-fn scenario(
-    workload: &str,
-    system: CacheSystem,
-    prefetch: PrefetchConfig,
-    cache_mb: u64,
-) -> (SimConfig, Workload) {
-    let wl = lap::workzoo::WorkloadSpec::parse_cli(workload, "small")
-        .unwrap()
-        .build(42)
-        .unwrap();
-    let mut cfg = SimConfig::pm(system, prefetch, cache_mb);
-    if wl.nodes < cfg.machine.nodes {
-        cfg.machine.nodes = wl.nodes;
-        cfg.machine.disks = cfg.machine.disks.min(wl.nodes.max(2));
-    }
-    (cfg, wl)
-}
-
-fn seed_scenarios() -> Vec<(&'static str, SimConfig, Workload)> {
-    vec![
-        {
-            let (c, w) = scenario(
-                "charisma",
-                CacheSystem::Pafs,
-                PrefetchConfig::ln_agr_is_ppm(1),
-                4,
-            );
-            ("charisma/pafs/ln_agr_is_ppm:1", c, w)
-        },
-        {
-            let (c, w) = scenario("charisma", CacheSystem::Pafs, PrefetchConfig::np(), 4);
-            ("charisma/pafs/np", c, w)
-        },
-        {
-            let (c, w) = scenario("charisma", CacheSystem::Pafs, PrefetchConfig::oba(), 4);
-            ("charisma/pafs/oba", c, w)
-        },
-        {
-            let (c, w) = scenario(
-                "sprite",
-                CacheSystem::Xfs,
-                PrefetchConfig::ln_agr_is_ppm(1),
-                2,
-            );
-            ("sprite/xfs/ln_agr_is_ppm:1", c, w)
-        },
-    ]
-}
+mod common;
+use common::{scenario, seed_scenarios};
 
 /// The calibration contract: switching the seed scenarios from the
 /// fixed Table-1 service times to the geometry model under FIFO moves
@@ -155,8 +107,11 @@ fn geometry_traced_run_equals_noop_run() {
     gcfg.machine.disk_sched = DiskSched::Sstf;
     let wl = Arc::new(wl);
 
-    let baseline = Simulation::with_recorder(gcfg.clone(), Arc::clone(&wl), NoopRecorder).run();
-    let (traced, rec) = Simulation::with_recorder(gcfg, wl, TraceRecorder::new()).run_traced();
+    let baseline = run_simulation(gcfg.clone(), Arc::clone(&wl));
+    let run = Simulation::try_new(gcfg, wl, TraceRecorder::new())
+        .unwrap()
+        .run();
+    let (traced, rec) = (run.report, run.rec);
 
     assert_eq!(baseline, traced, "tracing perturbed the geometry model");
     assert!(

@@ -4,12 +4,8 @@
 use lap::prelude::*;
 use lap::simkit::SimDuration;
 
-fn small_pm(pf: PrefetchConfig, mb: u64) -> SimConfig {
-    let mut cfg = SimConfig::pm(CacheSystem::Pafs, pf, mb);
-    cfg.machine.nodes = 8;
-    cfg.machine.disks = 4;
-    cfg
-}
+mod common;
+use common::small_pm;
 
 #[test]
 fn trace_text_round_trip_preserves_simulation_results() {

@@ -11,56 +11,8 @@ use std::sync::Arc;
 
 use lap::prelude::*;
 
-/// Build the same configuration the `lapsim` CLI would for the seed
-/// scenarios, including its shrink-to-workload rule.
-fn scenario(
-    workload: &str,
-    system: CacheSystem,
-    prefetch: PrefetchConfig,
-    cache_mb: u64,
-) -> (SimConfig, Workload) {
-    let wl = lap::workzoo::WorkloadSpec::parse_cli(workload, "small")
-        .unwrap()
-        .build(42)
-        .unwrap();
-    let mut cfg = SimConfig::pm(system, prefetch, cache_mb);
-    if wl.nodes < cfg.machine.nodes {
-        cfg.machine.nodes = wl.nodes;
-        cfg.machine.disks = cfg.machine.disks.min(wl.nodes.max(2));
-    }
-    (cfg, wl)
-}
-
-fn seed_scenarios() -> Vec<(&'static str, SimConfig, Workload)> {
-    vec![
-        {
-            let (c, w) = scenario(
-                "charisma",
-                CacheSystem::Pafs,
-                PrefetchConfig::ln_agr_is_ppm(1),
-                4,
-            );
-            ("charisma/pafs/ln_agr_is_ppm:1", c, w)
-        },
-        {
-            let (c, w) = scenario("charisma", CacheSystem::Pafs, PrefetchConfig::np(), 4);
-            ("charisma/pafs/np", c, w)
-        },
-        {
-            let (c, w) = scenario("charisma", CacheSystem::Pafs, PrefetchConfig::oba(), 4);
-            ("charisma/pafs/oba", c, w)
-        },
-        {
-            let (c, w) = scenario(
-                "sprite",
-                CacheSystem::Xfs,
-                PrefetchConfig::ln_agr_is_ppm(1),
-                2,
-            );
-            ("sprite/xfs/ln_agr_is_ppm:1", c, w)
-        },
-    ]
-}
+mod common;
+use common::{scenario, seed_scenarios};
 
 /// The comparability contract: with the default block granularity the
 /// simulator must reproduce the pre-extent seed results *bit for bit*
@@ -207,8 +159,11 @@ fn extent_traced_run_equals_noop_run_and_events_hold_invariants() {
     ecfg.machine.prefetch_granularity = PrefetchGranularity::Extent;
     let wl = Arc::new(wl);
 
-    let baseline = Simulation::with_recorder(ecfg.clone(), Arc::clone(&wl), NoopRecorder).run();
-    let (traced, rec) = Simulation::with_recorder(ecfg, wl, TraceRecorder::new()).run_traced();
+    let baseline = run_simulation(ecfg.clone(), Arc::clone(&wl));
+    let run = Simulation::try_new(ecfg, wl, TraceRecorder::new())
+        .unwrap()
+        .run();
+    let (traced, rec) = (run.report, run.rec);
     assert_eq!(baseline, traced, "tracing perturbed extent-mode results");
 
     let mut batches = 0u64;

@@ -12,20 +12,8 @@ use lap::ioworkload::{FileMeta, ProcessTrace};
 use lap::lapobs::MetricValue;
 use lap::prelude::*;
 
-/// A PM config small enough to run in milliseconds but big enough to
-/// exercise remote hits, prefetching, write-backs and evictions.
-fn small_pm(pf: PrefetchConfig, cache_mb: u64) -> SimConfig {
-    let mut cfg = SimConfig::pm(CacheSystem::Pafs, pf, cache_mb);
-    cfg.machine.nodes = 8;
-    cfg.machine.disks = 4;
-    cfg
-}
-
-fn small_workload(seed: u64) -> Workload {
-    let mut params = CharismaParams::small();
-    params.nodes = 8;
-    params.generate(seed)
-}
+mod common;
+use common::{scenario, small_pm, small_workload};
 
 /// The `experiments faults` "heavy" plan: transient errors with
 /// bursts, disk and node outage windows, network loss and delay.
@@ -53,8 +41,11 @@ fn tracing_does_not_change_faulted_results() {
     let mut cfg = small_pm(PrefetchConfig::ln_agr_is_ppm(1), 1);
     cfg.fault_plan = Some(heavy_plan());
 
-    let baseline = Simulation::with_recorder(cfg.clone(), Arc::clone(&wl), NoopRecorder).run();
-    let (traced, rec) = Simulation::with_recorder(cfg, wl, TraceRecorder::new()).run_traced();
+    let baseline = run_simulation(cfg.clone(), Arc::clone(&wl));
+    let run = Simulation::try_new(cfg, wl, TraceRecorder::new())
+        .unwrap()
+        .run();
+    let (traced, rec) = (run.report, run.rec);
 
     assert!(
         baseline.faults_injected > 0,
@@ -283,4 +274,25 @@ fn wiped_node_outages_rejoin_cold_and_pay_for_it() {
         wiped.disk_accesses(),
         intact.disk_accesses()
     );
+}
+
+/// A disk job an outage aborts goes back on its queue with its own
+/// read id and priority, even when its stale completion overtakes an
+/// older one's. Retries that back off for seconds make one service
+/// outlast a whole 2 s outage period, so stale completions arrive out
+/// of abort order hundreds of times per disk here; the oracle checks
+/// every requeue against what its abort recorded.
+#[test]
+fn requeued_jobs_keep_their_own_read_and_priority() {
+    let (mut cfg, wl) = scenario(
+        "charisma",
+        CacheSystem::Pafs,
+        PrefetchConfig::ln_agr_is_ppm(1),
+        4,
+    );
+    cfg.check = CheckMode::On;
+    cfg.fault_plan =
+        Some(FaultPlan::parse("disk-error=0.9,disk-retries=5,backoff-ms=1800,outage=2:1").unwrap());
+    let r = run_simulation(cfg, wl);
+    assert!(r.failovers > 0, "plan inert: no outage aborted a job");
 }

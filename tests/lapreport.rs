@@ -10,63 +10,15 @@ use std::sync::Arc;
 
 use lap::prelude::*;
 
+mod common;
+use common::{scenario, seed_scenarios};
+
 fn lapsim() -> Command {
     Command::new(env!("CARGO_BIN_EXE_lapsim"))
 }
 
 fn lapreport() -> Command {
     Command::new(env!("CARGO_BIN_EXE_lapreport"))
-}
-
-/// Build the same configuration the `lapsim` CLI would for the seed
-/// scenarios, including its shrink-to-workload rule.
-fn scenario(
-    workload: &str,
-    system: CacheSystem,
-    prefetch: PrefetchConfig,
-    cache_mb: u64,
-) -> (SimConfig, Workload) {
-    let wl = lap::workzoo::WorkloadSpec::parse_cli(workload, "small")
-        .unwrap()
-        .build(42)
-        .unwrap();
-    let mut cfg = SimConfig::pm(system, prefetch, cache_mb);
-    if wl.nodes < cfg.machine.nodes {
-        cfg.machine.nodes = wl.nodes;
-        cfg.machine.disks = cfg.machine.disks.min(wl.nodes.max(2));
-    }
-    (cfg, wl)
-}
-
-fn seed_scenarios() -> Vec<(&'static str, SimConfig, Workload)> {
-    vec![
-        {
-            let (c, w) = scenario(
-                "charisma",
-                CacheSystem::Pafs,
-                PrefetchConfig::ln_agr_is_ppm(1),
-                4,
-            );
-            ("charisma/pafs/ln_agr_is_ppm:1", c, w)
-        },
-        {
-            let (c, w) = scenario("charisma", CacheSystem::Pafs, PrefetchConfig::np(), 4);
-            ("charisma/pafs/np", c, w)
-        },
-        {
-            let (c, w) = scenario("charisma", CacheSystem::Pafs, PrefetchConfig::oba(), 4);
-            ("charisma/pafs/oba", c, w)
-        },
-        {
-            let (c, w) = scenario(
-                "sprite",
-                CacheSystem::Xfs,
-                PrefetchConfig::ln_agr_is_ppm(1),
-                2,
-            );
-            ("sprite/xfs/ln_agr_is_ppm:1", c, w)
-        },
-    ]
 }
 
 /// Flatten the report's registry CSV into `metric -> value`, the way
@@ -159,9 +111,10 @@ fn sampled_tracing_does_not_change_results() {
         4,
     );
     let wl = Arc::new(wl);
-    let baseline = run_simulation(cfg.clone(), (*wl).clone());
+    let baseline = run_simulation(cfg.clone(), Arc::clone(&wl));
     let rec = TraceRecorder::with_sampling(TraceRecorder::DEFAULT_CAPACITY, 8);
-    let (sampled, rec) = Simulation::with_recorder(cfg, wl, rec).run_traced();
+    let run = Simulation::try_new(cfg, wl, rec).unwrap().run();
+    let (sampled, rec) = (run.report, run.rec);
 
     assert_eq!(baseline.obs.to_csv(), sampled.obs.to_csv());
     assert_eq!(baseline.avg_read_ms, sampled.avg_read_ms);

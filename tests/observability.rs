@@ -7,20 +7,8 @@ use std::sync::Arc;
 use lap::lapobs::{chrome, Event, StationKind};
 use lap::prelude::*;
 
-/// A PM config small enough to run in milliseconds but big enough to
-/// exercise remote hits, prefetching, write-backs and evictions.
-fn small_pm(pf: PrefetchConfig, cache_mb: u64) -> SimConfig {
-    let mut cfg = SimConfig::pm(CacheSystem::Pafs, pf, cache_mb);
-    cfg.machine.nodes = 8;
-    cfg.machine.disks = 4;
-    cfg
-}
-
-fn small_workload(seed: u64) -> Workload {
-    let mut params = CharismaParams::small();
-    params.nodes = 8;
-    params.generate(seed)
-}
+mod common;
+use common::{small_pm, small_workload};
 
 /// A tiny fully hand-built workload whose trace is small and rich:
 /// sequential reads (walk + prefetch), an off-path jump (mispredict),
@@ -78,6 +66,13 @@ fn tiny_config() -> SimConfig {
     cfg
 }
 
+/// The tiny scenario, traced.
+fn traced_tiny() -> Outcome<TraceRecorder> {
+    Simulation::try_new(tiny_config(), tiny_workload(), TraceRecorder::new())
+        .unwrap()
+        .run()
+}
+
 /// The structural half of "valid JSON": balanced braces/brackets and
 /// no trailing commas, checked without a JSON dependency.
 fn assert_valid_json_shape(json: &str) {
@@ -130,23 +125,26 @@ fn tracing_does_not_change_simulation_results() {
     let wl = Arc::new(small_workload(42));
     let cfg = small_pm(PrefetchConfig::ln_agr_is_ppm(1), 1);
 
-    let baseline = Simulation::with_recorder(cfg.clone(), Arc::clone(&wl), NoopRecorder).run();
-    let (traced, rec) = Simulation::with_recorder(cfg, wl, TraceRecorder::new()).run_traced();
+    let baseline = run_simulation(cfg.clone(), Arc::clone(&wl));
+    let run = Simulation::try_new(cfg, wl, TraceRecorder::new())
+        .unwrap()
+        .run();
+    let (traced, rec) = (run.report, run.rec);
 
     assert_eq!(baseline, traced, "tracing perturbed the simulation");
     assert!(!rec.is_empty(), "the traced run captured no events");
     assert_eq!(rec.dropped(), 0, "small run must fit the ring buffer");
 }
 
-/// The zero-overhead contract, half two: the default `Simulation::new`
-/// path (NoopRecorder baked in) matches the explicit-recorder path.
+/// The zero-overhead contract, half two: the `run_simulation` helper
+/// (NoopRecorder baked in) matches the explicit-recorder path.
 #[test]
 fn default_path_is_the_noop_path() {
     let wl = small_workload(7);
     let cfg = small_pm(PrefetchConfig::oba(), 1);
     let a = run_simulation(cfg.clone(), wl.clone());
-    let b = Simulation::with_recorder(cfg, Arc::new(wl), NoopRecorder).run();
-    assert_eq!(a, b);
+    let b = Simulation::try_new(cfg, wl, NoopRecorder).unwrap().run();
+    assert_eq!(a, b.report);
 }
 
 /// The trace must contain the event families the exporter and the
@@ -154,7 +152,7 @@ fn default_path_is_the_noop_path() {
 /// prefetch walk lifecycle, mispredict markers and write-backs.
 #[test]
 fn trace_captures_every_layer() {
-    let (_, rec) = run_simulation_traced(tiny_config(), Arc::new(tiny_workload()));
+    let rec = traced_tiny().rec;
     let has = |p: &dyn Fn(&Event) -> bool| rec.events().any(|(_, e)| p(e));
 
     assert!(
@@ -215,7 +213,7 @@ fn trace_captures_every_layer() {
 #[test]
 fn chrome_export_is_byte_stable_and_well_formed() {
     let run = || {
-        let (_, rec) = run_simulation_traced(tiny_config(), Arc::new(tiny_workload()));
+        let rec = traced_tiny().rec;
         chrome::export(rec.events())
     };
     let a = run();
@@ -238,7 +236,7 @@ fn chrome_export_is_byte_stable_and_well_formed() {
 /// `tests/golden/`. Regenerate with `UPDATE_GOLDEN=1 cargo test`.
 #[test]
 fn chrome_export_matches_golden_file() {
-    let (_, rec) = run_simulation_traced(tiny_config(), Arc::new(tiny_workload()));
+    let rec = traced_tiny().rec;
     let json = chrome::export(rec.events());
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/tests/golden/tiny_trace.json");
     if std::env::var_os("UPDATE_GOLDEN").is_some() {
@@ -257,7 +255,7 @@ fn chrome_export_matches_golden_file() {
 /// is stable and covers all four stats layers.
 #[test]
 fn metrics_registry_covers_all_layers() {
-    let (report, _) = run_simulation_traced(tiny_config(), Arc::new(tiny_workload()));
+    let report = traced_tiny().report;
     let csv = report.obs.to_csv();
     assert!(csv.starts_with("metric,value\n"));
     for needle in [
@@ -274,6 +272,6 @@ fn metrics_registry_covers_all_layers() {
         );
     }
     // Same run, same CSV bytes.
-    let (report2, _) = run_simulation_traced(tiny_config(), Arc::new(tiny_workload()));
+    let report2 = traced_tiny().report;
     assert_eq!(csv, report2.obs.to_csv());
 }

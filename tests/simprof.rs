@@ -49,14 +49,16 @@ fn seed_scenarios() -> Vec<(&'static str, SimConfig, Workload)> {
     ]
 }
 
-/// Profiling on/off bit-identity on every seed scenario: the profiler
-/// only reads counters the run maintains anyway, so the report —
-/// every metric, every histogram — must be unchanged.
+/// Profiling never shows in the report, on every seed scenario: the
+/// profiler only reads counters the run maintains anyway, so the
+/// report of `run_simulation`, which drops the profile, and the one
+/// next to it in the `Outcome` agree in every metric and histogram.
 #[test]
 fn profiled_runs_are_bit_identical_to_unprofiled() {
     for (name, cfg, wl) in seed_scenarios() {
         let plain = run_simulation(cfg.clone(), wl.clone());
-        let (profiled, profile) = run_simulation_profiled(cfg, wl);
+        let run = outcome(cfg, wl, NoopRecorder);
+        let (profiled, profile) = (run.report, run.profile);
         assert_eq!(
             plain.avg_read_ms.to_bits(),
             profiled.avg_read_ms.to_bits(),
@@ -85,9 +87,12 @@ fn profiled_runs_are_bit_identical_to_unprofiled() {
 #[test]
 fn profile_counters_are_identical_across_same_seed_runs() {
     for (name, cfg, wl) in seed_scenarios() {
-        let (r1, p1) = run_simulation_profiled(cfg.clone(), wl.clone());
-        let (r2, p2) = run_simulation_profiled(cfg, wl);
-        assert_eq!(r1, r2, "{name}: reports differ across same-seed runs");
+        let (one, two) = (
+            outcome(cfg.clone(), wl.clone(), NoopRecorder),
+            outcome(cfg, wl, NoopRecorder),
+        );
+        let (p1, p2) = (one.profile, two.profile);
+        assert_eq!(one.report, two.report, "{name}: reports differ");
         assert_eq!(
             p1.counters, p2.counters,
             "{name}: profile counters differ across same-seed runs"
@@ -106,17 +111,19 @@ fn profile_counters_are_identical_across_same_seed_runs() {
     }
 }
 
-/// The profiler composes with tracing: `run_profiled` on a recording
-/// simulation yields the same report as `run_traced`, plus counters.
+/// The profiler composes with tracing: a recording run gives the
+/// same report and the same counters as an untraced one.
 #[test]
 fn profiling_composes_with_tracing() {
     let (name, cfg, wl) = seed_scenarios().remove(0);
-    let wl = std::sync::Arc::new(wl);
-    let (traced, _) =
-        Simulation::with_recorder(cfg.clone(), wl.clone(), TraceRecorder::new()).run_traced();
-    let (profiled, rec, profile) =
-        Simulation::with_recorder(cfg, wl, TraceRecorder::new()).run_profiled();
-    assert_eq!(traced, profiled, "{name}: tracing+profiling drifted");
-    assert!(rec.events().next().is_some(), "trace recorded nothing");
-    assert!(profile.counters.events > 0);
+    let plain = outcome(cfg.clone(), wl.clone(), NoopRecorder);
+    let traced = outcome(cfg, wl, TraceRecorder::new());
+    assert_eq!(plain.report, traced.report, "{name}: report drifted");
+    assert_eq!(plain.profile.counters, traced.profile.counters, "{name}");
+    assert!(!traced.rec.is_empty() && traced.profile.counters.events > 0);
+}
+
+/// Build and run one scenario, keeping the whole `Outcome`.
+fn outcome<R: Recorder>(cfg: SimConfig, wl: Workload, rec: R) -> Outcome<R> {
+    Simulation::try_new(cfg, wl, rec).unwrap().run()
 }
