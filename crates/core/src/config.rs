@@ -1,5 +1,7 @@
 //! Machine and simulation configuration (Table 1 of the paper).
 
+use std::sync::Arc;
+
 use coopcache::{MetaLayout, Replacement, MAX_NODES};
 use devmodel::{DiskGeometry, DiskModel, DiskModelKind, DiskSched, NetModelKind};
 use faultkit::FaultPlan;
@@ -356,8 +358,13 @@ impl SimConfig {
     /// caches, and the workload is consistent in itself, needs no more
     /// nodes than the machine has and uses the same block size.
     /// [`Simulation::try_new`](crate::Simulation::try_new) returns this
-    /// error.
-    pub(crate) fn check_workload(&self, workload: &ioworkload::Workload) -> Result<(), String> {
+    /// error. Every check but the trace's own consistency is O(1) and
+    /// runs on every call; the consistency walk runs once per `Arc`
+    /// allocation ([`Workload::check_shared`](ioworkload::Workload::check_shared)).
+    pub(crate) fn check_workload(
+        &self,
+        workload: &Arc<ioworkload::Workload>,
+    ) -> Result<(), String> {
         if !(1..=MAX_NODES).contains(&self.machine.nodes) {
             return Err(format!(
                 "machine has {} nodes; the cache models support 1 to {MAX_NODES}",
@@ -370,7 +377,10 @@ impl SimConfig {
         if self.system == CacheSystem::Xfs && self.replacement != Replacement::Lru {
             return Err("the xFS model only supports LRU local caches".into());
         }
-        workload.check()?;
+        if workload.check_shared()? {
+            #[cfg(test)]
+            tests::TRACE_WALKS.with(|n| n.set(n.get() + 1));
+        }
         if workload.nodes > self.machine.nodes {
             return Err(format!(
                 "workload needs {} nodes, machine has {}",
@@ -400,6 +410,11 @@ impl SimConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    thread_local! {
+        /// Trace walks `check_workload` made on this test's thread.
+        pub(super) static TRACE_WALKS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+    }
 
     #[test]
     fn table1_pm_values() {
@@ -431,29 +446,41 @@ mod tests {
         assert!(m.remote_transfer(bytes) < m.disk_read_service());
     }
 
+    /// A consistent workload on `nodes` nodes: one 64 KB file, read
+    /// whole by a process on the last node.
+    fn one_file_workload(nodes: u32) -> Arc<ioworkload::Workload> {
+        use ioworkload::{FileId, FileMeta, NodeId, Op, ProcId, ProcessTrace, Workload};
+        Arc::new(Workload {
+            name: "one".into(),
+            block_size: 8192,
+            nodes,
+            files: vec![FileMeta {
+                id: FileId(0),
+                size: 65536,
+            }],
+            processes: vec![ProcessTrace {
+                proc: ProcId(0),
+                node: NodeId(nodes - 1),
+                ops: vec![Op::Read {
+                    file: FileId(0),
+                    offset: 0,
+                    len: 65536,
+                }],
+            }],
+        })
+    }
+
+    fn try_new_err(cfg: SimConfig, wl: &Arc<ioworkload::Workload>) -> Option<String> {
+        crate::Simulation::try_new(cfg, Arc::clone(wl), lapobs::NoopRecorder).err()
+    }
+
     /// Configurations the simulator cannot model come back as `Err`
     /// from `try_new`, never a panic: more nodes than a node mask
     /// holds, no nodes, no disks, and xFS without LRU.
     #[test]
     fn try_new_rejects_unsupported_machines() {
-        use ioworkload::{FileId, FileMeta, NodeId, ProcId, ProcessTrace, Workload};
-        let wl = std::sync::Arc::new(Workload {
-            name: "one".into(),
-            block_size: 8192,
-            nodes: 1,
-            files: vec![FileMeta {
-                id: FileId(0),
-                size: 8192,
-            }],
-            processes: vec![ProcessTrace {
-                proc: ProcId(0),
-                node: NodeId(0),
-                ops: Vec::new(),
-            }],
-        });
-        let try_new = |cfg: SimConfig| {
-            crate::Simulation::try_new(cfg, std::sync::Arc::clone(&wl), lapobs::NoopRecorder).err()
-        };
+        let wl = one_file_workload(1);
+        let try_new = |cfg: SimConfig| try_new_err(cfg, &wl);
         let xfs = || SimConfig::pm(CacheSystem::Xfs, PrefetchConfig::np(), 1);
         let mut cfg = xfs();
         cfg.machine.nodes = 129;
@@ -469,6 +496,51 @@ mod tests {
         cfg.replacement = Replacement::Fifo;
         assert!(try_new(cfg).expect("xFS + FIFO").contains("LRU"));
         assert_eq!(try_new(xfs()), None, "the 128-node PM preset runs");
+    }
+
+    /// A sweep's cells share one `Arc<Workload>`: the trace is walked
+    /// by the first `try_new` only, and every later cell skips it.
+    #[test]
+    fn a_shared_workload_is_walked_once() {
+        let wl = one_file_workload(2);
+        let walks = || TRACE_WALKS.with(std::cell::Cell::get);
+        let before = walks();
+        for mb in 0..70 {
+            let cfg = SimConfig::pm(CacheSystem::Pafs, PrefetchConfig::np(), 1 + mb % 7);
+            assert_eq!(try_new_err(cfg, &wl), None);
+        }
+        assert_eq!(walks() - before, 1, "70 cells, one walk");
+        // A separate allocation of the same trace is walked on its own.
+        let cfg = SimConfig::pm(CacheSystem::Pafs, PrefetchConfig::np(), 1);
+        assert_eq!(try_new_err(cfg, &one_file_workload(2)), None);
+        assert_eq!(walks() - before, 2);
+    }
+
+    /// The once-per-allocation walk never lets a changed or misfitting
+    /// workload through: the machine-fit checks run on every cell, and
+    /// `Arc::make_mut` on a registered workload moves it to a fresh
+    /// allocation that is walked again.
+    #[test]
+    fn a_checked_workload_is_still_rejected_when_it_stops_fitting() {
+        let mut wl = one_file_workload(4);
+        let pafs = || SimConfig::pm(CacheSystem::Pafs, PrefetchConfig::np(), 1);
+        assert_eq!(try_new_err(pafs(), &wl), None);
+
+        let mut small = pafs();
+        small.machine.nodes = 3;
+        let e = try_new_err(small, &wl).expect("3-node machine rejected");
+        assert_eq!(e, "workload needs 4 nodes, machine has 3");
+        let mut other_block = pafs();
+        other_block.machine.block_size = 4096;
+        let e = try_new_err(other_block, &wl).expect("4 KB blocks rejected");
+        assert!(e.contains("block size"), "{e}");
+
+        if let ioworkload::Op::Read { offset, .. } = &mut Arc::make_mut(&mut wl).processes[0].ops[0]
+        {
+            *offset = 8192;
+        }
+        let past_eof = wl.check().expect_err("a read past EOF");
+        assert_eq!(try_new_err(pafs(), &wl), Some(past_eof));
     }
 
     #[test]

@@ -404,6 +404,14 @@ impl<R: Recorder> Simulation<R> {
     /// of a sweep without a deep clone per cell. The construction time
     /// becomes the profile's `setup` phase.
     ///
+    /// The machine-fit checks run on every call, but the walk over the
+    /// trace that checks its consistency runs once per `Arc`
+    /// allocation ([`Workload::check_shared`]): the cells of a sweep
+    /// that share one `Arc` pay for one walk. A passing allocation stays
+    /// registered by a weak reference while it lives, so
+    /// [`Arc::get_mut`] on it returns `None`; [`Arc::make_mut`] moves
+    /// it to a fresh allocation, which the next `try_new` walks again.
+    ///
     /// # Errors
     /// The first reason the pair cannot run: an inconsistent trace,
     /// more nodes than the machine has, a different block size, or a

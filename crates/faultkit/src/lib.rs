@@ -413,14 +413,34 @@ impl FaultPlan {
     /// decimal probabilities) so that spec → plan → canonical → plan
     /// is exact. Fuel for the grammar round-trip fuzz and the chaos
     /// sweep; same seed, same spec.
+    ///
+    /// About one plan in eight is *retry-heavy*: frequent disk errors,
+    /// 3–5 retries backing off 500–1800 ms each (at most 55.8 s per
+    /// dispatch) and disk outages a few seconds apart. Its services
+    /// outlive outage periods, so an aborted job's stale completion can
+    /// arrive before an older one's and the requeue must pair each
+    /// with its own record. The family is chosen by a separate draw, so
+    /// every other plan is the spec it was before the family existed.
     pub fn random_spec(seed: u64) -> String {
         let mut rng = Rng64::new(seed.wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ 0xFA17_57EC);
         const PROBS: [&str; 6] = ["0.001", "0.005", "0.01", "0.02", "0.05", "0.1"];
         const PERIODS: [u64; 4] = [30, 60, 120, 300];
-        let mut parts: Vec<String> = vec![format!("seed={}", rng.range_u64(1, 1 << 20))];
         let pick = |rng: &mut Rng64, xs: &[&str]| {
             xs[rng.range_u64(0, xs.len() as u64 - 1) as usize].to_string()
         };
+        if Rng64::new(seed ^ 0x8E7B_AC0F).chance(0.125) {
+            let plan_seed = rng.range_u64(1, 1 << 20);
+            let disk_error = pick(&mut rng, &["0.1", "0.3", "0.5", "0.9"]);
+            let retries = rng.range_u64(3, 5);
+            let backoff = rng.range_u64(500, 1800);
+            let period = rng.range_u64(2, 5);
+            let len = rng.range_u64(1, period - 1);
+            return format!(
+                "seed={plan_seed},disk-error={disk_error},disk-retries={retries},\
+                 backoff-ms={backoff},outage={period}:{len}"
+            );
+        }
+        let mut parts: Vec<String> = vec![format!("seed={}", rng.range_u64(1, 1 << 20))];
         let window = |rng: &mut Rng64| {
             let period = PERIODS[rng.range_u64(0, PERIODS.len() as u64 - 1) as usize];
             let len = (period / rng.range_u64(4, 12)).max(1);
@@ -843,6 +863,25 @@ mod tests {
             FaultPlan::random_spec(9),
             FaultPlan::random_spec(9),
             "same seed, same spec"
+        );
+    }
+
+    /// A minority of random plans is retry-heavy, and every one of them
+    /// stays inside the per-dispatch backoff cap.
+    #[test]
+    fn random_specs_include_a_retry_heavy_minority() {
+        let heavy = (0..2000u64)
+            .map(|seed| FaultPlan::parse(&FaultPlan::random_spec(seed)).unwrap())
+            .filter(|p| p.backoff >= SimDuration::from_millis(500))
+            .inspect(|p| {
+                assert!((3..=5).contains(&p.disk_retries), "{}", p.canonical());
+                assert!(p.worst_backoff_ms() <= MAX_MS, "{}", p.canonical());
+                assert!(p.outage.unwrap().period <= SimDuration::from_secs(5));
+            })
+            .count();
+        assert!(
+            (150..=350).contains(&heavy),
+            "{heavy} of 2000 plans are retry-heavy"
         );
     }
 

@@ -8,6 +8,8 @@
 //! times itself, so the same workload can be run against any machine,
 //! cache or prefetching configuration.
 
+use std::sync::{Arc, Mutex, PoisonError, Weak};
+
 use simkit::SimDuration;
 
 use crate::types::{FileId, NodeId, ProcId};
@@ -136,6 +138,40 @@ impl Workload {
         Ok(())
     }
 
+    /// [`check`](Self::check), walking the trace once per [`Arc`]
+    /// allocation: a sweep that hands one `Arc<Workload>` to every cell
+    /// pays for one walk, not one per cell. Returns `Ok(true)` when this
+    /// call walked the trace and `Ok(false)` when the allocation had
+    /// already passed.
+    ///
+    /// A passing allocation is remembered by a [`Weak`] in a
+    /// process-wide list, which is what makes the skip sound: a
+    /// `Workload` has no interior mutability, and while a `Weak` to it
+    /// lives, [`Arc::get_mut`] returns `None` and [`Arc::make_mut`]
+    /// moves the value to a fresh allocation before mutating it. So a
+    /// live registered allocation still holds the value that passed.
+    /// A failing workload is not remembered and fails again next time.
+    ///
+    /// # Errors
+    /// [`check`](Self::check)'s description of the first inconsistency.
+    pub fn check_shared(self: &Arc<Self>) -> Result<bool, String> {
+        static CHECKED: Mutex<Vec<Weak<Workload>>> = Mutex::new(Vec::new());
+        let is_self = |w: &Weak<Workload>| w.strong_count() > 0 && w.as_ptr() == Arc::as_ptr(self);
+        // Each update (a prune, a push) leaves the list valid, so a
+        // lock poisoned by a panic elsewhere is still safe to use.
+        let checked = || CHECKED.lock().unwrap_or_else(PoisonError::into_inner);
+        if checked().iter().any(is_self) {
+            return Ok(false);
+        }
+        self.check()?;
+        let mut list = checked();
+        list.retain(|w| w.strong_count() > 0);
+        if !list.iter().any(is_self) {
+            list.push(Arc::downgrade(self));
+        }
+        Ok(true)
+    }
+
     /// [`check`](Self::check) for workloads that must be consistent by
     /// construction. Generators call this before returning.
     ///
@@ -212,6 +248,37 @@ mod tests {
     #[test]
     fn io_ops_counts_only_io() {
         assert_eq!(tiny_workload().io_ops(), 2);
+    }
+
+    #[test]
+    fn check_shared_walks_each_allocation_once() {
+        let wl = Arc::new(tiny_workload());
+        assert_eq!(wl.check_shared(), Ok(true));
+        assert_eq!(
+            wl.check_shared(),
+            Ok(false),
+            "a live registration skips the walk"
+        );
+        assert!(Arc::get_mut(&mut Arc::clone(&wl)).is_none());
+        // Another allocation of an equal value is walked on its own.
+        assert_eq!(Arc::new(tiny_workload()).check_shared(), Ok(true));
+    }
+
+    #[test]
+    fn check_shared_rechecks_a_mutated_workload() {
+        let mut wl = Arc::new(tiny_workload());
+        assert_eq!(wl.check_shared(), Ok(true));
+        Arc::make_mut(&mut wl).processes[0].ops.push(Op::Read {
+            file: FileId(0),
+            offset: 65536,
+            len: 1,
+        });
+        let e = wl.check_shared().unwrap_err();
+        assert!(e.contains("past EOF"), "{e}");
+        assert!(
+            wl.check_shared().is_err(),
+            "a failing workload is not remembered"
+        );
     }
 
     #[test]

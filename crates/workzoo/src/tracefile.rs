@@ -81,15 +81,22 @@ impl PidState {
         }
     }
 
-    fn observe_ts(&mut self, ts: Option<f64>) {
+    /// Add the gap since this pid's last timestamp to its think time.
+    /// The gap saturates at `f64::MAX` seconds, which
+    /// [`SimDuration::from_secs_f64`] saturates in turn.
+    fn observe_ts(&mut self, ts: Option<f64>) -> Result<(), String> {
         if let Some(t) = ts {
+            if !t.is_finite() {
+                return Err(format!("timestamp {t} is not a finite number of seconds"));
+            }
             if let Some(last) = self.last_ts {
                 if t > last {
-                    self.pending_gap += t - last;
+                    self.pending_gap = (self.pending_gap + (t - last)).min(f64::MAX);
                 }
             }
             self.last_ts = Some(t);
         }
+        Ok(())
     }
 
     /// Emit the accumulated think time, then the I/O op.
@@ -124,7 +131,7 @@ impl FileTable {
     }
 }
 
-/// Assemble the per-pid states into a validated workload. Pids with no
+/// Assemble the per-pid states into a checked workload. Pids with no
 /// I/O are dropped; each remaining pid gets its own node.
 fn assemble(
     name: String,
@@ -167,7 +174,11 @@ fn assemble(
             .collect(),
         processes,
     };
-    wl.validate();
+    wl.check().map_err(|msg| TraceParseError {
+        path: path.to_string(),
+        line: 0,
+        msg,
+    })?;
     Ok(wl)
 }
 
@@ -217,7 +228,7 @@ pub fn parse_strace(path: &str, text: &str) -> Result<Workload, TraceParseError>
             pids.push(pid);
             PidState::new()
         });
-        st.observe_ts(ts);
+        st.observe_ts(ts).map_err(|m| err(lineno, m))?;
 
         // Unfinished/resumed halves of interrupted syscalls: the data
         // is split across lines; keep the subset grammar simple and
@@ -309,14 +320,20 @@ pub fn parse_strace(path: &str, text: &str) -> Result<Workload, TraceParseError>
                     // a pseudo-file for fds we never saw opened.
                     .or_insert_with(|| (format!("<pid{pid}:fd{fd}>"), 0));
                 let offset = explicit_offset.unwrap_or(*cur);
-                let file = table.touch(fpath, offset + len);
+                let end = offset.checked_add(len).ok_or_else(|| {
+                    err(
+                        lineno,
+                        format!("{name} of {len} bytes at offset {offset} ends past 2^64 bytes"),
+                    )
+                })?;
+                let file = table.touch(fpath, end);
                 let op = if name.contains("read") {
                     Op::Read { file, offset, len }
                 } else {
                     Op::Write { file, offset, len }
                 };
                 if explicit_offset.is_none() {
-                    *cur = offset + len;
+                    *cur = end;
                 }
                 st.push_io(op);
             }
@@ -412,10 +429,20 @@ pub fn parse_blktrace(path: &str, text: &str) -> Result<Workload, TraceParseErro
             pids.push(pid);
             PidState::new()
         });
-        st.observe_ts(Some(ts));
-        let offset = sector * 512;
-        let len = sectors * 512;
-        let file = table.touch(&format!("<dev {}>", fields[0]), offset + len);
+        st.observe_ts(Some(ts)).map_err(|m| err(lineno, m))?;
+        let bytes = |what: &str, n: u64| {
+            n.checked_mul(512)
+                .ok_or_else(|| err(lineno, format!("{what} {n} is past 2^64 bytes")))
+        };
+        let offset = bytes("sector", sector)?;
+        let len = bytes("sector count", sectors)?;
+        let end = offset.checked_add(len).ok_or_else(|| {
+            err(
+                lineno,
+                format!("{sectors} sectors at sector {sector} end past 2^64 bytes"),
+            )
+        })?;
+        let file = table.touch(&format!("<dev {}>", fields[0]), end);
         st.push_io(if is_write {
             Op::Write { file, offset, len }
         } else {
@@ -480,6 +507,8 @@ fn split_args(s: &str) -> Vec<&str> {
 
 #[cfg(test)]
 mod tests {
+    use ioworkload::util::Rng64;
+
     use super::*;
 
     const STRACE: &str = r#"
@@ -649,6 +678,153 @@ CPU1 (8,0):
     #[test]
     fn blktrace_with_no_io_is_an_error() {
         assert!(parse_blktrace("d", "CPU0 (8,0):\n").is_err());
+    }
+
+    /// Offsets and sizes past 2^64 bytes are line-numbered errors, not
+    /// a wrapped offset or a panic in the workload check.
+    #[test]
+    fn offsets_past_two_to_the_64_are_line_errors() {
+        let open = "4211 0.000112 openat(AT_FDCWD, \"/d\", O_RDONLY) = 3\n";
+        let text = format!(
+            "{open}4211 0.000390 pread64(3, \"x\"..., 8192, 18446744073709551615) = 8192\n"
+        );
+        let e = parse_strace("t", &text).unwrap_err();
+        assert_eq!(e.line, 2, "{e}");
+        assert!(e.msg.contains("past 2^64"), "{e}");
+        // The fd cursor: an lseek to 2^63 − 1 and two reads.
+        let text = format!(
+            "{open}4211 lseek(3, 0, SEEK_END) = 9223372036854775807\n\
+             4211 read(3, \"x\", 8192) = 8192\n\
+             4211 read(3, \"x\", 9223372036854775807) = 9223372036854775807\n"
+        );
+        assert_eq!(parse_strace("t", &text).unwrap_err().line, 4);
+        for sector in ["36028797018963967", "36028797018963968"] {
+            let text = format!("  8,0 1 1 0.000000000 3001 Q R {sector} + 8 [app]\n");
+            let e = parse_blktrace("d", &text).unwrap_err();
+            assert_eq!(e.line, 1, "{e}");
+            assert!(e.msg.contains("past 2^64"), "{e}");
+        }
+        let e = parse_blktrace("d", "8,0 1 1 0.0 10 Q R 0 + 36028797018963968 [a]\n").unwrap_err();
+        assert!(e.msg.contains("sector count"), "{e}");
+    }
+
+    /// A timestamp that is not finite is a line error (it used to make
+    /// an infinite think time, which panicked), and gaps too large to
+    /// add saturate instead of overflowing to infinity.
+    #[test]
+    fn timestamps_must_be_finite() {
+        let blk = |ts: &str, sector: u32| format!("8,0 1 1 {ts} 10 Q R {sector} + 8 [a]\n");
+        let e = parse_blktrace("d", &(blk("0.0", 0) + &blk("inf", 8))).unwrap_err();
+        assert_eq!(e.line, 2, "{e}");
+        assert!(e.msg.contains("finite"), "{e}");
+        let e = parse_strace("t", "7 1.0e999 read(3, \"\", 8) = 8\n").unwrap_err();
+        assert_eq!(e.line, 1, "{e}");
+        // Two gaps of ~1e308 s with no I/O between them add up past
+        // f64::MAX seconds.
+        let text = "7 0.0 getpid() = 7\n7 1.0e308 getpid() = 7\n7 0.0 getpid() = 7\n\
+                    7 1.7e308 read(3, \"\", 8) = 8\n";
+        let wl = parse_strace("t", text).expect("huge gaps saturate");
+        let gap = SimDuration::from_nanos(u64::MAX);
+        assert_eq!(wl.processes[0].ops[0], Op::Compute(gap));
+    }
+
+    /// Numbers the fuzz writes over digit runs: 2^55 − 1 and 2^55 (a
+    /// sector whose byte offset just fits and just overflows), 2^64 − 1,
+    /// and a 20-digit run past it.
+    const BIG: [&str; 4] = [
+        "36028797018963967",
+        "36028797018963968",
+        "18446744073709551615",
+        "98765432109876543210",
+    ];
+
+    /// One to three seeded mutations of `text`, each on one
+    /// whitespace-separated field of a random line: a digit run
+    /// replaced by a [`BIG`] number, the field dropped, or the field
+    /// duplicated.
+    fn mutate(rng: &mut Rng64, text: &str) -> String {
+        let pick = |rng: &mut Rng64, n: usize| rng.range_u64(0, n as u64 - 1) as usize;
+        let mut lines: Vec<String> = text.lines().map(str::to_string).collect();
+        for _ in 0..rng.range_u64(1, 3) {
+            let i = pick(rng, lines.len());
+            let mut fields: Vec<String> = lines[i].split_whitespace().map(str::to_string).collect();
+            if fields.is_empty() {
+                continue;
+            }
+            let f = pick(rng, fields.len());
+            match rng.range_u64(0, 3) {
+                0 | 1 => {
+                    let runs = digit_runs(&fields[f]);
+                    if !runs.is_empty() {
+                        let (a, b) = runs[pick(rng, runs.len())];
+                        fields[f].replace_range(a..b, BIG[pick(rng, BIG.len())]);
+                    }
+                }
+                2 => {
+                    fields.remove(f);
+                }
+                _ => {
+                    let dup = fields[f].clone();
+                    fields.insert(f, dup);
+                }
+            }
+            lines[i] = fields.join(" ");
+        }
+        lines.join("\n")
+    }
+
+    /// Byte ranges of the ASCII digit runs in `s`.
+    fn digit_runs(s: &str) -> Vec<(usize, usize)> {
+        let mut runs = Vec::new();
+        let mut start = None;
+        for (i, b) in s.bytes().chain([b' ']).enumerate() {
+            match (b.is_ascii_digit(), start) {
+                (true, None) => start = Some(i),
+                (false, Some(a)) => {
+                    runs.push((a, i));
+                    start = None;
+                }
+                _ => {}
+            }
+        }
+        runs
+    }
+
+    /// Seeded mutations of the committed strace fixture and of the
+    /// blkparse sample: every result is `Ok` or `Err`, never a panic.
+    #[test]
+    fn mutated_traces_never_panic() {
+        type Parse = fn(&str, &str) -> Result<Workload, TraceParseError>;
+        let strace_fixture = include_str!("../../../tests/golden/strace_small.txt");
+        let cases: [(&str, Parse, &str); 2] = [
+            ("strace", parse_strace, strace_fixture),
+            ("blkparse", parse_blktrace, BLKTRACE),
+        ];
+        for (name, parse, text) in cases {
+            let (mut ok, mut errs) = (0, 0);
+            for seed in 0..3000u64 {
+                let mut rng = Rng64::new(seed);
+                let mutated = mutate(&mut rng, text);
+                match std::panic::catch_unwind(|| parse("fuzz", &mutated)) {
+                    Ok(Ok(wl)) => {
+                        assert_eq!(wl.check(), Ok(()), "{name} seed {seed}");
+                        ok += 1;
+                    }
+                    Ok(Err(e)) => {
+                        assert!(
+                            e.line > 0 || e.msg.contains("no I/O"),
+                            "{name} seed {seed}: {e}"
+                        );
+                        errs += 1;
+                    }
+                    Err(_) => panic!("{name} seed {seed}: the parser panicked on\n{mutated}"),
+                }
+            }
+            assert!(
+                ok > 0 && errs > 0,
+                "{name}: {ok} ok, {errs} errors — a vacuous fuzz"
+            );
+        }
     }
 
     #[test]

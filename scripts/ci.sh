@@ -79,27 +79,32 @@ run ./target/debug/lapsim --workload charisma --cache-mb 4 --profile
 # loop must stay allocation-free enough that a simulated read costs a
 # single-digit number of heap allocations (docs/PERFORMANCE.md). The
 # scratch-buffer reuse in the engines is what keeps this low; a
-# regression here means a hot path started allocating per event. The
-# PAFS ceiling (10) is ~6x the current 1.7 allocs/read — loose enough
-# for honest growth, tight enough to catch a per-event Vec reappearing.
-# xFS gets its own, tighter ceiling (2.5, current 1.5): its holder sets
-# and forwarding draws are node masks, and a per-forward or per-holder
-# Vec coming back would push it past 2.5.
+# regression here means a hot path started allocating per event. Each
+# gate is SYSTEM:CACHE_MB:CEILING. The PAFS ceiling (10) is ~6x the
+# current 1.7 allocs/read — loose enough for honest growth, tight
+# enough to catch a per-event Vec reappearing. xFS at 4 MB gets its
+# own, tighter ceiling (2.5, current 1.4): its holder sets and
+# forwarding draws are node masks, and a per-forward or per-holder Vec
+# coming back would push it past 2.5. xFS at 1 MB floods its caches, so
+# every read evicts and forwards; it reads 5.1 today (the returned
+# eviction Vecs), ceiling 6.
 run cargo build --offline --features count-alloc --bin lapsim
-for gate in pafs:10 xfs:2.5; do
+for gate in pafs:4:10 xfs:4:2.5 xfs:1:6; do
     system="${gate%%:*}"
-    ceiling="${gate#*:}"
-    echo "==> count-alloc ceiling ($system)"
+    ceiling="${gate##*:}"
+    mb="${gate#*:}"
+    mb="${mb%%:*}"
+    echo "==> count-alloc ceiling ($system, $mb MB)"
     apr="$(./target/debug/lapsim --workload charisma --scale small --system "$system" \
-        --algo ln_agr_is_ppm:1 --profile 2>/dev/null \
+        --cache-mb "$mb" --algo ln_agr_is_ppm:1 --profile 2>/dev/null \
         | sed -n 's/.*(\([0-9.]*\) per read, count-alloc).*/\1/p')"
     if [ -z "$apr" ]; then
-        echo "count-alloc gate: no allocations line in lapsim --profile output ($system)" >&2
+        echo "count-alloc gate: no allocations line in lapsim --profile output ($system, $mb MB)" >&2
         exit 1
     fi
     echo "    allocs per read: $apr (ceiling $ceiling)"
     if ! awk -v a="$apr" -v c="$ceiling" 'BEGIN { exit !(a <= c) }'; then
-        echo "count-alloc gate: $system: $apr allocs per simulated read exceeds the ceiling of $ceiling" >&2
+        echo "count-alloc gate: $system at $mb MB: $apr allocs per simulated read exceeds the ceiling of $ceiling" >&2
         exit 1
     fi
 done

@@ -433,3 +433,39 @@ fn lapsim_rejects_overflowing_numeric_flags() {
         assert!(out.stdout.is_empty(), "{flag} {value}: nothing ran");
     }
 }
+
+/// Trace captures whose offsets or sizes run past 2^64 bytes are parse
+/// errors on their line (exit 2): not a panic in the workload check and
+/// not an offset silently wrapped to 0.
+#[test]
+fn lapsim_rejects_trace_offsets_past_two_to_the_64() {
+    let dir = std::env::temp_dir().join(format!("lap-cli-huge-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let open = "4211 0.000112 openat(AT_FDCWD, \"/data/in.bin\", O_RDONLY) = 3\n";
+    let pread = "4211 0.000390 pread64(3, \"x\"..., 8192, 18446744073709551615) = 8192\n";
+    let blk = |sector: &str| format!("  8,0 1 1 0.000000000 3001 Q R {sector} + 8 [app]\n");
+    let cases = [
+        ("strace", format!("{open}{pread}"), ":2: "),
+        ("blktrace", blk("36028797018963967"), ":1: "),
+        ("blktrace", blk("36028797018963968"), ":1: "),
+    ];
+    for (i, (kind, text, line)) in cases.iter().enumerate() {
+        let capture = dir.join(format!("huge{i}.txt"));
+        std::fs::write(&capture, text).unwrap();
+        let out = lapsim()
+            .arg("--workload")
+            .arg(format!("{kind}:{}", capture.display()))
+            .args(["--machine", "now", "--cache-mb", "1"])
+            .output()
+            .expect("run lapsim");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{kind} case {i}: {err}");
+        assert!(
+            err.contains(&format!("huge{i}.txt{line}")) && err.contains("past 2^64"),
+            "{kind} case {i}: stderr names the line: {err}"
+        );
+        assert!(!err.contains("panicked"), "{kind} case {i}: {err}");
+        assert!(out.stdout.is_empty(), "{kind} case {i}: nothing ran");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
