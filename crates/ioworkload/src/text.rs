@@ -24,7 +24,7 @@ use std::fmt::Write as _;
 
 use simkit::SimDuration;
 
-use crate::trace::{FileMeta, Op, ProcessTrace, Workload};
+use crate::trace::{FileMeta, Op, OpCheck, ProcessTrace, Workload};
 use crate::types::{FileId, NodeId, ProcId};
 
 /// The bytes of a text trace as a `&str`.
@@ -102,29 +102,57 @@ impl Workload {
 
     /// Parse a workload from the text format and [`check`](Workload::check) it.
     ///
-    /// One pass over the bytes, with no allocation per line: a cursor
-    /// reads each line's directive and then only the fields it needs,
-    /// stopping at `#`, and skips the rest of the line. A field that is
-    /// a plain run of up to 19 digits, which cannot overflow, is read in
-    /// the same scan that finds its end; any other field goes to
-    /// `str::parse`, so every field reads as `str::parse` reads it.
+    /// One pass over the bytes, with no allocation per line. An
+    /// operation line under a `proc` in the form [`to_text`](Self::to_text)
+    /// writes (`c N`, `r F O L` or `w F O L`, one space between fields,
+    /// ending at `\n`) takes the fast path: one dispatch on its first
+    /// byte, and each field read eight digits per step. Any other line —
+    /// or an operation line with a sign, more than 19 digits, another
+    /// byte, a value over the field's maximum, or too near the end of
+    /// the text to read eight bytes — goes whole to a cursor that reads
+    /// its directive and then only the fields it needs, stopping at
+    /// `#`. The cursor reads a plain run of up to 19 digits with the same
+    /// eight-digit reader and hands any other field to `str::parse`, so
+    /// every field reads as `str::parse` reads it.
+    ///
+    /// `check`'s per-operation tests run as each operation is parsed,
+    /// against the files declared so far, and the rest of `check` runs
+    /// at the end. Only if an operation fails, or uses a file declared
+    /// after it, does the full `check` walk run, to name the first
+    /// inconsistency exactly as it would.
     ///
     /// # Errors
     /// The first malformed line, by number, or (line 0) a missing
     /// header line or a failed [`check`](Workload::check).
     pub fn from_text(text: &str) -> Result<Workload, ParseError> {
+        let bytes = text.as_bytes();
         let mut name = None;
         let mut block_size = None;
         let mut nodes = None;
         let mut files = Vec::new();
         let mut processes: Vec<ProcessTrace> = Vec::new();
+        // `check`'s per-operation tests over the current process, and
+        // whether the full `check` must name an error at the end.
+        let mut ops_check = OpCheck::default();
+        let mut recheck = false;
 
         let mut cur = Cursor {
             text,
             at: 0,
             line: 0,
         };
-        while cur.at < text.len() {
+        loop {
+            if let Some(p) = processes.last_mut() {
+                while let Some((op, next)) = fast_op(bytes, cur.at) {
+                    ops_check.add(&op, &files);
+                    p.ops.push(op);
+                    cur.at = next;
+                    cur.line += 1;
+                }
+            }
+            if cur.at >= text.len() {
+                break;
+            }
             cur.line += 1;
             if let Some(directive) = cur.token() {
                 match directive {
@@ -133,7 +161,7 @@ impl Workload {
                             .last_mut()
                             .ok_or_else(|| cur.error("operation before any 'proc' line".into()))?
                             .ops;
-                        ops.push(if directive == "c" {
+                        let op = if directive == "c" {
                             Op::Compute(SimDuration::from_nanos(cur.u64("duration")?))
                         } else {
                             let file = FileId(cur.u32("file id")?);
@@ -144,7 +172,9 @@ impl Workload {
                             } else {
                                 Op::Write { file, offset, len }
                             }
-                        });
+                        };
+                        ops_check.add(&op, &files);
+                        ops.push(op);
                     }
                     "workload" => name = Some(cur.field("workload name")?.to_string()),
                     "blocksize" => block_size = Some(cur.u64("block size")?),
@@ -162,12 +192,14 @@ impl Workload {
                             node,
                             ops: Vec::new(),
                         });
+                        recheck |= !std::mem::take(&mut ops_check).passed();
                     }
                     other => return Err(cur.error(format!("unknown directive {other:?}"))),
                 }
             }
             cur.skip_line();
         }
+        recheck |= !ops_check.passed();
 
         let wl = Workload {
             name: name.ok_or(ParseError {
@@ -185,14 +217,104 @@ impl Workload {
             files,
             processes,
         };
-        wl.check()
-            .map_err(|message| ParseError { line: 0, message })?;
+        if recheck {
+            wl.check()
+        } else {
+            wl.check_frame()
+        }
+        .map_err(|message| ParseError { line: 0, message })?;
         Ok(wl)
     }
 }
 
-/// Most digits the fast path of [`Cursor::number`] reads: 10^19 - 1 <
-/// 2^64, so 19 digits cannot overflow.
+/// The operation on the line at `at` and the start of the next line,
+/// if the line is in exactly the form [`Workload::to_text`] writes;
+/// `None` sends the line to the [`Cursor`].
+#[inline]
+fn fast_op(bytes: &[u8], at: usize) -> Option<(Op, usize)> {
+    // The field at `at`, which must end at `sep`, and the index after `sep`.
+    let field = |at: usize, sep: u8| -> Option<(u64, usize)> {
+        let (value, end) = digits(bytes, at)?;
+        (bytes[end] == sep).then_some((value, end + 1))
+    };
+    if bytes.get(at + 1) != Some(&b' ') {
+        return None;
+    }
+    match bytes[at] {
+        b'c' => {
+            let (ns, next) = field(at + 2, b'\n')?;
+            Some((Op::Compute(SimDuration::from_nanos(ns)), next))
+        }
+        kind @ (b'r' | b'w') => {
+            let (file, at) = field(at + 2, b' ')?;
+            let file = FileId(u32::try_from(file).ok()?);
+            let (offset, at) = field(at, b' ')?;
+            let (len, next) = field(at, b'\n')?;
+            let op = if kind == b'r' {
+                Op::Read { file, offset, len }
+            } else {
+                Op::Write { file, offset, len }
+            };
+            Some((op, next))
+        }
+        _ => None,
+    }
+}
+
+/// `b` in every byte of a word.
+const fn splat(b: u8) -> u64 {
+    u64::from_ne_bytes([b; 8])
+}
+
+/// 10^k for the `k` digits one step of [`digits`] reads.
+const POW10: [u64; 9] = [
+    1,
+    10,
+    100,
+    1_000,
+    10_000,
+    100_000,
+    1_000_000,
+    10_000_000,
+    100_000_000,
+];
+
+/// The run of 1 to [`MAX_DIGITS`] ASCII digits at `at`, read eight
+/// bytes per step (SWAR): its value and the index of the byte after
+/// it. `None` for no digit, more than `MAX_DIGITS` digits, or a run
+/// whose last eight-byte step would read past the end of the text.
+#[inline]
+fn digits(bytes: &[u8], at: usize) -> Option<(u64, usize)> {
+    let (mut value, mut n) = (0u64, 0);
+    loop {
+        let word = u64::from_le_bytes(bytes.get(at + n..at + n + 8)?.try_into().ok()?);
+        // Each byte's digit value; a byte under `0` or over `9` sets its
+        // top bit in one of the two terms. Borrows and carries run only
+        // upwards from a non-digit, so the lowest flagged byte is
+        // exactly the first non-digit.
+        let value_bytes = word.wrapping_sub(splat(b'0'));
+        let non_digits = (value_bytes | word.wrapping_add(splat(0x7F - b'9'))) & splat(0x80);
+        let k = (non_digits.trailing_zeros() / 8) as usize;
+        if k > 0 {
+            // The k digits into the top bytes, zeros before them, then
+            // pairs, quads and the octet, first digit most significant.
+            let d = value_bytes << (64 - 8 * k);
+            let d = d.wrapping_mul(10 << 8 | 1) >> 8;
+            let d = (d & 0x00FF_00FF_00FF_00FF).wrapping_mul(100 << 16 | 1) >> 16;
+            let d = (d & 0x0000_FFFF_0000_FFFF).wrapping_mul(10_000 << 32 | 1) >> 32;
+            // Wraps only past MAX_DIGITS digits, which fail below.
+            value = value.wrapping_mul(POW10[k]).wrapping_add(d);
+            n += k;
+        }
+        if k < 8 || n > MAX_DIGITS {
+            break;
+        }
+    }
+    (1..=MAX_DIGITS).contains(&n).then_some((value, at + n))
+}
+
+/// Most digits [`digits`] reads: 10^19 - 1 < 2^64, so 19 digits
+/// cannot overflow.
 const MAX_DIGITS: usize = 19;
 
 /// Byte classes of the format: token bytes (every non-ASCII byte among
@@ -271,22 +393,16 @@ impl<'a> Cursor<'a> {
     /// The next field as a number no larger than `max`.
     fn number(&mut self, what: &str, max: u64) -> Result<u64, ParseError> {
         self.at += self.run(BLANK);
-        let rest = self.rest();
-        let (mut digits, mut value) = (0, 0u64);
-        for d in rest.iter().take(MAX_DIGITS).map(|b| b.wrapping_sub(b'0')) {
-            if d > 9 {
-                break;
+        let bytes = self.text.as_bytes();
+        if let Some((value, end)) = digits(bytes, self.at) {
+            if CLASS[bytes[end] as usize] != TOKEN && value <= max {
+                self.at = end;
+                return Ok(value);
             }
-            value = value * 10 + u64::from(d);
-            digits += 1;
-        }
-        let ends = rest.get(digits).is_none_or(|&b| CLASS[b as usize] != TOKEN);
-        if digits > 0 && ends && value <= max {
-            self.at += digits;
-            return Ok(value);
         }
         // Anything else — a sign, 20 or more digits, another byte, a
-        // value over `max`, no token at all — takes the general path.
+        // value over `max`, no token at all, a field in the text's last
+        // bytes — takes the general path.
         let tok = self.field(what)?;
         tok.parse()
             .ok()
@@ -416,7 +532,8 @@ mod tests {
             "1a",
             "\u{e9}",
         ] {
-            for tail in ["", " 5", "\t#", "\r\n"] {
+            // Unpadded, the field sits in the text's last bytes.
+            for tail in ["", " 5", "\t#", "\r\n", "\n                "] {
                 let text = format!(" {tok}{tail}");
                 let mut cur = Cursor {
                     text: &text,
@@ -477,7 +594,7 @@ mod tests {
     fn mutate(rng: &mut Rng64, text: &mut Vec<u8>) {
         let pos = |rng: &mut Rng64, len: usize| rng.range_u64(0, len as u64) as usize;
         let byte = |rng: &mut Rng64| ALPHABET[rng.range_u64(0, ALPHABET.len() as u64 - 1) as usize];
-        match rng.range_u64(0, 10) {
+        match rng.range_u64(0, 16) {
             0 if !text.is_empty() => {
                 let at = pos(rng, text.len() - 1);
                 text[at] = byte(rng);
@@ -514,16 +631,10 @@ mod tests {
             }
             5 => {
                 // A 20-to-25-digit number in place of a digit run.
-                let at = pos(rng, text.len());
-                if let Some(p) = text[at..].iter().position(u8::is_ascii_digit) {
-                    let start = at + p;
-                    let end = text[start..]
-                        .iter()
-                        .position(|b| !b.is_ascii_digit())
-                        .map_or(text.len(), |q| start + q);
+                if let Some(run) = digit_run(text, pos(rng, text.len())) {
                     let digits = rng.range_u64(20, 25) as usize;
                     let big: Vec<u8> = (0..digits).map(|i| b"98765432109"[i % 11]).collect();
-                    text.splice(start..end, big);
+                    text.splice(run, big);
                 }
             }
             6 => {
@@ -560,8 +671,77 @@ mod tests {
                 text.pop();
             }
             10 if rng.chance(0.1) => text.clear(),
+            11 => {
+                // A digit run of a length at an edge of the eight-digit
+                // steps or of the 19 digits a u64 always holds.
+                if let Some(run) = digit_run(text, pos(rng, text.len())) {
+                    let digits = [7, 8, 9, 15, 16, 17, 19, 20][rng.range_u64(0, 7) as usize];
+                    let first = [b'0', b'1', b'9'][rng.range_u64(0, 2) as usize];
+                    let number: Vec<u8> = std::iter::once(first)
+                        .chain((1..digits).map(|i| b"8765432109"[i % 10]))
+                        .collect();
+                    text.splice(run, number);
+                }
+            }
+            12 => {
+                // The file id of an access line at its widest, or one past.
+                let at = pos(rng, text.len());
+                if let Some(p) = text[at..]
+                    .windows(3)
+                    .position(|w| matches!(w, [b'\n', b'r' | b'w', b' ']))
+                {
+                    if let Some(run) = digit_run(text, at + p + 3) {
+                        let id: &[u8] =
+                            [&b"4294967295"[..], b"4294967296"][rng.range_u64(0, 1) as usize];
+                        text.splice(run, id.iter().copied());
+                    }
+                }
+            }
+            13 => {
+                // The text ends right after a number, with no line end.
+                if let Some(run) = digit_run(text, pos(rng, text.len())) {
+                    text.truncate(run.end);
+                }
+            }
+            14 => {
+                // A comment mark directly after a number.
+                if let Some(run) = digit_run(text, pos(rng, text.len())) {
+                    text.insert(run.end, b'#');
+                }
+            }
+            15 => {
+                // An operation line before the first `proc` line.
+                let at = text
+                    .windows(5)
+                    .position(|w| w == b"proc ")
+                    .unwrap_or(text.len());
+                let op: &[u8] =
+                    [&b"c 7\n"[..], b"r 0 0 1\n", b"w 0 8 8\n"][rng.range_u64(0, 2) as usize];
+                text.splice(at..at, op.iter().copied());
+            }
+            16 => {
+                // A `file` line moved to the end: declared after its use.
+                if let Some(start) = text.windows(6).position(|w| w == b"\nfile ") {
+                    let end = text[start + 1..]
+                        .iter()
+                        .position(|&b| b == b'\n')
+                        .map_or(text.len(), |q| start + 2 + q);
+                    let line: Vec<u8> = text.drain(start + 1..end).collect();
+                    text.extend(line);
+                }
+            }
             _ => {}
         }
+    }
+
+    /// The digit run at or after byte `at` of `text`, if any.
+    fn digit_run(text: &[u8], at: usize) -> Option<std::ops::Range<usize>> {
+        let start = at + text[at..].iter().position(u8::is_ascii_digit)?;
+        let end = text[start..]
+            .iter()
+            .position(|b| !b.is_ascii_digit())
+            .map_or(text.len(), |q| start + q);
+        Some(start..end)
     }
 
     /// Both parsers' verdicts on `text`, comparable: the rendered
@@ -629,6 +809,139 @@ mod tests {
         assert!(
             oks > 100 && errs > 100,
             "the fuzz reaches both verdicts: {oks} ok, {errs} err"
+        );
+    }
+
+    /// The eight-digit reader gives `str::parse`'s value for every run
+    /// of 1 to 19 digits, whatever ends it, and declines the rest.
+    #[test]
+    fn digits_read_as_str_parse_does() {
+        for len in 0..=24 {
+            for first in ['0', '1', '9'] {
+                let run: String = std::iter::once(first)
+                    .chain((1..len).map(|i| char::from(b"8765432109"[i % 10])))
+                    .take(len)
+                    .collect();
+                for tail in [" ", "\n", "#", "x", "\u{e9}", "+"] {
+                    let text = format!("{run}{tail}{}", " ".repeat(24));
+                    let got = digits(text.as_bytes(), 0);
+                    let want = (1..=MAX_DIGITS)
+                        .contains(&len)
+                        .then(|| (run.parse::<u64>().unwrap(), len));
+                    assert_eq!(got, want, "{text:?}");
+                    // Near the end of the text, it reads the run only if
+                    // every word it loads fits in the text.
+                    let short = format!("{run}{tail}");
+                    let fits = short.len() >= 8 * (len / 8 + 1);
+                    let want = want.filter(|_| fits);
+                    assert_eq!(digits(short.as_bytes(), 0), want, "{short:?}");
+                }
+            }
+        }
+    }
+
+    /// The fast path's operation is the one the cursor reads off the
+    /// same line, and a line it does not take falls through whole.
+    #[test]
+    fn fast_path_takes_only_canonical_operation_lines() {
+        let pad = " ".repeat(24);
+        let op = |line: &str| fast_op(format!("{line}{pad}").as_bytes(), 0).map(|(op, _)| op);
+        let read = |file, offset, len| Op::Read {
+            file: FileId(file),
+            offset,
+            len,
+        };
+        assert_eq!(op("r 3 81920 8192\n"), Some(read(3, 81920, 8192)));
+        assert_eq!(
+            op("w 4294967295 0 1\n"),
+            Some(Op::Write {
+                file: FileId(u32::MAX),
+                offset: 0,
+                len: 1
+            })
+        );
+        assert_eq!(
+            op("c 18446744073709551615\n"),
+            None,
+            "20 digits go to the cursor"
+        );
+        assert_eq!(
+            op("c 9999999999999999999\n"),
+            Some(Op::Compute(SimDuration::from_nanos(
+                9_999_999_999_999_999_999
+            )))
+        );
+        for line in [
+            "r 4294967296 0 1\n",
+            "r 0 0 1 \n",
+            "r 0 0 1#\n",
+            "r 0 0 1\r\n",
+            "r 0  0 1\n",
+            "r\t0 0 1\n",
+            " r 0 0 1\n",
+            "r 0 +0 1\n",
+            "r 0 0\n",
+            "c 5 6\n",
+            "rw 0 0 1\n",
+            "x 0 0 1\n",
+        ] {
+            assert_eq!(op(line), None, "{line:?}");
+        }
+        // The next line starts after the line end.
+        assert_eq!(
+            fast_op(format!("c 12\nr{pad}").as_bytes(), 0).map(|(_, at)| at),
+            Some(5)
+        );
+    }
+
+    /// Paper-scale traces, the ones the benchmark ingests, render back
+    /// to the same text.
+    #[test]
+    fn paper_scale_traces_round_trip() {
+        for wl in [
+            CharismaParams::paper().generate(42),
+            SpriteParams::paper().generate(42),
+        ] {
+            let text = wl.to_text();
+            let back = Workload::from_text(&text).unwrap();
+            assert!(back.to_text() == text, "{} round-trips", wl.name);
+        }
+    }
+
+    /// `check`'s per-operation tests, folded into the scan, give the
+    /// verdict `check` gives, including for an access to a file the
+    /// text declares only after it and for a compute total past the
+    /// headroom of simulated time.
+    #[test]
+    fn folded_check_agrees_with_check() {
+        let head = "workload t\nblocksize 8192\nnodes 2\nfile 0 8192\n";
+        let max = Workload::MAX_COMPUTE_NS;
+        for body in [
+            "proc 0 0\nr 0 0 8192\n".to_string(),
+            "proc 0 0\nr 0 1 8192\n".into(),
+            "proc 0 0\nr 0 0 0\n".into(),
+            "proc 0 0\nr 1 0 8\nfile 1 8\n".into(),
+            "proc 0 0\nr 1 0 9\nfile 1 8\n".into(),
+            "proc 0 5\nr 0 1 8192\n".into(),
+            "proc 0 0\nr 0 18446744073709551615 1\n".into(),
+            format!("proc 0 0\nc {max}\nr 0 0 1\nproc 1 1\nc {max}\n"),
+            format!("proc 0 0\nc {max}\nc 1\nr 0 0 1\n"),
+            format!("proc 0 0\nc {max}\nr 0 0 9999\nc 1\n"),
+            "proc 0 0\nc 18446744073709551615\nc 18446744073709551615\n".into(),
+        ] {
+            let text = format!("{head}{body}");
+            assert_eq!(
+                verdict(Workload::from_text(&text)),
+                verdict(reference::from_text(&text)),
+                "{text}"
+            );
+        }
+        let text = format!("{head}proc 0 0\nc {max}\nc 1\n");
+        let err = Workload::from_text(&text).unwrap_err();
+        assert_eq!(
+            (err.line, err.message.contains("process 0 computes")),
+            (0, true),
+            "{err}"
         );
     }
 

@@ -81,12 +81,31 @@ impl Workload {
         size.div_ceil(self.block_size)
     }
 
+    /// Most simulated time one process may spend computing, summed
+    /// over its compute records: 2^62 ns, about 146 years. Simulated
+    /// time is a `u64` of nanoseconds, so this leaves three quarters of
+    /// its range for the I/O the replay adds on top.
+    pub const MAX_COMPUTE_NS: u64 = 1 << 62;
+
     /// Check internal consistency: dense ids, in-bounds accesses,
-    /// non-empty operations. The text loader calls this after parsing.
+    /// non-empty operations, and at most
+    /// [`MAX_COMPUTE_NS`](Self::MAX_COMPUTE_NS) of compute per process.
+    /// The text loader runs the per-operation tests as it parses.
     ///
     /// # Errors
     /// A description of the first inconsistency found.
     pub fn check(&self) -> Result<(), String> {
+        self.check_parts(true)
+    }
+
+    /// [`check`](Self::check) without the walk over the operations: for
+    /// a parser whose [`OpCheck`] passed every process, this gives the
+    /// same verdict as `check` in O(files + processes).
+    pub(crate) fn check_frame(&self) -> Result<(), String> {
+        self.check_parts(false)
+    }
+
+    fn check_parts(&self, walk_ops: bool) -> Result<(), String> {
         if self.block_size == 0 {
             return Err("zero block size".into());
         }
@@ -114,28 +133,55 @@ impl Workload {
             if p.node.0 >= self.nodes {
                 return Err(format!("process {i} on out-of-range node {}", p.node));
             }
-            for op in &p.ops {
-                if let Op::Read { file, offset, len } | Op::Write { file, offset, len } = op {
-                    let meta = self
-                        .files
-                        .get(file.0 as usize)
-                        .ok_or_else(|| format!("process {i} touches unknown {file}"))?;
-                    if *len == 0 {
-                        return Err(format!("zero-length access in process {i}"));
-                    }
-                    let end = offset.checked_add(*len).ok_or_else(|| {
-                        format!("process {i} access offset+len overflows on {file}")
-                    })?;
-                    if end > meta.size {
-                        return Err(format!(
-                            "process {i} accesses past EOF of {file}: {offset}+{len} > {}",
-                            meta.size
-                        ));
-                    }
+            if walk_ops {
+                let mut ops = OpCheck::default();
+                for op in &p.ops {
+                    ops.add(op, &self.files);
+                }
+                if !ops.passed() {
+                    return Err(self.op_error(i));
                 }
             }
         }
         Ok(())
+    }
+
+    /// The message for the first operation of process `i` that fails
+    /// [`OpCheck`].
+    #[cold]
+    fn op_error(&self, i: usize) -> String {
+        let mut compute_ns = 0u64;
+        for op in &self.processes[i].ops {
+            match *op {
+                Op::Compute(d) => {
+                    compute_ns = compute_ns.saturating_add(d.as_nanos());
+                    if compute_ns > Self::MAX_COMPUTE_NS {
+                        return format!(
+                            "process {i} computes for more than 2^62 ns in total, \
+                             past the headroom of simulated time"
+                        );
+                    }
+                }
+                Op::Read { file, offset, len } | Op::Write { file, offset, len } => {
+                    let Some(meta) = self.files.get(file.0 as usize) else {
+                        return format!("process {i} touches unknown {file}");
+                    };
+                    if len == 0 {
+                        return format!("zero-length access in process {i}");
+                    }
+                    let Some(end) = offset.checked_add(len) else {
+                        return format!("process {i} access offset+len overflows on {file}");
+                    };
+                    if end > meta.size {
+                        return format!(
+                            "process {i} accesses past EOF of {file}: {offset}+{len} > {}",
+                            meta.size
+                        );
+                    }
+                }
+            }
+        }
+        unreachable!("op_error on process {i}, whose operations all pass")
     }
 
     /// [`check`](Self::check), walking the trace once per [`Arc`]
@@ -195,6 +241,39 @@ impl Workload {
                     .count()
             })
             .sum()
+    }
+}
+
+/// The per-operation tests of [`Workload::check`] over one process's
+/// operations, in order: each access names a known file, is not empty
+/// and ends inside the file, and the compute records sum to at most
+/// [`Workload::MAX_COMPUTE_NS`]. Branch-free per operation; only a
+/// failure goes back for the message.
+#[derive(Default)]
+pub(crate) struct OpCheck {
+    compute_ns: u64,
+    bad: bool,
+}
+
+impl OpCheck {
+    /// Test `op` against `files`, the files declared so far.
+    #[inline]
+    pub(crate) fn add(&mut self, op: &Op, files: &[FileMeta]) {
+        match *op {
+            Op::Compute(d) => self.compute_ns = self.compute_ns.saturating_add(d.as_nanos()),
+            Op::Read { file, offset, len } | Op::Write { file, offset, len } => {
+                // An unknown file reads as size 0, which no non-empty
+                // access fits in.
+                let size = files.get(file.0 as usize).map_or(0, |f| f.size);
+                let (end, overflows) = offset.overflowing_add(len);
+                self.bad |= (len == 0) | overflows | (end > size);
+            }
+        }
+    }
+
+    /// Whether every operation added so far passed.
+    pub(crate) fn passed(&self) -> bool {
+        !self.bad && self.compute_ns <= Workload::MAX_COMPUTE_NS
     }
 }
 
@@ -279,6 +358,39 @@ mod tests {
             wl.check_shared().is_err(),
             "a failing workload is not remembered"
         );
+    }
+
+    /// Each per-operation rule rejects on its own, with its message,
+    /// and an access that ends exactly at EOF or compute exactly at the
+    /// headroom passes.
+    #[test]
+    fn check_names_each_bad_operation() {
+        let access = |file, offset, len| Op::Read {
+            file: FileId(file),
+            offset,
+            len,
+        };
+        let max = SimDuration::from_nanos(Workload::MAX_COMPUTE_NS);
+        for (ops, want) in [
+            (vec![access(0, 65535, 1)], None),
+            (vec![Op::Compute(max), access(0, 0, 1)], None),
+            (vec![access(1, 0, 1)], Some("touches unknown f1")),
+            (vec![access(0, 0, 0)], Some("zero-length access")),
+            (vec![access(0, u64::MAX, 2)], Some("offset+len overflows")),
+            (vec![access(0, 65535, 2)], Some("past EOF")),
+            (
+                vec![Op::Compute(max), Op::Compute(SimDuration::from_nanos(1))],
+                Some("process 0 computes for more than 2^62 ns"),
+            ),
+        ] {
+            let mut wl = tiny_workload();
+            wl.processes[0].ops = ops.clone();
+            match (wl.check(), want) {
+                (Ok(()), None) => {}
+                (Err(e), Some(want)) => assert!(e.contains(want), "{ops:?}: {e}"),
+                (got, _) => panic!("{ops:?}: {got:?}, want {want:?}"),
+            }
+        }
     }
 
     #[test]

@@ -161,21 +161,32 @@ impl IsPpm {
             }
             self.history.push(pair);
             if self.history.len() == self.order {
-                // Look up first; the context is almost always already
-                // interned, so avoid cloning the window on the hot path.
-                let nid = match self.index.get(self.history.as_slice()) {
-                    Some(&nid) => nid,
-                    None => {
-                        let boxed: Box<[Pair]> = self.history.as_slice().into();
-                        let nid = NodeId(self.nodes.len() as u32);
-                        self.nodes.push(Node {
-                            ctx: boxed.clone(),
-                            ..Node::default()
-                        });
-                        self.index.insert(boxed, nid);
-                        nid
-                    }
-                };
+                // A demand that follows the current node's preferred
+                // edge lands on that edge's target, whose context is the
+                // source's shifted by one pair: the new window, found
+                // without hashing it. Otherwise look the window up; it
+                // is almost always interned already, so clone it only
+                // to intern it.
+                let followed = self
+                    .cur_node
+                    .and_then(|from| self.step(from))
+                    .filter(|&(_, next)| next == pair)
+                    .map(|(to, _)| to);
+                let nid =
+                    match followed.or_else(|| self.index.get(self.history.as_slice()).copied()) {
+                        Some(nid) => nid,
+                        None => {
+                            let boxed: Box<[Pair]> = self.history.as_slice().into();
+                            let nid = NodeId(self.nodes.len() as u32);
+                            self.nodes.push(Node {
+                                ctx: boxed.clone(),
+                                ..Node::default()
+                            });
+                            self.index.insert(boxed, nid);
+                            nid
+                        }
+                    };
+                debug_assert_eq!(self.context(nid), self.history.as_slice());
                 if let Some(from) = self.cur_node {
                     self.touch_edge(from, nid);
                 }

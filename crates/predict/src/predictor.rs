@@ -14,7 +14,7 @@ use std::collections::VecDeque;
 
 use crate::backoff::BackoffIsPpm;
 use crate::fxhash::FxHashSet;
-use crate::isppm::{apply_pair, EdgeChoice, IsPpm, Pair};
+use crate::isppm::{apply_pair, EdgeChoice, IsPpm, NodeId, Pair};
 use crate::markov::BlockMarkov;
 use crate::mithril::Mithril;
 use crate::oba::Oba;
@@ -50,6 +50,10 @@ pub struct Walk {
     /// Last up-to-`order` pairs along the walk (IS_PPM only; empty
     /// otherwise).
     pairs: Vec<Pair>,
+    /// The IS_PPM node whose context is `pairs`, when the walk knows it
+    /// without a lookup: at the start, and after a step along an edge,
+    /// whose target's context is the window the step leaves.
+    node: Option<NodeId>,
     /// Last up-to-`order` block numbers along the walk (Markov only).
     blocks: Vec<u64>,
     /// Ranked candidate frontier (MITHRIL only): candidates still to
@@ -65,6 +69,7 @@ impl Walk {
         Walk {
             cur,
             pairs,
+            node: None,
             blocks: Vec::new(),
             frontier: VecDeque::new(),
             visited: FxHashSet::default(),
@@ -285,7 +290,11 @@ impl FilePredictor {
         Some(match &self.inner {
             Inner::None => return None,
             Inner::Oba(_) => Walk::chain(cur, Vec::new()),
-            Inner::IsPpm(p) => Walk::chain(cur, p.history().to_vec()),
+            Inner::IsPpm(p) => {
+                let mut w = Walk::chain(cur, p.history().to_vec());
+                w.node = p.current_node();
+                w
+            }
             Inner::Backoff(b) => Walk::chain(cur, b.history().to_vec()),
             Inner::Markov { model, .. } => {
                 let mut w = Walk::chain(cur, Vec::new());
@@ -328,11 +337,18 @@ impl FilePredictor {
                 (next, PredictionSource::Primary)
             }),
             Inner::IsPpm(p) => {
-                let graph_step = (walk.pairs.len() == p.order())
-                    .then(|| p.lookup(&walk.pairs))
-                    .flatten()
-                    .and_then(|node| p.step(node).map(|(_, pair)| pair));
-                advance_walk(walk, graph_step, p.order(), file_blocks)
+                // Only a walk that left the graph (an OBA step) looks
+                // its window up again.
+                let step = walk
+                    .node
+                    .or_else(|| (walk.pairs.len() == p.order()).then(|| p.lookup(&walk.pairs))?)
+                    .and_then(|node| p.step(node));
+                let pred = advance_walk(walk, step.map(|(_, pair)| pair), p.order(), file_blocks);
+                if pred.is_some() {
+                    walk.node = step.map(|(to, _)| to);
+                    debug_assert!(walk.node.is_none_or(|n| p.context(n) == walk.pairs));
+                }
+                pred
             }
             Inner::Backoff(b) => {
                 let graph_step = b.step_from_history(&walk.pairs).map(|(pair, _)| pair);

@@ -66,6 +66,8 @@ struct PidState {
     ops: Vec<Op>,
     /// Seconds of trace time not yet emitted as compute.
     pending_gap: f64,
+    /// Nanoseconds of think time emitted so far.
+    compute_ns: u64,
     last_ts: Option<f64>,
     /// Open fds: fd -> (path, current offset). strace only.
     fds: HashMap<u64, (String, u64)>,
@@ -76,6 +78,7 @@ impl PidState {
         PidState {
             ops: Vec::new(),
             pending_gap: 0.0,
+            compute_ns: 0,
             last_ts: None,
             fds: HashMap::new(),
         }
@@ -100,13 +103,26 @@ impl PidState {
     }
 
     /// Emit the accumulated think time, then the I/O op.
-    fn push_io(&mut self, op: Op) {
+    ///
+    /// # Errors
+    /// When the think time takes the pid's compute past
+    /// [`Workload::MAX_COMPUTE_NS`] in total.
+    fn push_io(&mut self, op: Op) -> Result<(), String> {
         if self.pending_gap > 0.0 {
-            self.ops
-                .push(Op::Compute(SimDuration::from_secs_f64(self.pending_gap)));
+            let gap = SimDuration::from_secs_f64(self.pending_gap);
+            self.compute_ns = self.compute_ns.saturating_add(gap.as_nanos());
+            if self.compute_ns > Workload::MAX_COMPUTE_NS {
+                return Err(format!(
+                    "think time of {} s takes this pid's compute past 2^62 ns \
+                     (about 146 years), the headroom of simulated time",
+                    self.pending_gap
+                ));
+            }
+            self.ops.push(Op::Compute(gap));
             self.pending_gap = 0.0;
         }
         self.ops.push(op);
+        Ok(())
     }
 }
 
@@ -210,7 +226,9 @@ pub fn parse_strace(path: &str, text: &str) -> Result<Workload, TraceParseError>
         let mut pid = 0u64;
         if let Some(tok) = first_token(rest) {
             if !tok.is_empty() && tok.bytes().all(|b| b.is_ascii_digit()) {
-                pid = tok.parse().unwrap_or(0);
+                pid = tok
+                    .parse()
+                    .map_err(|_| err(lineno, format!("bad pid {tok:?}: past 2^64")))?;
                 rest = rest[tok.len()..].trim_start();
             }
         }
@@ -335,7 +353,7 @@ pub fn parse_strace(path: &str, text: &str) -> Result<Workload, TraceParseError>
                 if explicit_offset.is_none() {
                     *cur = end;
                 }
-                st.push_io(op);
+                st.push_io(op).map_err(|m| err(lineno, m))?;
             }
             "lseek" | "_llseek" => {
                 if ret < 0 {
@@ -447,7 +465,8 @@ pub fn parse_blktrace(path: &str, text: &str) -> Result<Workload, TraceParseErro
             Op::Write { file, offset, len }
         } else {
             Op::Read { file, offset, len }
-        });
+        })
+        .map_err(|m| err(lineno, m))?;
     }
 
     assemble(format!("blktrace:{path}"), pids, states, table, path)
@@ -720,12 +739,44 @@ CPU1 (8,0):
         let e = parse_strace("t", "7 1.0e999 read(3, \"\", 8) = 8\n").unwrap_err();
         assert_eq!(e.line, 1, "{e}");
         // Two gaps of ~1e308 s with no I/O between them add up past
-        // f64::MAX seconds.
+        // f64::MAX seconds, and saturate there.
+        let mut st = PidState::new();
+        for ts in [0.0, 1.0e308, 0.0, 1.7e308] {
+            st.observe_ts(Some(ts)).unwrap();
+        }
+        assert_eq!(st.pending_gap, f64::MAX);
+        // Such a gap is past the headroom of simulated time: the record
+        // it leads to is an error on its line, not a panic mid-run.
         let text = "7 0.0 getpid() = 7\n7 1.0e308 getpid() = 7\n7 0.0 getpid() = 7\n\
                     7 1.7e308 read(3, \"\", 8) = 8\n";
-        let wl = parse_strace("t", text).expect("huge gaps saturate");
-        let gap = SimDuration::from_nanos(u64::MAX);
-        assert_eq!(wl.processes[0].ops[0], Op::Compute(gap));
+        let e = parse_strace("t", text).unwrap_err();
+        assert_eq!(e.line, 4, "{e}");
+        assert!(e.msg.contains("2^62 ns"), "{e}");
+    }
+
+    /// Think time is bounded by the total, not per gap: gaps that each
+    /// fit but add up past 2^62 ns fail on the record that crosses it.
+    #[test]
+    fn think_time_past_the_headroom_names_its_line() {
+        let blk = |ts: &str, sector: u32| format!("8,0 1 1 {ts} 10 Q R {sector} + 8 [a]\n");
+        let text = blk("0", 0) + &blk("4.0e9", 8) + &blk("8.0e9", 16);
+        let e = parse_blktrace("d", &text).unwrap_err();
+        assert_eq!(e.line, 3, "{e}");
+        assert!(e.msg.contains("2^62 ns"), "{e}");
+        let ok = blk("0", 0) + &blk("4.0e9", 8);
+        assert_eq!(parse_blktrace("d", &ok).unwrap().processes.len(), 1);
+    }
+
+    /// A pid too large for a u64 is a line error, not pid 0.
+    #[test]
+    fn overflowing_pid_names_its_line() {
+        let text = "5 open(\"/a\", O_RDONLY) = 3\n5 read(3, \"\", 8) = 8\n\
+                    99999999999999999999 open(\"/b\", O_RDONLY) = 3\n";
+        let e = parse_strace("t", text).unwrap_err();
+        assert_eq!(e.line, 3, "{e}");
+        assert!(e.msg.contains("bad pid \"99999999999999999999\""), "{e}");
+        let max = text.replace("99999999999999999999", "18446744073709551615");
+        assert!(parse_strace("t", &max).is_ok());
     }
 
     /// Numbers the fuzz writes over digit runs: 2^55 − 1 and 2^55 (a

@@ -19,6 +19,10 @@ run cargo build --offline --workspace --all-targets
 # is on under debug_assertions), so every test is also a conservation,
 # span-sum, linear-limit, degraded-safety, and liveness check.
 run cargo test --offline --workspace
+# The trace parser's fast path ships in release builds (lapsim,
+# perfbench), where overflow checks are off: run its tests, the
+# differential fuzz among them, there too.
+run cargo test --release --offline -p ioworkload
 
 # The benchmark is a package of its own (perfbench/, outside the
 # workspace) that calls public APIs of the crates. Build and test it

@@ -469,3 +469,59 @@ fn lapsim_rejects_trace_offsets_past_two_to_the_64() {
     }
     std::fs::remove_dir_all(&dir).ok();
 }
+
+/// Think time past the headroom of simulated time (2^62 ns per
+/// process) is rejected before the run, exit 2 naming the process or
+/// the record, never a "SimTime overflow" panic mid-run: in a native
+/// trace whose compute records add up past it, and in a blkparse
+/// capture whose second record comes 1e11 s after its first.
+#[test]
+fn lapsim_rejects_compute_past_the_headroom_of_simulated_time() {
+    let dir = std::env::temp_dir().join(format!("lap-cli-compute-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let native = dir.join("compute.trace");
+    std::fs::write(
+        &native,
+        "workload t\nblocksize 8192\nnodes 1\nfile 0 8192\nproc 0 0\n\
+         c 18446744073709551615\nr 0 0 10\nc 18446744073709551615\nr 0 0 10\n",
+    )
+    .unwrap();
+    let blk = dir.join("late.blkparse");
+    std::fs::write(
+        &blk,
+        "  8,0 1 1 0.000000000 3001 Q R 0 + 8 [app]\n\
+         \x20 8,0 1 2 100000000000.0 3001 Q R 8 + 8 [app]\n",
+    )
+    .unwrap();
+    let cases = [
+        (
+            "native",
+            vec!["--trace".to_string(), native.display().to_string()],
+            "process 0 computes",
+        ),
+        (
+            "blktrace",
+            vec![
+                "--workload".to_string(),
+                format!("blktrace:{}", blk.display()),
+            ],
+            "late.blkparse:2: think time",
+        ),
+    ];
+    for (name, args, problem) in cases {
+        let out = lapsim()
+            .args(&args)
+            .args(["--machine", "now", "--cache-mb", "1"])
+            .output()
+            .expect("run lapsim");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{name}: stderr: {err}");
+        assert!(
+            err.contains(problem),
+            "{name}: stderr names the problem: {err}"
+        );
+        assert!(!err.contains("panicked"), "{name}: stderr: {err}");
+        assert!(out.stdout.is_empty(), "{name}: nothing ran");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
