@@ -3,7 +3,7 @@
 use std::sync::Arc;
 
 use coopcache::{MetaLayout, Replacement, MAX_NODES};
-use devmodel::{DiskGeometry, DiskModel, DiskModelKind, DiskSched, NetModelKind};
+use devmodel::{DiskGeometry, DiskModel, DiskModelKind, DiskSched};
 use faultkit::FaultPlan;
 use prefetch::PrefetchConfig;
 use simcheck::CheckMode;
@@ -50,9 +50,6 @@ pub struct MachineConfig {
     pub disk_model: DiskModelKind,
     /// Within-priority-class dispatch order of the disk queues.
     pub disk_sched: DiskSched,
-    /// Network link cost model. `Fixed` (the default) is the flat
-    /// `startup + size/bandwidth` of Table 1.
-    pub net_model: NetModelKind,
     /// Unit the aggressive prefetch walker fetches in: single blocks
     /// (the paper's rule) or whole extents of the disk layout (one
     /// multi-block job per extent, still one unit of linear limit).
@@ -117,7 +114,6 @@ impl MachineConfig {
             disk_write_seek: SimDuration::from_millis_f64(12.5),
             disk_model: DiskModelKind::Fixed,
             disk_sched: DiskSched::Fifo,
-            net_model: NetModelKind::Fixed,
             prefetch_granularity: PrefetchGranularity::Block,
         }
     }
@@ -140,7 +136,6 @@ impl MachineConfig {
             disk_write_seek: SimDuration::from_millis_f64(12.5),
             disk_model: DiskModelKind::Fixed,
             disk_sched: DiskSched::Fifo,
-            net_model: NetModelKind::Fixed,
             prefetch_granularity: PrefetchGranularity::Block,
         }
     }
@@ -202,17 +197,12 @@ impl MachineConfig {
             + SimDuration::transfer(bytes, self.memory_bandwidth)
     }
 
-    /// Time to hand `bytes` to a requester across the network, under
-    /// the configured link model. With [`NetModelKind::Fixed`] this is
-    /// exactly the Table 1 formula
-    /// `remote_copy_startup + remote_startup + bytes / bandwidth`.
+    /// Time to hand `bytes` to a requester across the network (the
+    /// Table 1 communication model).
     pub fn remote_transfer(&self, bytes: u64) -> SimDuration {
-        self.net_model
-            .link(
-                self.remote_copy_startup + self.remote_startup,
-                self.network_bandwidth,
-            )
-            .transfer_time(bytes)
+        self.remote_copy_startup
+            + self.remote_startup
+            + SimDuration::transfer(bytes, self.network_bandwidth)
     }
 }
 

@@ -39,7 +39,7 @@ pub trait DispatchFaults {
 /// both `total` and `retry` of the returned cost, so the mechanical
 /// breakdown of the successful attempt is untouched.
 pub struct FaultedModel<'a> {
-    /// The fault-free pricing model (disk or link).
+    /// The fault-free disk pricing model.
     pub inner: &'a mut dyn ServiceModel,
     /// The fault source consulted after pricing.
     pub faults: &'a mut dyn DispatchFaults,

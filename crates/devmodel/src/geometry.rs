@@ -84,13 +84,6 @@ impl DiskGeometry {
         }
     }
 
-    /// The NOW column uses the same disks as the PM column (Table 1
-    /// lists one disk spec), so this is [`pm`](Self::pm) under another
-    /// name — kept separate so the presets can diverge later.
-    pub fn now() -> Self {
-        Self::pm()
-    }
-
     /// The [`pm`](Self::pm) mechanics with an `extent_blocks`-long
     /// allocation extent (`>= 1`; `pm_extent(1)` *is* the calibrated
     /// `pm` preset). The mechanical constants are deliberately kept
@@ -135,6 +128,12 @@ impl DiskGeometry {
     /// Total addressable sectors.
     pub fn total_sectors(&self) -> u64 {
         self.cylinders as u64 * self.sectors_per_cylinder()
+    }
+
+    /// Whole `block_bytes`-sized file-system blocks the disk holds: the
+    /// largest extent [`lba_of`](Self::lba_of) can lay out.
+    pub fn blocks(&self, block_bytes: u64) -> u64 {
+        self.total_sectors() / (block_bytes / self.sector_bytes as u64).max(1)
     }
 
     /// Cylinder containing `lba` (clamped to the last cylinder).
@@ -261,6 +260,11 @@ mod tests {
                 assert!(g.lba_of(f, b, 8192) < g.total_sectors());
             }
         }
+        // The PM disk holds 1 GiB: 131 072 blocks of 8 KB. An extent
+        // that size is one slot covering the whole platter.
+        let whole = DiskGeometry::pm_extent(g.blocks(8192));
+        assert_eq!(whole.extent_blocks, 131_072);
+        assert_eq!(whole.lba_of(9, 131_071, 8192), g.total_sectors() - spb);
     }
 
     #[test]

@@ -11,8 +11,6 @@
 //!   from the deterministic simulation clock, media transfer, and an
 //!   extent-based block→LBA layout. The `Fixed` variant reproduces the
 //!   seed's constants bit-for-bit, so geometry is strictly opt-in.
-//! * [`LinkModel`] — startup + bandwidth network links with optional
-//!   per-segment overhead for large messages.
 //! * [`Sstf`] / [`Clook`] — seek-aware request schedulers plugging
 //!   into [`simkit::Station`], reordering only *within* a priority
 //!   class (the demand-before-prefetch rule is structural).
@@ -20,9 +18,9 @@
 //!   lets a fault source (the `faultkit` crate) add retry surcharge at
 //!   dispatch time without touching the mechanical model.
 //!
-//! The [`DiskModelKind`], [`DiskSched`] and [`NetModelKind`] enums are
-//! the `Copy` configuration surface that `lap-core`'s `MachineConfig`
-//! embeds and the CLIs parse.
+//! The [`DiskModelKind`] and [`DiskSched`] enums are the `Copy`
+//! configuration surface that `lap-core`'s `MachineConfig` embeds and
+//! the CLIs parse.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -30,13 +28,11 @@
 mod disk;
 mod fault;
 mod geometry;
-mod net;
 mod sched;
 
 pub use disk::{DiskModel, DiskModelStats, GeomDisk};
 pub use fault::{DispatchFaults, FaultedModel};
 pub use geometry::DiskGeometry;
-pub use net::LinkModel;
 pub use sched::{Clook, Sstf};
 
 use simkit::{FifoSched, Scheduler, SimDuration};
@@ -133,38 +129,6 @@ impl DiskSched {
     }
 }
 
-/// Which network cost model a machine uses.
-#[derive(Clone, Copy, PartialEq, Debug)]
-pub enum NetModelKind {
-    /// Flat `startup + size / bandwidth` (seed behaviour).
-    Fixed,
-    /// Segmented: large messages pay `per_segment` for every
-    /// `segment_bytes` hop beyond the first.
-    Segmented {
-        /// Segment size in bytes.
-        segment_bytes: u64,
-        /// Extra cost per segment beyond the first.
-        per_segment: SimDuration,
-    },
-}
-
-impl NetModelKind {
-    /// Build the [`LinkModel`] for a link with the given flat
-    /// parameters.
-    pub fn link(&self, startup: SimDuration, bandwidth: f64) -> LinkModel {
-        let mut l = LinkModel::flat(startup, bandwidth);
-        if let NetModelKind::Segmented {
-            segment_bytes,
-            per_segment,
-        } = *self
-        {
-            l.segment_bytes = segment_bytes;
-            l.per_segment = per_segment;
-        }
-        l
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -194,17 +158,5 @@ mod tests {
             DiskModelKind::Geometry(DiskGeometry::tiny()).extent_blocks(),
             4
         );
-    }
-
-    #[test]
-    fn net_kind_configures_link() {
-        let flat = NetModelKind::Fixed.link(SimDuration::from_micros(15), 200.0e6);
-        assert_eq!(flat.segment_bytes, 0);
-        let seg = NetModelKind::Segmented {
-            segment_bytes: 4096,
-            per_segment: SimDuration::from_micros(2),
-        }
-        .link(SimDuration::from_micros(15), 200.0e6);
-        assert!(seg.transfer_time(8192) > flat.transfer_time(8192));
     }
 }

@@ -5,7 +5,7 @@
 //! service), `i` instants (cache activity, prefetch decisions,
 //! write-backs), and `C` counters (queue depths). Tracks:
 //!
-//! * one thread track per disk/network station (`disk 0`, `net 1`...);
+//! * one thread track per disk station (`disk 0`, `disk 1`...);
 //! * one thread track per node (`node 0`...) carrying its cache and
 //!   request-completion instants;
 //! * a `prefetch` track (walk lifecycle, miss-predictions) and a
@@ -21,7 +21,7 @@
 use std::collections::HashSet;
 use std::fmt::Write as _;
 
-use crate::event::{Event, Nanos, StationId, StationKind, WalkStopReason};
+use crate::event::{Event, Nanos, StationId, WalkStopReason};
 
 const PID: u32 = 1;
 /// Track ids. Stations and nodes get disjoint ranges so a trace can
@@ -30,21 +30,14 @@ const TID_PREFETCH: u32 = 3;
 const TID_WRITEBACK: u32 = 4;
 const TID_FAULTS: u32 = 5;
 const TID_DISK_BASE: u32 = 10;
-const TID_NET_BASE: u32 = 1000;
 const TID_NODE_BASE: u32 = 5000;
 
 fn station_tid(s: StationId) -> u32 {
-    match s.kind {
-        StationKind::Disk => TID_DISK_BASE + s.index,
-        StationKind::Net => TID_NET_BASE + s.index,
-    }
+    TID_DISK_BASE + s.index
 }
 
 fn station_name(s: StationId) -> String {
-    match s.kind {
-        StationKind::Disk => format!("disk {}", s.index),
-        StationKind::Net => format!("net {}", s.index),
-    }
+    format!("disk {}", s.index)
 }
 
 /// Priority-class display names (simkit's disk priority convention).
@@ -366,13 +359,6 @@ mod tests {
     use super::*;
     use crate::event::NO_RID;
 
-    fn disk(i: u32) -> StationId {
-        StationId {
-            kind: StationKind::Disk,
-            index: i,
-        }
-    }
-
     /// A dependency-free structural JSON check: balanced braces and
     /// brackets outside strings, and no trailing commas before
     /// closers. Good enough to catch exporter syntax regressions.
@@ -418,7 +404,7 @@ mod tests {
             (
                 1_000u64,
                 Event::QueuePush {
-                    station: disk(0),
+                    station: StationId::disk(0),
                     class: 2,
                     depth: 1,
                     rid: NO_RID,
@@ -427,7 +413,7 @@ mod tests {
             (
                 2_000,
                 Event::ServiceBegin {
-                    station: disk(0),
+                    station: StationId::disk(0),
                     class: 0,
                     rid: 0,
                 },
@@ -443,7 +429,7 @@ mod tests {
             (
                 9_000,
                 Event::ServiceEnd {
-                    station: disk(0),
+                    station: StationId::disk(0),
                     class: 0,
                     rid: 0,
                 },

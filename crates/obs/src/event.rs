@@ -17,13 +17,12 @@ pub type Nanos = u64;
 /// through every layer so a trace can be grouped into causal spans.
 pub const NO_RID: u32 = u32::MAX;
 
-/// What kind of service station an event refers to.
+/// What kind of service station an event refers to. Every station the
+/// simulator models is a disk.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum StationKind {
     /// A disk (one per storage node).
     Disk,
-    /// A network link / NIC station.
-    Net,
 }
 
 /// Identifies one service station (e.g. disk 3).
@@ -31,7 +30,7 @@ pub enum StationKind {
 pub struct StationId {
     /// The station family.
     pub kind: StationKind,
-    /// Index within the family (disk number, link number).
+    /// Index within the family (the disk number).
     pub index: u32,
 }
 
@@ -40,14 +39,6 @@ impl StationId {
     pub const fn disk(index: u32) -> Self {
         StationId {
             kind: StationKind::Disk,
-            index,
-        }
-    }
-
-    /// The id of network link `index`.
-    pub const fn net(index: u32) -> Self {
-        StationId {
-            kind: StationKind::Net,
             index,
         }
     }

@@ -26,10 +26,10 @@
 //! cycles.
 //!
 //! ```
-//! use lapobs::{Event, Recorder, StationId, StationKind, TraceRecorder};
+//! use lapobs::{Event, Recorder, StationId, TraceRecorder};
 //!
 //! let mut rec = TraceRecorder::with_capacity(16);
-//! let disk0 = StationId { kind: StationKind::Disk, index: 0 };
+//! let disk0 = StationId::disk(0);
 //! if rec.enabled() {
 //!     rec.record(1_000, Event::ServiceBegin { station: disk0, class: 0, rid: 0 });
 //!     rec.record(9_000, Event::ServiceEnd { station: disk0, class: 0, rid: 0 });

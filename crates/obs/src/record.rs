@@ -116,8 +116,8 @@ pub struct TraceRecorder {
     /// Per-station keep decision of the open service span, so a kept
     /// `ServiceBegin` always gets its `ServiceEnd` (and `DiskService`
     /// detail) and a skipped one drops the whole span. Keyed by
-    /// station kind/index.
-    span_keep: std::collections::HashMap<(u8, u32), bool>,
+    /// station index (every station is a disk).
+    span_keep: std::collections::HashMap<u32, bool>,
 }
 
 impl TraceRecorder {
@@ -195,15 +195,6 @@ impl TraceRecorder {
     /// Whether a high-volume event passes the sampling filter,
     /// updating the per-stratum counters.
     fn admit(&mut self, ev: &Event) -> bool {
-        let span_key = |s: &crate::event::StationId| {
-            (
-                match s.kind {
-                    crate::event::StationKind::Disk => 0u8,
-                    crate::event::StationKind::Net => 1u8,
-                },
-                s.index,
-            )
-        };
         match ev {
             // Service spans sample as pairs: the Begin decides, the
             // matching End (and any DiskService detail in between)
@@ -212,7 +203,7 @@ impl TraceRecorder {
                 let k = 2;
                 self.seen[k] += 1;
                 let keep = (self.seen[k] - 1).is_multiple_of(self.sample_every);
-                self.span_keep.insert(span_key(station), keep);
+                self.span_keep.insert(station.index, keep);
                 if keep {
                     self.kept[k] += 1;
                 }
@@ -221,7 +212,7 @@ impl TraceRecorder {
             Event::ServiceEnd { station, .. } => {
                 let k = 3;
                 self.seen[k] += 1;
-                let keep = self.span_keep.remove(&span_key(station)).unwrap_or(true);
+                let keep = self.span_keep.remove(&station.index).unwrap_or(true);
                 if keep {
                     self.kept[k] += 1;
                 }
@@ -230,7 +221,7 @@ impl TraceRecorder {
             Event::DiskService { station, .. } => {
                 let k = 5;
                 self.seen[k] += 1;
-                let keep = *self.span_keep.get(&span_key(station)).unwrap_or(&true);
+                let keep = *self.span_keep.get(&station.index).unwrap_or(&true);
                 if keep {
                     self.kept[k] += 1;
                 }
@@ -315,7 +306,7 @@ impl<'a, R: Recorder> Obs<'a, R> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::{StationId, StationKind};
+    use crate::event::StationId;
 
     #[test]
     fn noop_recorder_is_zero_sized_and_disabled() {
@@ -428,10 +419,7 @@ mod tests {
 
     #[test]
     fn sampling_keeps_service_spans_paired() {
-        let disk = StationId {
-            kind: StationKind::Disk,
-            index: 0,
-        };
+        let disk = StationId::disk(0);
         let mut r = TraceRecorder::with_sampling(1024, 3);
         for i in 0..9u64 {
             r.record(
@@ -488,10 +476,7 @@ mod tests {
         dynrec.record(
             1,
             Event::ServiceBegin {
-                station: StationId {
-                    kind: StationKind::Disk,
-                    index: 0,
-                },
+                station: StationId::disk(0),
                 class: 0,
                 rid: 0,
             },

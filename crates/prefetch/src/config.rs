@@ -144,6 +144,22 @@ impl PrefetchConfig {
         }
     }
 
+    /// Parse a configuration name (`lapsim --algo`): an optional
+    /// `ln_agr_` prefix for the linear aggressive driver, then a
+    /// registry predictor spec (`np`, `oba`, `is_ppm:3`, …). `None` for
+    /// anything else, and for `ln_agr_np`, which has nothing to fetch.
+    pub fn parse(s: &str) -> Option<Self> {
+        let (aggressive, spec) = match s.strip_prefix("ln_agr_") {
+            Some(rest) => (Some(AggressiveLimit::One), rest),
+            None => (None, s),
+        };
+        let kind = PredictorSpec::parse(spec).ok()?.kind;
+        if aggressive.is_some() && kind == AlgorithmKind::None {
+            return None;
+        }
+        Some(Self::with_predictor(kind, aggressive))
+    }
+
     /// The canonical registry spelling of this configuration's
     /// predictor (`is_ppm:1`, `mithril:16,2+oba`, …) — what the
     /// `pred.name` registry row reports.
@@ -290,6 +306,44 @@ mod tests {
             ),
             PrefetchConfig::ln_agr_is_ppm(1)
         );
+    }
+
+    #[test]
+    fn parse_maps_every_algo_spelling_to_its_constructor() {
+        use PrefetchConfig as C;
+        for (name, want) in [
+            ("np", C::np()),
+            ("oba", C::oba()),
+            ("ln_agr_oba", C::ln_agr_oba()),
+        ] {
+            assert_eq!(C::parse(name), Some(want), "{name}");
+        }
+        for j in 1..=4 {
+            for (base, want) in [
+                ("is_ppm", C::is_ppm(j)),
+                ("ln_agr_is_ppm", C::ln_agr_is_ppm(j)),
+                ("is_ppm_backoff", C::is_ppm_backoff(j)),
+                ("ln_agr_is_ppm_backoff", C::ln_agr_is_ppm_backoff(j)),
+            ] {
+                assert_eq!(C::parse(&format!("{base}:{j}")), Some(want), "{base}:{j}");
+                if j == 1 {
+                    assert_eq!(C::parse(base), Some(want), "{base}");
+                }
+            }
+        }
+        // OBA and NP take no order, no order is 0, and NP has nothing
+        // for the aggressive driver to fetch.
+        for bad in [
+            "oba:3",
+            "np:5",
+            "ln_agr_oba:2",
+            "is_ppm:0",
+            "ln_agr_np",
+            "ln_agr_",
+            "",
+        ] {
+            assert_eq!(C::parse(bad), None, "{bad}");
+        }
     }
 
     #[test]

@@ -12,7 +12,8 @@
 //! * per-process CPU demand bursts.
 //!
 //! `simkit` provides the generic machinery (time, event queue, stations,
-//! statistics); the concrete disk/network/CPU models live in `lap-core`.
+//! statistics); the concrete disk models live in `devmodel` and the
+//! network and CPU costs in `lap-core`.
 //!
 //! ## Design
 //!

@@ -1,17 +1,15 @@
 //! Dispatch-time service models and pluggable request schedulers.
 //!
-//! The original [`Station`](crate::Station) API takes a
-//! caller-precomputed [`SimDuration`] at arrival time, which is exact
-//! for cost models of the form `constant + size/bandwidth` but cannot
-//! express geometry: on a real disk the cost of a request depends on
-//! where the head is *when the request starts*, i.e. on every job
-//! served in between. This module adds the two traits that move the
-//! cost decision to dispatch time:
+//! A `latency + size/bandwidth` cost is the same whenever a request
+//! starts, but geometry is not: on a real disk the cost of a request
+//! depends on where the head is *when the request starts*, i.e. on
+//! every job served in between. So the [`Station`](crate::Station)
+//! takes its cost decision at dispatch time, through two traits:
 //!
 //! * [`ServiceModel`] — computes a [`ServiceCost`] for a [`JobSpec`]
 //!   the moment the job starts service, advancing its own internal
-//!   state (head position). The concrete disk and network models live
-//!   in the `devmodel` crate; `simkit` only defines the contract so the
+//!   state (head position). The concrete disk models live in the
+//!   `devmodel` crate; `simkit` only defines the contract so the
 //!   station can consume it without a dependency cycle.
 //! * [`Scheduler`] — picks which waiting job of the *highest-priority
 //!   class* is served next. The class is always chosen first by the
@@ -31,8 +29,6 @@ pub enum DeviceOp {
     Read,
     /// Write `bytes` to position `pos`.
     Write,
-    /// Move `bytes` across a link (no position).
-    Message,
 }
 
 /// Device-level description of a job, consumed by a [`ServiceModel`]
@@ -47,9 +43,9 @@ pub struct JobSpec {
     /// Bytes moved by the job.
     pub bytes: u64,
     /// Device blocks covered by the job, laid out contiguously from
-    /// `pos`. `1` for ordinary single-block jobs (and for messages);
-    /// a multi-block job pays one positioning cost and then a
-    /// contiguous transfer of `bytes`.
+    /// `pos`. `1` for ordinary single-block jobs; a multi-block job
+    /// pays one positioning cost and then a contiguous transfer of
+    /// `bytes`.
     pub blocks: u32,
     /// Demand read this job serves ([`lapobs::NO_RID`] when none —
     /// write-backs, background prefetch), threaded into the station's

@@ -9,28 +9,24 @@
 //! non-preemptive: a prefetch already on the platter finishes even if a
 //! demand request arrives meanwhile.
 //!
-//! Two cost styles coexist:
-//!
-//! * **Fixed** — the caller precomputes a [`SimDuration`] at arrival
-//!   time ([`arrive`](Station::arrive)). This is the paper's original
-//!   `latency + size/bandwidth` model.
-//! * **Modelled** — the caller submits a [`JobSpec`] and a
-//!   [`ServiceModel`] prices the job *when it starts service*
-//!   ([`arrive_job`](Station::arrive_job)), so the cost can depend on
-//!   device state such as head position.
+//! The caller submits a [`JobSpec`] and a [`ServiceModel`] prices the
+//! job *when it starts service* ([`arrive_job`](Station::arrive_job)),
+//! so the cost can depend on device state such as head position. The
+//! paper's fixed per-operation cost is the model that ignores that
+//! state.
 //!
 //! Within a priority class, the pluggable [`Scheduler`] decides which
 //! waiting job starts next (FIFO by default; SSTF/C-LOOK live in
 //! `devmodel`). The class is always chosen first, so reordering can
 //! never serve a prefetch while demand work waits.
 //!
-//! The station is passive: `arrive` and `complete` tell the caller
-//! *when* the started job will finish, and the caller schedules that
-//! completion on its [`EventQueue`](crate::EventQueue).
+//! The station is passive: `arrive_job` and `complete_job` tell the
+//! caller *when* the started job will finish, and the caller schedules
+//! that completion on its [`EventQueue`](crate::EventQueue).
 
 use std::collections::{BTreeMap, VecDeque};
 
-use lapobs::{Event, NoopRecorder, Recorder, StationId, NO_RID};
+use lapobs::{Event, Recorder, StationId};
 
 use crate::service::{FifoSched, JobSpec, Scheduler, ServiceCost, ServiceModel};
 use crate::stats::TimeWeighted;
@@ -48,13 +44,13 @@ impl Priority {
 }
 
 /// A job the station has just started serving. The caller must arrange
-/// to call [`Station::complete`] at `completes_at`.
+/// to call [`Station::complete_job`] at `completes_at`.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct StartedJob<T> {
     /// Caller-supplied identifier for the job.
     pub tag: T,
-    /// Demand read the job serves ([`NO_RID`] when none) — copied from
-    /// the job spec so callers need not look it up again.
+    /// Demand read the job serves ([`lapobs::NO_RID`] when none) —
+    /// copied from the job spec so callers need not look it up again.
     pub rid: u32,
     /// Absolute time at which service finishes.
     pub completes_at: SimTime,
@@ -66,33 +62,9 @@ pub struct StartedJob<T> {
     pub cost: ServiceCost,
 }
 
-/// How a waiting job will be priced when it starts.
-enum JobCost {
-    /// Caller-precomputed service time.
-    Fixed(SimDuration),
-    /// Priced by a [`ServiceModel`] at dispatch time.
-    Modelled(JobSpec),
-}
-
-impl JobCost {
-    fn pos(&self) -> Option<u64> {
-        match self {
-            JobCost::Fixed(_) => None,
-            JobCost::Modelled(spec) => spec.pos,
-        }
-    }
-
-    fn rid(&self) -> u32 {
-        match self {
-            JobCost::Fixed(_) => NO_RID,
-            JobCost::Modelled(spec) => spec.rid,
-        }
-    }
-}
-
 struct Waiting<T> {
     tag: T,
-    cost: JobCost,
+    spec: JobSpec,
     enqueued_at: SimTime,
 }
 
@@ -135,18 +107,31 @@ impl StationStats {
 /// (FIFO by default) within each class.
 ///
 /// ```
-/// use simkit::{Priority, SimDuration, SimTime, Station, StationId};
+/// use lapobs::{NoopRecorder, NO_RID};
+/// use simkit::{
+///     DeviceOp, JobSpec, Priority, ServiceCost, ServiceModel, SimDuration, SimTime, Station,
+///     StationId,
+/// };
 ///
+/// /// Every job takes 10 ms.
+/// struct Flat;
+/// impl ServiceModel for Flat {
+///     fn service(&mut self, _now: SimTime, _job: &JobSpec) -> ServiceCost {
+///         ServiceCost::flat(SimDuration::from_millis(10))
+///     }
+/// }
+///
+/// let spec = JobSpec { op: DeviceOp::Read, pos: None, bytes: 8192, blocks: 1, rid: NO_RID };
 /// let mut disk: Station<&str> = Station::new(StationId::disk(0));
 /// let job = disk
-///     .arrive(SimTime::ZERO, Priority::DEMAND, SimDuration::from_millis(10), "read")
+///     .arrive_job(SimTime::ZERO, Priority::DEMAND, spec, "read", &mut Flat, &mut NoopRecorder)
 ///     .expect("idle disk starts immediately");
 /// // A prefetch queued behind it waits...
 /// assert!(disk
-///     .arrive(SimTime::ZERO, Priority::PREFETCH, SimDuration::from_millis(10), "prefetch")
+///     .arrive_job(SimTime::ZERO, Priority::PREFETCH, spec, "prefetch", &mut Flat, &mut NoopRecorder)
 ///     .is_none());
 /// // ...and starts when the demand read completes.
-/// let next = disk.complete(job.completes_at).unwrap();
+/// let next = disk.complete_job(job.completes_at, &mut Flat, &mut NoopRecorder).unwrap();
 /// assert_eq!(next.tag, "prefetch");
 /// ```
 pub struct Station<T> {
@@ -192,11 +177,6 @@ impl<T> Station<T> {
         }
     }
 
-    /// This station's identity in the event stream.
-    pub fn sid(&self) -> StationId {
-        self.sid
-    }
-
     /// True if a job is currently in service.
     pub fn is_busy(&self) -> bool {
         self.current.is_some()
@@ -210,41 +190,6 @@ impl<T> Station<T> {
     /// Statistics accumulated so far.
     pub fn stats(&self) -> StationStats {
         self.stats
-    }
-
-    /// Submit a fixed-cost job at time `now` needing `service` time.
-    ///
-    /// If the server is idle the job starts immediately and its
-    /// completion descriptor is returned — the caller must schedule a
-    /// completion event and eventually call [`complete`](Self::complete).
-    /// Otherwise the job waits.
-    pub fn arrive(
-        &mut self,
-        now: SimTime,
-        prio: Priority,
-        service: SimDuration,
-        tag: T,
-    ) -> Option<StartedJob<T>> {
-        self.arrive_obs(now, prio, service, tag, &mut NoopRecorder)
-    }
-
-    /// [`arrive`](Self::arrive), emitting queue/service events into
-    /// `rec`. With [`NoopRecorder`] this is exactly `arrive` — the
-    /// emission sites compile away under static dispatch.
-    pub fn arrive_obs<R: Recorder>(
-        &mut self,
-        now: SimTime,
-        prio: Priority,
-        service: SimDuration,
-        tag: T,
-        rec: &mut R,
-    ) -> Option<StartedJob<T>> {
-        if self.current.is_none() && !self.held {
-            Some(self.begin_service(now, prio, ServiceCost::flat(service), NO_RID, tag, rec))
-        } else {
-            self.push_waiting(now, prio, JobCost::Fixed(service), tag, rec);
-            None
-        }
     }
 
     /// Submit a model-priced job at time `now`. If the server is idle,
@@ -262,9 +207,9 @@ impl<T> Station<T> {
     ) -> Option<StartedJob<T>> {
         if self.current.is_none() && !self.held {
             let cost = model.service(now, &spec);
-            Some(self.begin_service(now, prio, cost, spec.rid, tag, rec))
+            Some(self.begin_service(now, prio, cost, spec.rid, SimDuration::ZERO, tag, rec))
         } else {
-            self.push_waiting(now, prio, JobCost::Modelled(spec), tag, rec);
+            self.push_waiting(now, prio, spec, tag, rec);
             None
         }
     }
@@ -273,14 +218,13 @@ impl<T> Station<T> {
         &mut self,
         now: SimTime,
         prio: Priority,
-        cost: JobCost,
+        spec: JobSpec,
         tag: T,
         rec: &mut R,
     ) {
-        let rid = cost.rid();
         self.queues.entry(prio).or_default().push_back(Waiting {
             tag,
-            cost,
+            spec,
             enqueued_at: now,
         });
         self.queued_len += 1;
@@ -292,7 +236,7 @@ impl<T> Station<T> {
                     station: self.sid,
                     class: prio.0,
                     depth: self.queued_len as u32,
-                    rid,
+                    rid: spec.rid,
                 },
             );
         }
@@ -303,20 +247,8 @@ impl<T> Station<T> {
     /// produced one). Jobs started on arrival pass `wait` zero;
     /// dispatches out of the queue pass the queueing delay, which the
     /// returned [`StartedJob`] carries for latency attribution.
-    fn begin_service<R: Recorder>(
-        &mut self,
-        now: SimTime,
-        prio: Priority,
-        cost: ServiceCost,
-        rid: u32,
-        tag: T,
-        rec: &mut R,
-    ) -> StartedJob<T> {
-        self.begin_service_waited(now, prio, cost, rid, SimDuration::ZERO, tag, rec)
-    }
-
     #[allow(clippy::too_many_arguments)]
-    fn begin_service_waited<R: Recorder>(
+    fn begin_service<R: Recorder>(
         &mut self,
         now: SimTime,
         prio: Priority,
@@ -362,32 +294,13 @@ impl<T> Station<T> {
 
     /// Report that the in-service job finished at `now` (which must be
     /// the completion time previously returned). Returns the next job
-    /// to start, if any, which the caller must again schedule.
+    /// to start, if any, priced by `model` at dispatch time (which also
+    /// informs the scheduler's head position); the caller must again
+    /// schedule it.
     ///
     /// # Panics
     /// Panics if the station is idle — a completion without a job in
     /// service means the driving loop lost track of the station state.
-    /// Also panics if the next queued job was submitted via
-    /// [`arrive_job`](Self::arrive_job): model-priced jobs must be
-    /// completed through [`complete_job`](Self::complete_job).
-    pub fn complete(&mut self, now: SimTime) -> Option<StartedJob<T>> {
-        self.complete_obs(now, &mut NoopRecorder)
-    }
-
-    /// [`complete`](Self::complete), emitting the closing service span
-    /// (and the queue-pop/service-begin of the next job) into `rec`.
-    pub fn complete_obs<R: Recorder>(
-        &mut self,
-        now: SimTime,
-        rec: &mut R,
-    ) -> Option<StartedJob<T>> {
-        self.finish_current(now, rec);
-        self.start_next(now, None, rec)
-    }
-
-    /// [`complete_obs`](Self::complete_obs) for stations fed through
-    /// [`arrive_job`](Self::arrive_job): `model` prices the next job at
-    /// dispatch time and informs the scheduler's head position.
     pub fn complete_job<R: Recorder>(
         &mut self,
         now: SimTime,
@@ -395,14 +308,14 @@ impl<T> Station<T> {
         rec: &mut R,
     ) -> Option<StartedJob<T>> {
         self.finish_current(now, rec);
-        self.start_next(now, Some(model), rec)
+        self.start_next(now, model, rec)
     }
 
     fn finish_current<R: Recorder>(&mut self, now: SimTime, rec: &mut R) {
         let (completes_at, class, rid) = self
             .current
             .take()
-            .expect("Station::complete called while idle");
+            .expect("Station::complete_job called while idle");
         debug_assert_eq!(completes_at, now, "completion at the wrong time");
         self.stats.completed += 1;
         if rec.enabled() {
@@ -420,7 +333,7 @@ impl<T> Station<T> {
     fn start_next<R: Recorder>(
         &mut self,
         now: SimTime,
-        mut model: Option<&mut dyn ServiceModel>,
+        model: &mut dyn ServiceModel,
         rec: &mut R,
     ) -> Option<StartedJob<T>> {
         if self.held {
@@ -438,14 +351,13 @@ impl<T> Station<T> {
         let idx = if self.sched.is_fifo() || q.len() == 1 {
             0
         } else {
-            let head = model.as_ref().map_or(0, |m| m.position());
-            let positions: Vec<Option<u64>> = q.iter().map(|w| w.cost.pos()).collect();
-            let idx = self.sched.pick(head, &positions);
+            let positions: Vec<Option<u64>> = q.iter().map(|w| w.spec.pos).collect();
+            let idx = self.sched.pick(model.position(), &positions);
             debug_assert!(idx < q.len(), "scheduler picked an out-of-range job");
             idx.min(q.len() - 1)
         };
         let job = q.remove(idx).unwrap();
-        let rid = job.cost.rid();
+        let rid = job.spec.rid;
         if idx != 0 {
             self.stats.reordered += 1;
             if rec.enabled() {
@@ -464,15 +376,7 @@ impl<T> Station<T> {
         self.queue_track.set(now, self.queued_len as f64);
         let wait = now.saturating_since(job.enqueued_at);
         self.stats.waited += wait;
-        let cost = match job.cost {
-            JobCost::Fixed(service) => ServiceCost::flat(service),
-            JobCost::Modelled(spec) => {
-                let model = model
-                    .as_mut()
-                    .expect("model-priced job dispatched without a ServiceModel: use complete_job");
-                model.service(now, &spec)
-            }
-        };
+        let cost = model.service(now, &job.spec);
         if rec.enabled() {
             rec.record(
                 now.as_nanos(),
@@ -484,7 +388,7 @@ impl<T> Station<T> {
                 },
             );
         }
-        Some(self.begin_service_waited(now, prio, cost, rid, wait, job.tag, rec))
+        Some(self.begin_service(now, prio, cost, rid, wait, job.tag, rec))
     }
 
     /// Remove all *waiting* jobs for which `pred` returns true at time
@@ -555,11 +459,6 @@ impl<T> Station<T> {
         self.held = false;
     }
 
-    /// True while dispatch is suspended by [`hold`](Self::hold).
-    pub fn is_held(&self) -> bool {
-        self.held
-    }
-
     /// Abort the in-service job (outage timeout): the server goes idle,
     /// the unserved remainder `completes_at - now` is un-credited from
     /// the busy time, and the job's service span is closed in the
@@ -591,9 +490,9 @@ impl<T> Station<T> {
         Some((prio, rid))
     }
 
-    /// Re-queue a previously aborted model-priced job at the *front* of
-    /// its priority class, so it is the first job of that class served
-    /// once dispatch resumes. Does not start service — call
+    /// Re-queue a previously aborted job at the *front* of its priority
+    /// class, so it is the first job of that class served once dispatch
+    /// resumes. Does not start service — call
     /// [`dispatch_idle`](Self::dispatch_idle) after.
     pub fn requeue_front<R: Recorder>(
         &mut self,
@@ -603,24 +502,12 @@ impl<T> Station<T> {
         tag: T,
         rec: &mut R,
     ) {
-        self.queues.entry(prio).or_default().push_front(Waiting {
-            tag,
-            cost: JobCost::Modelled(spec),
-            enqueued_at: now,
-        });
-        self.queued_len += 1;
-        self.queue_track.set(now, self.queued_len as f64);
-        if rec.enabled() {
-            rec.record(
-                now.as_nanos(),
-                Event::QueuePush {
-                    station: self.sid,
-                    class: prio.0,
-                    depth: self.queued_len as u32,
-                    rid: spec.rid,
-                },
-            );
-        }
+        self.push_waiting(now, prio, spec, tag, rec);
+        // Move the job just queued at the back to the front.
+        self.queues
+            .get_mut(&prio)
+            .expect("push_waiting created the class queue")
+            .rotate_right(1);
     }
 
     /// Start the next waiting job if the server is idle and not held —
@@ -636,7 +523,7 @@ impl<T> Station<T> {
         if self.current.is_some() {
             return None;
         }
-        self.start_next(now, Some(model), rec)
+        self.start_next(now, model, rec)
     }
 
     /// Per-tag overlap of each waiting job's queue time with the window
@@ -682,6 +569,7 @@ impl<T> Station<T> {
 mod tests {
     use super::*;
     use crate::service::{DeviceOp, MechDetail};
+    use lapobs::{NoopRecorder, NO_RID};
 
     fn t(us: u64) -> SimTime {
         SimTime::from_nanos(us * 1_000)
@@ -693,10 +581,42 @@ mod tests {
         StationId::disk(0)
     }
 
+    /// A flat model: each job's service time is its `bytes` field, read
+    /// as microseconds.
+    struct Flat;
+
+    impl ServiceModel for Flat {
+        fn service(&mut self, _now: SimTime, job: &JobSpec) -> ServiceCost {
+            ServiceCost::flat(d(job.bytes))
+        }
+    }
+
+    /// Submit a job of `us` µs priced by [`Flat`].
+    fn arrive<T>(
+        s: &mut Station<T>,
+        at: SimTime,
+        prio: Priority,
+        us: u64,
+        tag: T,
+    ) -> Option<StartedJob<T>> {
+        let spec = JobSpec {
+            op: DeviceOp::Read,
+            pos: None,
+            bytes: us,
+            blocks: 1,
+            rid: NO_RID,
+        };
+        s.arrive_job(at, prio, spec, tag, &mut Flat, &mut NoopRecorder)
+    }
+
+    fn complete<T>(s: &mut Station<T>, at: SimTime) -> Option<StartedJob<T>> {
+        s.complete_job(at, &mut Flat, &mut NoopRecorder)
+    }
+
     #[test]
     fn idle_station_starts_job_immediately() {
         let mut s: Station<&str> = Station::new(sid());
-        let started = s.arrive(t(0), Priority::DEMAND, d(10), "a").unwrap();
+        let started = arrive(&mut s, t(0), Priority::DEMAND, 10, "a").unwrap();
         assert_eq!(started.completes_at, t(10));
         assert!(s.is_busy());
         assert_eq!(s.queue_len(), 0);
@@ -705,14 +625,14 @@ mod tests {
     #[test]
     fn busy_station_queues_and_serves_fifo() {
         let mut s: Station<u32> = Station::new(sid());
-        s.arrive(t(0), Priority::DEMAND, d(10), 0).unwrap();
-        assert!(s.arrive(t(1), Priority::DEMAND, d(5), 1).is_none());
-        assert!(s.arrive(t(2), Priority::DEMAND, d(5), 2).is_none());
-        let n1 = s.complete(t(10)).unwrap();
+        arrive(&mut s, t(0), Priority::DEMAND, 10, 0).unwrap();
+        assert!(arrive(&mut s, t(1), Priority::DEMAND, 5, 1).is_none());
+        assert!(arrive(&mut s, t(2), Priority::DEMAND, 5, 2).is_none());
+        let n1 = complete(&mut s, t(10)).unwrap();
         assert_eq!((n1.tag, n1.completes_at), (1, t(15)));
-        let n2 = s.complete(t(15)).unwrap();
+        let n2 = complete(&mut s, t(15)).unwrap();
         assert_eq!((n2.tag, n2.completes_at), (2, t(20)));
-        assert!(s.complete(t(20)).is_none());
+        assert!(complete(&mut s, t(20)).is_none());
         assert_eq!(s.stats().completed, 3);
         assert_eq!(s.stats().reordered, 0);
     }
@@ -720,62 +640,62 @@ mod tests {
     #[test]
     fn demand_overtakes_prefetch() {
         let mut s: Station<&str> = Station::new(sid());
-        s.arrive(t(0), Priority::DEMAND, d(10), "busy").unwrap();
-        s.arrive(t(1), Priority::PREFETCH, d(5), "pf");
-        s.arrive(t(2), Priority::DEMAND, d(5), "demand");
-        let next = s.complete(t(10)).unwrap();
+        arrive(&mut s, t(0), Priority::DEMAND, 10, "busy").unwrap();
+        arrive(&mut s, t(1), Priority::PREFETCH, 5, "pf");
+        arrive(&mut s, t(2), Priority::DEMAND, 5, "demand");
+        let next = complete(&mut s, t(10)).unwrap();
         assert_eq!(next.tag, "demand");
-        let after = s.complete(t(15)).unwrap();
+        let after = complete(&mut s, t(15)).unwrap();
         assert_eq!(after.tag, "pf");
     }
 
     #[test]
     fn service_is_non_preemptive() {
         let mut s: Station<&str> = Station::new(sid());
-        s.arrive(t(0), Priority::PREFETCH, d(10), "pf").unwrap();
+        arrive(&mut s, t(0), Priority::PREFETCH, 10, "pf").unwrap();
         // Demand arrival does not interrupt the prefetch in service.
-        s.arrive(t(1), Priority::DEMAND, d(2), "demand");
+        arrive(&mut s, t(1), Priority::DEMAND, 2, "demand");
         assert!(s.is_busy());
-        let next = s.complete(t(10)).unwrap();
+        let next = complete(&mut s, t(10)).unwrap();
         assert_eq!(next.tag, "demand");
     }
 
     #[test]
     fn cancel_where_removes_only_waiting_jobs() {
         let mut s: Station<u32> = Station::new(sid());
-        s.arrive(t(0), Priority::DEMAND, d(10), 0).unwrap();
-        s.arrive(t(1), Priority::PREFETCH, d(5), 1);
-        s.arrive(t(2), Priority::PREFETCH, d(5), 2);
-        s.arrive(t(3), Priority::PREFETCH, d(5), 3);
+        arrive(&mut s, t(0), Priority::DEMAND, 10, 0).unwrap();
+        arrive(&mut s, t(1), Priority::PREFETCH, 5, 1);
+        arrive(&mut s, t(2), Priority::PREFETCH, 5, 2);
+        arrive(&mut s, t(3), Priority::PREFETCH, 5, 3);
         let cancelled = s.cancel_where(t(4), |&tag| tag == 2);
         assert_eq!(cancelled, vec![2]);
         assert_eq!(s.queue_len(), 2);
         assert_eq!(s.stats().cancelled, 1);
         // The in-service job (tag 0) is untouched.
-        let next = s.complete(t(10)).unwrap();
+        let next = complete(&mut s, t(10)).unwrap();
         assert_eq!(next.tag, 1);
     }
 
     #[test]
     fn promote_moves_prefetch_to_demand_class() {
         let mut s: Station<u32> = Station::new(sid());
-        s.arrive(t(0), Priority::DEMAND, d(10), 0).unwrap();
-        s.arrive(t(1), Priority::PREFETCH, d(5), 10);
-        s.arrive(t(2), Priority::PREFETCH, d(5), 11);
-        s.arrive(t(3), Priority::DEMAND, d(5), 20);
+        arrive(&mut s, t(0), Priority::DEMAND, 10, 0).unwrap();
+        arrive(&mut s, t(1), Priority::PREFETCH, 5, 10);
+        arrive(&mut s, t(2), Priority::PREFETCH, 5, 11);
+        arrive(&mut s, t(3), Priority::DEMAND, 5, 20);
         assert_eq!(s.promote_where(Priority::DEMAND, |&tag| tag == 11), 1);
         // Order now: 20 (was demand), 11 (promoted behind existing), 10.
-        assert_eq!(s.complete(t(10)).unwrap().tag, 20);
-        assert_eq!(s.complete(t(15)).unwrap().tag, 11);
-        assert_eq!(s.complete(t(20)).unwrap().tag, 10);
+        assert_eq!(complete(&mut s, t(10)).unwrap().tag, 20);
+        assert_eq!(complete(&mut s, t(15)).unwrap().tag, 11);
+        assert_eq!(complete(&mut s, t(20)).unwrap().tag, 10);
     }
 
     #[test]
     fn wait_time_accounting() {
         let mut s: Station<u32> = Station::new(sid());
-        s.arrive(t(0), Priority::DEMAND, d(10), 0).unwrap();
-        s.arrive(t(4), Priority::DEMAND, d(1), 1);
-        s.complete(t(10));
+        arrive(&mut s, t(0), Priority::DEMAND, 10, 0).unwrap();
+        arrive(&mut s, t(4), Priority::DEMAND, 1, 1);
+        complete(&mut s, t(10));
         // Job 1 waited from t=4 to t=10.
         assert_eq!(s.stats().waited, d(6));
     }
@@ -783,8 +703,8 @@ mod tests {
     #[test]
     fn utilization_tracks_busy_fraction() {
         let mut s: Station<u32> = Station::new(sid());
-        s.arrive(t(0), Priority::DEMAND, d(10), 0).unwrap();
-        s.complete(t(10));
+        arrive(&mut s, t(0), Priority::DEMAND, 10, 0).unwrap();
+        complete(&mut s, t(10));
         assert!((s.utilization(t(20)) - 0.5).abs() < 1e-12);
         assert_eq!(s.utilization(SimTime::ZERO), 0.0);
     }
@@ -792,11 +712,11 @@ mod tests {
     #[test]
     fn mean_queue_length_is_time_weighted() {
         let mut s: Station<u32> = Station::new(sid());
-        s.arrive(t(0), Priority::DEMAND, d(10), 0).unwrap();
+        arrive(&mut s, t(0), Priority::DEMAND, 10, 0).unwrap();
         // One job waits from t=0 to t=10, then none until t=20.
-        s.arrive(t(0), Priority::DEMAND, d(10), 1);
-        s.complete(t(10));
-        s.complete(t(20));
+        arrive(&mut s, t(0), Priority::DEMAND, 10, 1);
+        complete(&mut s, t(10));
+        complete(&mut s, t(20));
         assert!((s.mean_queue_len(t(20)) - 0.5).abs() < 1e-9);
     }
 
@@ -804,7 +724,7 @@ mod tests {
     #[should_panic(expected = "while idle")]
     fn completing_idle_station_panics() {
         let mut s: Station<u32> = Station::new(sid());
-        s.complete(t(0));
+        complete(&mut s, t(0));
     }
 
     /// A toy model: service = 1 µs per unit of distance from the head
@@ -842,34 +762,28 @@ mod tests {
         }
     }
 
+    /// Submit a read at `pos` priced by `disk`.
+    fn arrive_at<T>(
+        s: &mut Station<T>,
+        disk: &mut ToyDisk,
+        at: SimTime,
+        prio: Priority,
+        pos: u64,
+        tag: T,
+    ) -> Option<StartedJob<T>> {
+        s.arrive_job(at, prio, read_at(pos), tag, disk, &mut NoopRecorder)
+    }
+
     #[test]
     fn modelled_jobs_are_priced_at_dispatch_time() {
         let mut disk = ToyDisk { head: 0 };
         let mut s: Station<u32> = Station::new(sid());
         // Starts immediately: distance 5 → 6 µs.
-        let j = s
-            .arrive_job(
-                t(0),
-                Priority::DEMAND,
-                read_at(5),
-                0,
-                &mut disk,
-                &mut NoopRecorder,
-            )
-            .unwrap();
+        let j = arrive_at(&mut s, &mut disk, t(0), Priority::DEMAND, 5, 0).unwrap();
         assert_eq!(j.completes_at, t(6));
         // Queued while busy; priced only when it starts, from the head
         // position the first job left behind (5 → 7 is distance 2).
-        assert!(s
-            .arrive_job(
-                t(1),
-                Priority::DEMAND,
-                read_at(7),
-                1,
-                &mut disk,
-                &mut NoopRecorder
-            )
-            .is_none());
+        assert!(arrive_at(&mut s, &mut disk, t(1), Priority::DEMAND, 7, 1).is_none());
         let n = s.complete_job(t(6), &mut disk, &mut NoopRecorder).unwrap();
         assert_eq!((n.tag, n.completes_at), (1, t(9)));
         assert_eq!(disk.head, 7);
@@ -895,40 +809,11 @@ mod tests {
     fn scheduler_reorders_within_class_only() {
         let mut disk = ToyDisk { head: 0 };
         let mut s: Station<u32> = Station::with_scheduler(sid(), Box::new(Nearest));
-        s.arrive_job(
-            t(0),
-            Priority::DEMAND,
-            read_at(0),
-            0,
-            &mut disk,
-            &mut NoopRecorder,
-        )
-        .unwrap();
+        arrive_at(&mut s, &mut disk, t(0), Priority::DEMAND, 0, 0).unwrap();
         // Prefetch at distance 1, demands at distance 90 and 80.
-        s.arrive_job(
-            t(1),
-            Priority::PREFETCH,
-            read_at(1),
-            10,
-            &mut disk,
-            &mut NoopRecorder,
-        );
-        s.arrive_job(
-            t(2),
-            Priority::DEMAND,
-            read_at(90),
-            20,
-            &mut disk,
-            &mut NoopRecorder,
-        );
-        s.arrive_job(
-            t(3),
-            Priority::DEMAND,
-            read_at(80),
-            21,
-            &mut disk,
-            &mut NoopRecorder,
-        );
+        arrive_at(&mut s, &mut disk, t(1), Priority::PREFETCH, 1, 10);
+        arrive_at(&mut s, &mut disk, t(2), Priority::DEMAND, 90, 20);
+        arrive_at(&mut s, &mut disk, t(3), Priority::DEMAND, 80, 21);
         // Demand class drains first even though the prefetch is nearer,
         // and within the class the nearer demand (80) wins.
         let n = s.complete_job(t(1), &mut disk, &mut NoopRecorder).unwrap();
@@ -948,32 +833,28 @@ mod tests {
     fn held_station_queues_idle_arrivals() {
         let mut s: Station<u32> = Station::new(sid());
         s.hold();
-        assert!(s.is_held());
         // Idle but held: the arrival queues instead of starting.
-        assert!(s.arrive(t(0), Priority::DEMAND, d(10), 1).is_none());
+        assert!(arrive(&mut s, t(0), Priority::DEMAND, 10, 1).is_none());
         assert_eq!(s.queue_len(), 1);
         assert!(!s.is_busy());
         s.release();
-        let mut disk = ToyDisk { head: 0 };
-        // Fixed-cost job dispatches fine through dispatch_idle too.
-        let j = s.dispatch_idle(t(5), &mut disk, &mut NoopRecorder).unwrap();
+        let j = s.dispatch_idle(t(5), &mut Flat, &mut NoopRecorder).unwrap();
         assert_eq!((j.tag, j.completes_at, j.wait), (1, t(15), d(5)));
     }
 
     #[test]
     fn hold_defers_dispatch_at_completion() {
         let mut s: Station<u32> = Station::new(sid());
-        s.arrive(t(0), Priority::DEMAND, d(10), 0).unwrap();
-        s.arrive(t(1), Priority::DEMAND, d(5), 1);
+        arrive(&mut s, t(0), Priority::DEMAND, 10, 0).unwrap();
+        arrive(&mut s, t(1), Priority::DEMAND, 5, 1);
         s.hold();
         // The in-service job finishes (non-preemptive) but the queued
         // one must wait out the hold.
-        assert!(s.complete(t(10)).is_none());
+        assert!(complete(&mut s, t(10)).is_none());
         assert_eq!(s.queue_len(), 1);
         s.release();
-        let mut disk = ToyDisk { head: 0 };
         let j = s
-            .dispatch_idle(t(20), &mut disk, &mut NoopRecorder)
+            .dispatch_idle(t(20), &mut Flat, &mut NoopRecorder)
             .unwrap();
         assert_eq!(j.tag, 1);
         assert_eq!(j.wait, d(19));
@@ -983,23 +864,8 @@ mod tests {
     fn abort_requeue_serves_aborted_job_first() {
         let mut disk = ToyDisk { head: 0 };
         let mut s: Station<u32> = Station::new(sid());
-        s.arrive_job(
-            t(0),
-            Priority::DEMAND,
-            read_at(5),
-            7,
-            &mut disk,
-            &mut NoopRecorder,
-        )
-        .unwrap();
-        s.arrive_job(
-            t(1),
-            Priority::DEMAND,
-            read_at(9),
-            8,
-            &mut disk,
-            &mut NoopRecorder,
-        );
+        arrive_at(&mut s, &mut disk, t(0), Priority::DEMAND, 5, 7).unwrap();
+        arrive_at(&mut s, &mut disk, t(1), Priority::DEMAND, 9, 8);
         // Outage at t=2: abort the in-service job, hold the station.
         let (prio, _rid) = s.abort_current(t(2), &mut NoopRecorder).unwrap();
         assert_eq!(prio, Priority::DEMAND);
@@ -1032,11 +898,11 @@ mod tests {
     #[test]
     fn held_overlap_attributes_outage_wait() {
         let mut s: Station<u32> = Station::new(sid());
-        s.arrive(t(0), Priority::DEMAND, d(100), 0).unwrap();
+        arrive(&mut s, t(0), Priority::DEMAND, 100, 0).unwrap();
         // Job 1 queued before the outage, job 2 during it.
-        s.arrive(t(1), Priority::DEMAND, d(5), 1);
+        arrive(&mut s, t(1), Priority::DEMAND, 5, 1);
         s.hold(); // outage at t=10
-        s.arrive(t(12), Priority::DEMAND, d(5), 2);
+        arrive(&mut s, t(12), Priority::DEMAND, 5, 2);
         let overlaps = s.held_overlap(t(10), t(20));
         assert_eq!(overlaps.len(), 2);
         assert_eq!(
@@ -1052,31 +918,9 @@ mod tests {
     fn reorder_emits_event_and_stat() {
         let mut disk = ToyDisk { head: 0 };
         let mut s: Station<u32> = Station::with_scheduler(sid(), Box::new(Nearest));
-        s.arrive_job(
-            t(0),
-            Priority::DEMAND,
-            read_at(0),
-            0,
-            &mut disk,
-            &mut NoopRecorder,
-        )
-        .unwrap();
-        s.arrive_job(
-            t(1),
-            Priority::DEMAND,
-            read_at(50),
-            1,
-            &mut disk,
-            &mut NoopRecorder,
-        );
-        s.arrive_job(
-            t(2),
-            Priority::DEMAND,
-            read_at(2),
-            2,
-            &mut disk,
-            &mut NoopRecorder,
-        );
+        arrive_at(&mut s, &mut disk, t(0), Priority::DEMAND, 0, 0).unwrap();
+        arrive_at(&mut s, &mut disk, t(1), Priority::DEMAND, 50, 1);
+        arrive_at(&mut s, &mut disk, t(2), Priority::DEMAND, 2, 2);
         let mut rec = lapobs::TraceRecorder::new();
         let n = s.complete_job(t(1), &mut disk, &mut rec).unwrap();
         assert_eq!(n.tag, 2);

@@ -3,7 +3,11 @@
 //! offline). Each test sweeps many seeds; a failure message names the
 //! seed so the case can be replayed exactly.
 
-use simkit::{EventQueue, Priority, SimDuration, SimTime, Station, StationId};
+use lapobs::{NoopRecorder, NO_RID};
+use simkit::{
+    DeviceOp, EventQueue, JobSpec, Priority, ServiceCost, ServiceModel, SimDuration, SimTime,
+    StartedJob, Station, StationId,
+};
 
 /// SplitMix64 — enough randomness for generating test cases.
 struct Rng(u64);
@@ -26,6 +30,33 @@ impl Rng {
         (self.next() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
     }
 }
+
+/// Prices each job at its `bytes` field, read as nanoseconds.
+struct Flat;
+
+impl ServiceModel for Flat {
+    fn service(&mut self, _now: SimTime, job: &JobSpec) -> ServiceCost {
+        ServiceCost::flat(SimDuration::from_nanos(job.bytes))
+    }
+}
+
+/// Submit a job that [`Flat`] serves in `ns` nanoseconds.
+fn arrive(s: &mut Station<usize>, at: SimTime, prio: Priority, ns: u64, tag: usize) -> Started {
+    let spec = JobSpec {
+        op: DeviceOp::Read,
+        pos: None,
+        bytes: ns,
+        blocks: 1,
+        rid: NO_RID,
+    };
+    s.arrive_job(at, prio, spec, tag, &mut Flat, &mut NoopRecorder)
+}
+
+fn complete(s: &mut Station<usize>, at: SimTime) -> Started {
+    s.complete_job(at, &mut Flat, &mut NoopRecorder)
+}
+
+type Started = Option<StartedJob<usize>>;
 
 /// Events always come out in nondecreasing time order, and events
 /// scheduled for the same instant keep their scheduling order.
@@ -76,14 +107,12 @@ fn station_conserves_jobs() {
             while queue.peek_time().is_some_and(|ct| ct <= t) {
                 let (ct, done_id) = queue.pop().unwrap();
                 assert!(completed.insert(done_id), "seed {seed}");
-                if let Some(next) = station.complete(ct) {
+                if let Some(next) = complete(&mut station, ct) {
                     assert!(started.insert(next.tag), "seed {seed}");
                     queue.schedule(next.completes_at, next.tag);
                 }
             }
-            if let Some(sj) =
-                station.arrive(t, Priority(prio), SimDuration::from_nanos(service), id)
-            {
+            if let Some(sj) = arrive(&mut station, t, Priority(prio), service, id) {
                 assert!(started.insert(sj.tag), "seed {seed}");
                 queue.schedule(sj.completes_at, sj.tag);
             }
@@ -92,7 +121,7 @@ fn station_conserves_jobs() {
         // Drain everything.
         while let Some((ct, done_id)) = queue.pop() {
             assert!(completed.insert(done_id), "seed {seed}");
-            if let Some(next) = station.complete(ct) {
+            if let Some(next) = complete(&mut station, ct) {
                 assert!(started.insert(next.tag), "seed {seed}");
                 queue.schedule(next.completes_at, next.tag);
             }
@@ -111,26 +140,22 @@ fn station_fifo_within_class() {
         let mut rng = Rng(seed ^ 0xF1F0);
         let n = rng.below(2, 50) as usize;
         let mut station: Station<usize> = Station::new(StationId::disk(0));
-        let first = station
-            .arrive(
-                SimTime::ZERO,
-                Priority::DEMAND,
-                SimDuration::from_nanos(10),
-                usize::MAX,
-            )
-            .unwrap();
+        let first = arrive(
+            &mut station,
+            SimTime::ZERO,
+            Priority::DEMAND,
+            10,
+            usize::MAX,
+        )
+        .unwrap();
         for id in 0..n {
-            let r = station.arrive(
-                SimTime::from_nanos(1 + id as u64),
-                Priority::DEMAND,
-                SimDuration::from_nanos(5),
-                id,
-            );
+            let at = SimTime::from_nanos(1 + id as u64);
+            let r = arrive(&mut station, at, Priority::DEMAND, 5, id);
             assert!(r.is_none(), "seed {seed}");
         }
         let mut t = first.completes_at;
         for expect in 0..n {
-            let next = station.complete(t).unwrap();
+            let next = complete(&mut station, t).unwrap();
             assert_eq!(next.tag, expect, "seed {seed}");
             t = next.completes_at;
         }

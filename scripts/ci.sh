@@ -21,8 +21,10 @@ run cargo build --offline --workspace --all-targets
 run cargo test --offline --workspace
 # The trace parser's fast path ships in release builds (lapsim,
 # perfbench), where overflow checks are off: run its tests, the
-# differential fuzz among them, there too.
-run cargo test --release --offline -p ioworkload
+# differential fuzz among them, there too. The same holds for the disk
+# layout and station arithmetic (an oversized extent once wrapped
+# silently in release), so devmodel's and simkit's tests run there too.
+run cargo test --release --offline -p ioworkload -p devmodel -p simkit
 
 # The benchmark is a package of its own (perfbench/, outside the
 # workspace) that calls public APIs of the crates. Build and test it

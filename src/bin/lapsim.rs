@@ -40,10 +40,6 @@ struct Args {
     profile: bool,
 }
 
-/// The `--algo` names `parse_algo` accepts.
-const ALGORITHMS: &str = "algorithms: np, oba, ln_agr_oba, is_ppm:J, ln_agr_is_ppm:J,
-            is_ppm_backoff:J, ln_agr_is_ppm_backoff:J (order J >= 1)";
-
 fn usage() -> ! {
     eprintln!("usage: lapsim [--trace FILE | --workload SPEC]");
     eprintln!("              [--machine pm|now] [--system pafs|xfs|local]");
@@ -70,10 +66,11 @@ fn usage() -> ! {
     eprintln!("           pick up --scale); the registry is:");
     eprint!("{}", lap::workzoo::registry_help());
     eprintln!();
-    eprintln!("{ALGORITHMS}");
-    eprintln!();
-    eprintln!("predictors: --predictor swaps the predictor of --algo's configuration");
-    eprintln!("            while keeping its aggressiveness mode; the registry is:");
+    eprintln!("algorithms: --algo takes an optional ln_agr_ prefix (the linear");
+    eprintln!("            aggressive driver) and a predictor spec, e.g. np, oba,");
+    eprintln!("            ln_agr_is_ppm:3; --predictor swaps the predictor of");
+    eprintln!("            --algo's configuration while keeping its aggressiveness");
+    eprintln!("            mode; the registry is:");
     eprint!("{}", lap::prefetch::registry_help());
     eprintln!();
     eprintln!("disk models: fixed = the paper's constant service times (default);");
@@ -90,27 +87,6 @@ fn usage() -> ! {
 fn bad_value(flag: &str, value: u64, why: &str) -> ! {
     eprintln!("bad {flag}: {value} {why}");
     exit(2);
-}
-
-fn parse_algo(name: &str) -> Option<PrefetchConfig> {
-    let (base, order) = match name.split_once(':') {
-        Some((b, o)) => (b, o.parse::<usize>().ok()?),
-        None => (name, 1),
-    };
-    // An order-0 Markov model predicts nothing; the predictors reject it.
-    if order == 0 {
-        return None;
-    }
-    Some(match base {
-        "np" => PrefetchConfig::np(),
-        "oba" => PrefetchConfig::oba(),
-        "ln_agr_oba" => PrefetchConfig::ln_agr_oba(),
-        "is_ppm" => PrefetchConfig::is_ppm(order),
-        "ln_agr_is_ppm" => PrefetchConfig::ln_agr_is_ppm(order),
-        "is_ppm_backoff" => PrefetchConfig::is_ppm_backoff(order),
-        "ln_agr_is_ppm_backoff" => PrefetchConfig::ln_agr_is_ppm_backoff(order),
-        _ => return None,
-    })
 }
 
 fn parse_args() -> Args {
@@ -287,10 +263,10 @@ fn main() {
         }
     };
 
-    let Some(mut prefetch) = parse_algo(&args.algo) else {
+    let Some(mut prefetch) = PrefetchConfig::parse(&args.algo) else {
         eprintln!("unknown algorithm {:?}", args.algo);
-        eprintln!("{ALGORITHMS}");
-        eprintln!("or pick any registry predictor with --predictor:");
+        eprintln!("--algo takes an optional ln_agr_ prefix and a predictor spec;");
+        eprintln!("--predictor takes the spec alone:");
         eprint!("{}", lap::prefetch::registry_help());
         exit(2);
     };
@@ -317,7 +293,13 @@ fn main() {
     config.warmup = SimDuration::from_secs(args.warmup_secs);
     if args.extent_blocks > 1 {
         // Multi-block extents only exist in the geometry model, so this
-        // implies `--disk-model geom` with an N-block layout extent.
+        // implies `--disk-model geom` with an N-block layout extent,
+        // which must fit on the disk.
+        let disk_blocks = DiskGeometry::pm().blocks(config.machine.block_size);
+        if args.extent_blocks > disk_blocks {
+            let why = format!("blocks per extent exceeds the disk's {disk_blocks} blocks");
+            bad_value("--extent-blocks", args.extent_blocks, &why);
+        }
         config.machine = config.machine.with_geometry_extent(args.extent_blocks);
     } else if args.disk_model == "geom" {
         config.machine = config.machine.with_geometry();

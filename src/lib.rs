@@ -86,7 +86,7 @@ pub mod prelude {
     pub use coopcache::{
         CacheStats, CooperativeCache, LocalOnlyCache, PafsCache, Replacement, XfsCache,
     };
-    pub use devmodel::{DiskGeometry, DiskModelKind, DiskSched, LinkModel, NetModelKind};
+    pub use devmodel::{DiskGeometry, DiskModelKind, DiskSched};
     pub use faultkit::FaultPlan;
     pub use ioworkload::charisma::CharismaParams;
     pub use ioworkload::sprite::SpriteParams;

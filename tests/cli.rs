@@ -408,16 +408,19 @@ fn lapsim_rejects_invalid_utf8_with_line_number() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// Numeric flags the simulator cannot represent are rejected while
-/// parsing, naming the flag — not a `SimDuration overflow` panic, not
-/// a silently wrapped cache size, and not a zero-MB cache quietly run
-/// as one block per node.
+/// Numeric flags the simulator cannot represent are rejected before
+/// anything runs, naming the flag — not a `SimDuration overflow` panic,
+/// not a silently wrapped cache size or disk layout, and not a zero-MB
+/// cache quietly run as one block per node.
 #[test]
 fn lapsim_rejects_overflowing_numeric_flags() {
     for (flag, value) in [
         ("--warmup", "999999999999"),
         ("--cache-mb", "18000000000000"),
         ("--cache-mb", "0"),
+        // The PM disk holds 131 072 blocks of 8 KB.
+        ("--extent-blocks", "131073"),
+        ("--extent-blocks", "18446744073709551615"),
     ] {
         let out = lapsim()
             .args(["--workload", "sprite", flag, value])
@@ -524,4 +527,131 @@ fn lapsim_rejects_compute_past_the_headroom_of_simulated_time() {
         assert!(out.stdout.is_empty(), "{name}: nothing ran");
     }
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// The `seed`th mutation of one of the space-separated `valid` specs:
+/// one to three seeded byte edits that replace, insert or delete a byte
+/// drawn from the spec grammars' alphabet, or splice in an
+/// out-of-range, negative, non-finite or non-ASCII token.
+fn mutated(seed: u64, valid: &str) -> String {
+    const BYTES: &[u8] = b"0123456789:,+=.-_eanx ";
+    const SPLICE: [&str; 6] = ["18446744073709551616", "-1", "0", "1e999", "nan", "é"];
+    let mut state = seed;
+    let mut next = |n: usize| {
+        // SplitMix64.
+        state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+        let mut z = state;
+        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+        ((z ^ (z >> 31)) % n as u64) as usize
+    };
+    let valid: Vec<&str> = valid.split_whitespace().collect();
+    let mut s = valid[next(valid.len())].as_bytes().to_vec();
+    for _ in 0..=next(3) {
+        let at = next(s.len() + 1);
+        match next(4) {
+            0 if at < s.len() => s[at] = BYTES[next(BYTES.len())],
+            1 => s.insert(at, BYTES[next(BYTES.len())]),
+            2 if at < s.len() => drop(s.remove(at)),
+            _ => drop(s.splice(at..at, SPLICE[next(SPLICE.len())].bytes())),
+        }
+    }
+    String::from_utf8_lossy(&s).into_owned()
+}
+
+/// Whether `s` parses (`None`: rejected) and, if so, whether its
+/// canonical spelling parses back to the same value.
+fn round_trips<T: PartialEq, E>(
+    parse: impl Fn(&str) -> Result<T, E>,
+    canonical: impl Fn(&T) -> String,
+    s: &str,
+) -> Option<bool> {
+    let v = parse(s).ok()?;
+    Some(parse(&canonical(&v)).ok() == Some(v))
+}
+
+type SpecCheck = fn(&str) -> Option<bool>;
+
+/// Every spec grammar a CLI flag takes, with valid specs to mutate.
+fn spec_grammars() -> [(&'static str, SpecCheck, &'static str); 5] {
+    use lap::prelude::*;
+    fn algo_name(c: &PrefetchConfig) -> String {
+        let prefix = if c.is_aggressive() { "ln_agr_" } else { "" };
+        format!("{prefix}{}", c.predictor_name())
+    }
+    [
+        (
+            "--predictor",
+            |s| round_trips(PredictorSpec::parse, PredictorSpec::canonical, s),
+            "np is_ppm:3 is_ppm_backoff markov:2+oba mithril:32,3+oba",
+        ),
+        (
+            "--workload",
+            |s| round_trips(WorkloadSpec::parse, WorkloadSpec::canonical, s),
+            "charisma:paper web:64,0.8,256 db:0.3,4096 mltrain:4,2048 strace:a.txt",
+        ),
+        (
+            "--fault-plan",
+            |s| round_trips(FaultPlan::parse, FaultPlan::canonical, s),
+            "seed=7,disk-error=0.02,disk-retries=4,backoff-ms=5,burst=60:5 \
+             outage=120:10,node-outage=300:20,net-loss=0.01,net-delay=0.05:2",
+        ),
+        (
+            "--disk-sched",
+            |s| round_trips(|s| DiskSched::parse(s).ok_or(()), |d| d.name().into(), s),
+            "fifo sstf c-look",
+        ),
+        (
+            "--algo",
+            |s| round_trips(|s| PrefetchConfig::parse(s).ok_or(()), algo_name, s),
+            "np ln_agr_oba ln_agr_is_ppm:3 is_ppm_backoff:2",
+        ),
+    ]
+}
+
+/// Seeded mutations of valid specs, for every spec grammar: each comes
+/// back rejected, or as a value whose canonical spelling parses back
+/// to the same value. None panics.
+#[test]
+fn mutated_specs_are_rejected_or_round_trip() {
+    for (flag, check, valid) in spec_grammars() {
+        let (mut accepted, mut rejected) = (0, 0);
+        for seed in 0..3000u64 {
+            let spec = mutated(seed, valid);
+            match std::panic::catch_unwind(|| check(&spec)) {
+                Ok(Some(round_trips)) => {
+                    assert!(round_trips, "{flag} {spec:?} does not round-trip");
+                    accepted += 1;
+                }
+                Ok(None) => rejected += 1,
+                Err(_) => panic!("{flag}: parsing {spec:?} panicked"),
+            }
+        }
+        assert!(
+            accepted > 0 && rejected > 0,
+            "{flag}: {accepted} accepted, {rejected} rejected — a vacuous fuzz"
+        );
+    }
+}
+
+/// The first few rejected mutations of each grammar, given to lapsim,
+/// exit 2 without running anything.
+#[test]
+fn lapsim_rejects_mutated_specs() {
+    for (flag, check, valid) in spec_grammars() {
+        let rejected = (0u64..)
+            .map(|seed| mutated(seed, valid))
+            .filter(|spec| check(spec).is_none())
+            .take(2);
+        for spec in rejected {
+            let out = lapsim()
+                .args(["--workload", "sprite", flag, &spec])
+                .output()
+                .expect("run lapsim");
+            let err = String::from_utf8_lossy(&out.stderr);
+            assert_eq!(out.status.code(), Some(2), "{flag} {spec:?}: {err}");
+            assert!(!err.contains("panicked"), "{flag} {spec:?}: {err}");
+            assert!(out.stdout.is_empty(), "{flag} {spec:?}: nothing ran");
+        }
+    }
 }
