@@ -143,31 +143,6 @@ pub trait CooperativeCache {
         dirty: bool,
     ) -> Vec<Evicted>;
 
-    /// Insert a contiguous run of `count` blocks of one file, as
-    /// landed by a single extent-granular disk job: every member
-    /// arrives at the same instant with the same origin. The default
-    /// inserts members in ascending block order and concatenates the
-    /// victims — an atomic-arrival convenience, not a new eviction
-    /// policy, so both backends get it for free.
-    fn insert_run(
-        &mut self,
-        node: NodeId,
-        first: BlockId,
-        count: u32,
-        origin: InsertOrigin,
-        dirty: bool,
-    ) -> Vec<Evicted> {
-        let mut evicted = Vec::new();
-        for i in 0..u64::from(count) {
-            let member = BlockId {
-                file: first.file,
-                index: first.index + i,
-            };
-            evicted.extend(self.insert(node, member, origin, dirty));
-        }
-        evicted
-    }
-
     /// Mark `node` down (`down = true`) or back up (`down = false`)
     /// for degraded-mode operation. A down node is *disconnected from
     /// the cooperative cache*, not powered off: its buffers must not

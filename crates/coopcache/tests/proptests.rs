@@ -274,66 +274,3 @@ fn residency_views_are_coherent() {
         }
     }
 }
-
-/// `insert_run` must be exactly member-wise `insert` in ascending
-/// order, on both cooperative backends: same residency, same victims
-/// in the same sequence.
-#[test]
-fn insert_run_equals_memberwise_inserts_on_both_backends() {
-    use ioworkload::NodeId;
-
-    for which in 0..2u8 {
-        let mut run_cache: Box<dyn CooperativeCache> = match which {
-            0 => Box::new(PafsCache::new(2, 3)),
-            _ => Box::new(XfsCache::new(2, 3)),
-        };
-        let mut one_cache: Box<dyn CooperativeCache> = match which {
-            0 => Box::new(PafsCache::new(2, 3)),
-            _ => Box::new(XfsCache::new(2, 3)),
-        };
-        // Pre-populate so the run forces evictions.
-        for b in 0..4u64 {
-            run_cache.insert(
-                NodeId(0),
-                BlockId::new(FileId(9), b),
-                InsertOrigin::Demand,
-                false,
-            );
-            one_cache.insert(
-                NodeId(0),
-                BlockId::new(FileId(9), b),
-                InsertOrigin::Demand,
-                false,
-            );
-        }
-
-        let first = BlockId::new(FileId(1), 8);
-        let run_victims = run_cache.insert_run(NodeId(1), first, 4, InsertOrigin::Prefetch, false);
-        let mut one_victims = Vec::new();
-        for i in 0..4u64 {
-            one_victims.extend(one_cache.insert(
-                NodeId(1),
-                BlockId::new(FileId(1), first.index + i),
-                InsertOrigin::Prefetch,
-                false,
-            ));
-        }
-        assert_eq!(
-            run_victims, one_victims,
-            "backend {which}: victim streams differ"
-        );
-        assert!(
-            !run_victims.is_empty(),
-            "backend {which}: expected evictions"
-        );
-        for i in 0..4u64 {
-            let member = BlockId::new(FileId(1), first.index + i);
-            assert_eq!(
-                run_cache.contains(member),
-                one_cache.contains(member),
-                "backend {which}: residency differs for member {i}"
-            );
-        }
-        assert_eq!(run_cache.resident_blocks(), one_cache.resident_blocks());
-    }
-}

@@ -344,7 +344,8 @@ impl SimConfig {
 
     /// Check that this configuration can run `workload`: the machine
     /// has `1..=MAX_NODES` nodes (the caches keep node sets as one
-    /// 128-bit mask) and at least one disk, xFS runs with LRU local
+    /// 128-bit mask), at least one disk and a disk layout extent no
+    /// larger than the disk, xFS runs with LRU local
     /// caches, and the workload is consistent in itself, needs no more
     /// nodes than the machine has and uses the same block size.
     /// [`Simulation::try_new`](crate::Simulation::try_new) returns this
@@ -363,6 +364,15 @@ impl SimConfig {
         }
         if self.machine.disks == 0 {
             return Err("machine needs at least one disk".into());
+        }
+        if let DiskModelKind::Geometry(g) = &self.machine.disk_model {
+            let disk_blocks = g.blocks(self.machine.block_size);
+            if g.extent_blocks > disk_blocks {
+                return Err(format!(
+                    "disk extent of {} blocks exceeds the disk's {disk_blocks} blocks",
+                    g.extent_blocks
+                ));
+            }
         }
         if self.system == CacheSystem::Xfs && self.replacement != Replacement::Lru {
             return Err("the xFS model only supports LRU local caches".into());
@@ -466,7 +476,8 @@ mod tests {
 
     /// Configurations the simulator cannot model come back as `Err`
     /// from `try_new`, never a panic: more nodes than a node mask
-    /// holds, no nodes, no disks, and xFS without LRU.
+    /// holds, no nodes, no disks, xFS without LRU, and a layout extent
+    /// larger than the disk.
     #[test]
     fn try_new_rejects_unsupported_machines() {
         let wl = one_file_workload(1);
@@ -485,6 +496,15 @@ mod tests {
         let mut cfg = xfs();
         cfg.replacement = Replacement::Fifo;
         assert!(try_new(cfg).expect("xFS + FIFO").contains("LRU"));
+        for extent in [131_073, u64::MAX] {
+            let mut cfg = xfs();
+            cfg.machine = cfg.machine.with_geometry_extent(extent);
+            let e = try_new(cfg).expect("extent larger than the disk");
+            assert!(e.contains("131072 blocks"), "{e}");
+        }
+        let mut cfg = xfs();
+        cfg.machine = cfg.machine.with_geometry_extent(131_072);
+        assert_eq!(try_new(cfg), None, "a whole-disk extent runs");
         assert_eq!(try_new(xfs()), None, "the 128-node PM preset runs");
     }
 

@@ -2,8 +2,9 @@
 
 use coopcache::CacheStats;
 use ioworkload::BlockId;
+use lapobs::HistogramData;
 use prefetch::{FxHashMap, PrefetchStats};
-use simkit::stats::{LatencyHistogram, Series};
+use simkit::stats::Series;
 use simkit::{SimDuration, SimTime};
 
 /// Where a completed read's latency went — one duration per span
@@ -71,18 +72,18 @@ pub(crate) enum ReadOutcome {
 /// traced and untraced paths stay identical.
 #[derive(Debug, Default)]
 pub(crate) struct SpanMetrics {
-    pub cache_lookup: LatencyHistogram,
-    pub queue: LatencyHistogram,
-    pub seek: LatencyHistogram,
-    pub rotation: LatencyHistogram,
-    pub disk_transfer: LatencyHistogram,
-    pub transfer: LatencyHistogram,
-    pub coordination: LatencyHistogram,
-    pub network: LatencyHistogram,
-    pub retry: LatencyHistogram,
-    pub failover: LatencyHistogram,
+    pub cache_lookup: HistogramData,
+    pub queue: HistogramData,
+    pub seek: HistogramData,
+    pub rotation: HistogramData,
+    pub disk_transfer: HistogramData,
+    pub transfer: HistogramData,
+    pub coordination: HistogramData,
+    pub network: HistogramData,
+    pub retry: HistogramData,
+    pub failover: HistogramData,
     /// Stall time of late-prefetch reads only.
-    pub late_slack: LatencyHistogram,
+    pub late_slack: HistogramData,
     pub demand_hit: u64,
     pub covered: u64,
     pub late: u64,
@@ -91,40 +92,43 @@ pub(crate) struct SpanMetrics {
 
 impl SpanMetrics {
     fn record(&mut self, b: &SpanBreakdown, outcome: ReadOutcome, slack: SimDuration) {
-        self.cache_lookup.record(b.cache_lookup);
-        self.queue.record(b.queue);
-        self.seek.record(b.seek);
-        self.rotation.record(b.rotation);
-        self.disk_transfer.record(b.disk_transfer);
-        self.transfer.record(b.transfer);
-        self.coordination.record(b.coordination);
-        self.network.record(b.network);
-        self.retry.record(b.retry);
-        self.failover.record(b.failover);
+        self.cache_lookup.record_ns(b.cache_lookup.as_nanos());
+        self.queue.record_ns(b.queue.as_nanos());
+        self.seek.record_ns(b.seek.as_nanos());
+        self.rotation.record_ns(b.rotation.as_nanos());
+        self.disk_transfer.record_ns(b.disk_transfer.as_nanos());
+        self.transfer.record_ns(b.transfer.as_nanos());
+        self.coordination.record_ns(b.coordination.as_nanos());
+        self.network.record_ns(b.network.as_nanos());
+        self.retry.record_ns(b.retry.as_nanos());
+        self.failover.record_ns(b.failover.as_nanos());
         match outcome {
             ReadOutcome::DemandHit => self.demand_hit += 1,
             ReadOutcome::CoveredByPrefetch => self.covered += 1,
             ReadOutcome::LatePrefetch => {
                 self.late += 1;
-                self.late_slack.record(slack);
+                self.late_slack.record_ns(slack.as_nanos());
             }
             ReadOutcome::Miss => self.miss += 1,
         }
     }
 
     fn register_into(&self, reg: &mut lapobs::Registry) {
-        self.cache_lookup.register_into(reg, "span.cache_lookup_us");
-        self.queue.register_into(reg, "span.queue_us");
-        self.seek.register_into(reg, "span.seek_us");
-        self.rotation.register_into(reg, "span.rotation_us");
-        self.disk_transfer
-            .register_into(reg, "span.disk_transfer_us");
-        self.transfer.register_into(reg, "span.transfer_us");
-        self.coordination.register_into(reg, "span.coordination_us");
-        self.network.register_into(reg, "span.network_us");
-        self.retry.register_into(reg, "span.retry_us");
-        self.failover.register_into(reg, "span.failover_us");
-        self.late_slack.register_into(reg, "prefetch.late_slack_us");
+        for (name, h) in [
+            ("span.cache_lookup_us", &self.cache_lookup),
+            ("span.queue_us", &self.queue),
+            ("span.seek_us", &self.seek),
+            ("span.rotation_us", &self.rotation),
+            ("span.disk_transfer_us", &self.disk_transfer),
+            ("span.transfer_us", &self.transfer),
+            ("span.coordination_us", &self.coordination),
+            ("span.network_us", &self.network),
+            ("span.retry_us", &self.retry),
+            ("span.failover_us", &self.failover),
+            ("prefetch.late_slack_us", &self.late_slack),
+        ] {
+            reg.histogram(name, h.clone());
+        }
         reg.counter("span.outcome_demand_hit", self.demand_hit);
         reg.counter("span.outcome_covered_by_prefetch", self.covered);
         reg.counter("span.outcome_late_prefetch", self.late);
@@ -147,7 +151,7 @@ pub(crate) struct Metrics {
     /// Per-request read latency (ms), post-warm-up.
     pub read_time: Series,
     /// Read-latency distribution (post-warm-up), for percentiles.
-    pub read_hist: LatencyHistogram,
+    pub read_hist: HistogramData,
     /// Per-request read latency during warm-up (reported separately).
     pub read_time_warmup: Series,
     /// Per-request write latency (ms), post-warm-up.
@@ -182,7 +186,7 @@ impl Metrics {
             interval,
             read_series: Vec::new(),
             read_time: Series::new(),
-            read_hist: LatencyHistogram::new(),
+            read_hist: HistogramData::new(),
             read_time_warmup: Series::new(),
             write_time: Series::new(),
             warmup_writes: 0,
@@ -204,7 +208,7 @@ impl Metrics {
     pub fn record_read(&mut self, now: SimTime, latency: SimDuration) {
         if self.warm(now) {
             self.read_time.record_duration_ms(latency);
-            self.read_hist.record(latency);
+            self.read_hist.record_ns(latency.as_nanos());
         } else {
             self.read_time_warmup.record_duration_ms(latency);
         }
@@ -261,7 +265,7 @@ impl Metrics {
     /// registry.
     pub fn register_into(&self, reg: &mut lapobs::Registry) {
         self.read_time.register_into(reg, "read.latency_ms");
-        self.read_hist.register_into(reg, "read.latency_us");
+        reg.histogram("read.latency_us", self.read_hist.clone());
         self.read_time_warmup
             .register_into(reg, "read.warmup_latency_ms");
         self.write_time.register_into(reg, "write.latency_ms");
@@ -622,8 +626,8 @@ mod tests {
         for ms in [1u64, 1, 1, 1, 1, 1, 1, 1, 1, 50] {
             m.record_read(SimTime::from_nanos(1), SimDuration::from_millis(ms));
         }
-        assert_eq!(m.read_hist.count(), 10);
+        assert_eq!(m.read_hist.count, 10);
         // p50 lives in the 1ms bucket, p99 in the 50ms one.
-        assert!(m.read_hist.quantile(0.5) < m.read_hist.quantile(0.99));
+        assert!(m.read_hist.quantile_us(0.5) < m.read_hist.quantile_us(0.99));
     }
 }

@@ -155,14 +155,14 @@ struct PendingFetch {
 /// Work items on a disk queue.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 enum DiskJob {
-    Fetch(FetchKey),
-    /// An extent-granular prefetch batch: `count` contiguous blocks of
-    /// one file starting at `first`, served as a single multi-block job
-    /// (one positioning cost, then a contiguous transfer). Each member
+    /// `count` contiguous blocks of one file starting at `first`,
+    /// served as a single job (one positioning cost, then a contiguous
+    /// transfer). A demand miss or a per-block prefetch is a run of
+    /// one; an extent-granular prefetch batch is longer. Each member
     /// block has its own [`PendingFetch`] entry so demand coalescing
     /// and absorption work per block; completion lands all members at
     /// once.
-    FetchRun {
+    Fetch {
         first: FetchKey,
         count: u32,
     },
@@ -170,11 +170,10 @@ enum DiskJob {
 }
 
 impl DiskJob {
-    /// Does this job fetch `key`'s block (alone or inside a run)?
+    /// Does this job fetch `key`'s block?
     fn fetches(&self, key: FetchKey) -> bool {
         match self {
-            DiskJob::Fetch(k) => *k == key,
-            DiskJob::FetchRun { first, count } => {
+            DiskJob::Fetch { first, count } => {
                 first.scope == key.scope
                     && first.block.file == key.block.file
                     && key.block.index >= first.block.index
@@ -805,7 +804,7 @@ impl<R: Recorder> Simulation<R> {
                         failover: SimDuration::ZERO,
                     },
                 );
-                self.issue_fetch(key, false, rid, now);
+                self.issue_fetch(key, 1, false, rid, now);
             }
         }
         self.scratch_missing = missing;
@@ -960,34 +959,13 @@ impl<R: Recorder> Simulation<R> {
         ((block.file.0 as u64).wrapping_mul(7919) + unit) as usize % self.disks.len()
     }
 
-    fn issue_fetch(&mut self, key: FetchKey, prefetch: bool, rid: u32, now: SimTime) {
-        self.metrics.record_disk_read(now, prefetch);
-        let disk = self.disk_of(key.block);
-        let prio = if prefetch && self.config.prefetch_priority {
-            PRIO_PREFETCH
-        } else {
-            PRIO_DEMAND
-        };
-        self.submit_disk_job(
-            disk,
-            prio,
-            DeviceOp::Read,
-            key.block,
-            1,
-            DiskJob::Fetch(key),
-            rid,
-            now,
-        );
-    }
-
-    /// Issue one extent-granular prefetch batch: `count` contiguous
-    /// blocks starting at `first`, as a single multi-block disk job.
-    /// Every member block still counts as one prefetch disk read (the
-    /// paper's traffic metric is per block); the *service* is what the
-    /// batch saves — one positioning cost instead of `count`.
-    fn issue_fetch_run(&mut self, first: FetchKey, count: u32, now: SimTime) {
+    /// Fetch `count` contiguous blocks starting at `first` as a single
+    /// disk job. Every member block still counts as one disk read (the
+    /// paper's traffic metric is per block); the *service* is what an
+    /// extent batch saves — one positioning cost instead of `count`.
+    fn issue_fetch(&mut self, first: FetchKey, count: u32, prefetch: bool, rid: u32, now: SimTime) {
         for _ in 0..count {
-            self.metrics.record_disk_read(now, true);
+            self.metrics.record_disk_read(now, prefetch);
         }
         let disk = self.disk_of(first.block);
         debug_assert_eq!(
@@ -998,21 +976,12 @@ impl<R: Recorder> Simulation<R> {
             )),
             "an extent run must not cross a striping boundary"
         );
-        let prio = if self.config.prefetch_priority {
+        let prio = if prefetch && self.config.prefetch_priority {
             PRIO_PREFETCH
         } else {
             PRIO_DEMAND
         };
-        self.submit_disk_job(
-            disk,
-            prio,
-            DeviceOp::Read,
-            first.block,
-            count,
-            DiskJob::FetchRun { first, count },
-            NO_RID,
-            now,
-        );
+        self.submit_disk_job(disk, prio, DiskJob::Fetch { first, count }, rid, now);
     }
 
     fn issue_disk_write(&mut self, block: BlockId, now: SimTime) {
@@ -1027,40 +996,36 @@ impl<R: Recorder> Simulation<R> {
             );
         }
         let disk = self.disk_of(block);
-        self.submit_disk_job(
-            disk,
-            PRIO_WRITEBACK,
-            DeviceOp::Write,
-            block,
-            1,
-            DiskJob::Write(block),
-            NO_RID,
-            now,
-        );
+        self.submit_disk_job(disk, PRIO_WRITEBACK, DiskJob::Write(block), NO_RID, now);
     }
 
-    /// Hand one operation to disk `disk`, covering `blocks` contiguous
-    /// device blocks from `block` on: the disk's service model supplies
-    /// the position (geometry) and later the price.
-    #[allow(clippy::too_many_arguments)]
-    fn submit_disk_job(
-        &mut self,
-        disk: usize,
-        prio: Priority,
-        op: DeviceOp,
-        block: BlockId,
-        blocks: u32,
-        tag: DiskJob,
-        rid: u32,
-        now: SimTime,
-    ) {
-        let spec = JobSpec {
+    /// What disk `disk` is asked to do for `tag`: the contiguous device
+    /// blocks it covers, positioned by the disk's service model (which
+    /// later also prices the job).
+    fn job_spec(&self, disk: usize, tag: DiskJob, rid: u32) -> JobSpec {
+        let (op, block, blocks) = match tag {
+            DiskJob::Fetch { first, count } => (DeviceOp::Read, first.block, count),
+            DiskJob::Write(b) => (DeviceOp::Write, b, 1),
+        };
+        JobSpec {
             op,
             pos: self.disk_models[disk].lba_of(block.file.0, block.index),
             bytes: self.config.machine.block_size * u64::from(blocks),
             blocks,
             rid,
-        };
+        }
+    }
+
+    /// Hand one job to disk `disk`.
+    fn submit_disk_job(
+        &mut self,
+        disk: usize,
+        prio: Priority,
+        tag: DiskJob,
+        rid: u32,
+        now: SimTime,
+    ) {
+        let spec = self.job_spec(disk, tag, rid);
         let started = self.with_disk_model(disk, |st, model, rec| {
             st.arrive_job(now, prio, spec, tag, model, rec)
         });
@@ -1135,22 +1100,14 @@ impl<R: Recorder> Simulation<R> {
             begin: now,
             cost: started.cost,
         };
-        match started.tag {
-            DiskJob::Fetch(key) => {
+        if let DiskJob::Fetch { first, count } = started.tag {
+            // Every member shares the run's service record: a read
+            // waiting on any of them waited for this one dispatch.
+            for key in run_keys(first, count) {
                 if let Some(pf) = self.pending.get_mut(&key) {
                     pf.svc = Some(svc);
                 }
             }
-            DiskJob::FetchRun { first, count } => {
-                // Every member shares the run's service record: a read
-                // waiting on any of them waited for this one dispatch.
-                for key in run_keys(first, count) {
-                    if let Some(pf) = self.pending.get_mut(&key) {
-                        pf.svc = Some(svc);
-                    }
-                }
-            }
-            DiskJob::Write(_) => {}
         }
     }
 
@@ -1171,26 +1128,16 @@ impl<R: Recorder> Simulation<R> {
         if let Some(started) = started {
             self.after_start(disk, now, started);
         }
-        match job {
-            DiskJob::Write(_) => {}
-            DiskJob::Fetch(key) => self.fetch_done(key, now),
-            DiskJob::FetchRun { first, count } => self.run_done(first, count, now),
+        if let DiskJob::Fetch { first, count } = job {
+            self.fetch_done(first, count, now);
         }
     }
 
-    fn fetch_done(&mut self, key: FetchKey, now: SimTime) {
-        if let Some(owner) = self.complete_fetch_block(key, now) {
-            self.engines[owner as usize].pf.on_prefetch_complete();
-            self.pump_prefetcher(owner, now);
-        }
-    }
-
-    /// An extent-granular batch landed: every member block materialises
-    /// in the cache at the same instant (the batch was one disk job),
-    /// then the owning engine is credited with **one** completed
-    /// in-flight unit — the linear limit was charged per batch, not per
-    /// block.
-    fn run_done(&mut self, first: FetchKey, count: u32, now: SimTime) {
+    /// A fetch landed: every member block materialises in the cache at
+    /// the same instant (the run was one disk job), then the owning
+    /// engine is credited with **one** completed in-flight unit — the
+    /// linear limit was charged per run, not per block.
+    fn fetch_done(&mut self, first: FetchKey, count: u32, now: SimTime) {
         let mut owner = None;
         for key in run_keys(first, count) {
             owner = self.complete_fetch_block(key, now).or(owner);
@@ -1492,11 +1439,7 @@ impl<R: Recorder> Simulation<R> {
             // Disk-level prefetch jobs serve no demand read (yet): the
             // causal link to the parent demand lives in the
             // `PrefetchIssue`/`ExtentIssue` events the engine emitted.
-            if count == 1 {
-                self.issue_fetch(fkey, true, NO_RID, now);
-            } else {
-                self.issue_fetch_run(fkey, count, now);
-            }
+            self.issue_fetch(fkey, count, true, NO_RID, now);
         }
         self.scratch_issue = to_issue;
         // Post-pump linear-limit audit: the engine's in-flight units
@@ -1677,18 +1620,7 @@ impl<R: Recorder> Simulation<R> {
         } = fifo.remove(k).expect("found above");
         oracle_check!(self, now, |o| o.check_requeue(disk as u32, seq, rid, prio));
         self.add_failover(job, now.saturating_since(aborted_at));
-        let (op, block, blocks) = match job {
-            DiskJob::Fetch(key) => (DeviceOp::Read, key.block, 1),
-            DiskJob::FetchRun { first, count } => (DeviceOp::Read, first.block, count),
-            DiskJob::Write(b) => (DeviceOp::Write, b, 1),
-        };
-        let spec = JobSpec {
-            op,
-            pos: self.disk_models[disk].lba_of(block.file.0, block.index),
-            bytes: self.config.machine.block_size * u64::from(blocks),
-            blocks,
-            rid,
-        };
+        let spec = self.job_spec(disk, job, rid);
         {
             let Simulation { disks, rec, .. } = self;
             disks[disk].requeue_front(now, prio, spec, job, rec);
@@ -1707,20 +1639,12 @@ impl<R: Recorder> Simulation<R> {
         if d == SimDuration::ZERO {
             return;
         }
-        match tag {
-            DiskJob::Fetch(key) => {
+        if let DiskJob::Fetch { first, count } = tag {
+            for key in run_keys(first, count) {
                 if let Some(pf) = self.pending.get_mut(&key) {
                     pf.failover += d;
                 }
             }
-            DiskJob::FetchRun { first, count } => {
-                for key in run_keys(first, count) {
-                    if let Some(pf) = self.pending.get_mut(&key) {
-                        pf.failover += d;
-                    }
-                }
-            }
-            DiskJob::Write(_) => {}
         }
     }
 
@@ -2030,9 +1954,9 @@ impl<R: Recorder> Simulation<R> {
             label: self.config.label(),
             workload: self.workload.name.clone(),
             avg_read_ms: self.metrics.read_time.mean(),
-            read_p50_ms: self.metrics.read_hist.quantile(0.5).as_millis_f64(),
-            read_p95_ms: self.metrics.read_hist.quantile(0.95).as_millis_f64(),
-            read_p99_ms: self.metrics.read_hist.quantile(0.99).as_millis_f64(),
+            read_p50_ms: self.metrics.read_hist.quantile_us(0.5) / 1e3,
+            read_p95_ms: self.metrics.read_hist.quantile_us(0.95) / 1e3,
+            read_p99_ms: self.metrics.read_hist.quantile_us(0.99) / 1e3,
             reads: self.metrics.read_time.count(),
             warmup_reads: self.metrics.read_time_warmup.count(),
             avg_write_ms: self.metrics.write_time.mean(),

@@ -17,9 +17,8 @@
 //! Aggregated statistics flow through the [`Registry`]: the four stats
 //! modules (`simkit::stats`, `lap_core`'s metrics, `prefetch::stats`,
 //! `coopcache::stats`) register their counters, gauges, time-weighted
-//! series, and latency histograms into one namespace, which exports as
-//! CSV ([`Registry::to_csv`]) or a human-readable summary
-//! ([`Registry::render_summary`]).
+//! series, and latency histograms ([`HistogramData`]) into one
+//! namespace, which exports as CSV ([`Registry::to_csv`]).
 //!
 //! This crate is a leaf: timestamps are plain nanosecond `u64`s and ids
 //! are plain integers, so every other crate can depend on it without

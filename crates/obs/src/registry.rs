@@ -3,26 +3,31 @@
 //! Every stats module in the workspace registers its aggregates here
 //! under a dotted prefix (`disk0.completed`, `cache.local_hits`,
 //! `prefetch.restarts`, `read.time`...), giving one namespace for the
-//! CSV exporter and the human-readable summary instead of four ad-hoc
-//! report formats.
+//! CSV exporter instead of four ad-hoc report formats.
 
 use std::fmt::Write as _;
 
-/// Raw data of a power-of-two-bucketed latency histogram: bucket `i`
-/// counts observations in `[2^i, 2^{i+1})` µs (bucket 0 also absorbs
-/// sub-microsecond values).
+/// A power-of-two-bucketed latency histogram: bucket `i` counts
+/// observations in `[2^i, 2^{i+1})` µs (bucket 0 also absorbs
+/// sub-microsecond values). The simulator records into it directly.
 ///
 /// Unlike a pre-aggregated p95/p99 summary, raw buckets are
 /// *mergeable*: per-disk histograms can be combined into a fleet-wide
 /// one and the quantiles derived after the fact, at export time.
-#[derive(Clone, PartialEq, Debug, Default)]
+#[derive(Clone, PartialEq, Debug)]
 pub struct HistogramData {
     /// Number of recorded observations.
     pub count: u64,
-    /// Sum of all observations, in microseconds.
-    pub total_us: f64,
+    /// Exact sum of all observations, in nanoseconds.
+    pub total_ns: u64,
     /// Log-2 bucket counts (index = floor(log2(µs))).
     pub buckets: Vec<u64>,
+}
+
+impl Default for HistogramData {
+    fn default() -> Self {
+        Self::new()
+    }
 }
 
 impl HistogramData {
@@ -30,16 +35,15 @@ impl HistogramData {
     pub fn new() -> Self {
         HistogramData {
             count: 0,
-            total_us: 0.0,
+            total_ns: 0,
             buckets: vec![0; 48],
         }
     }
 
-    /// Record one observation of `us` microseconds.
-    pub fn record_us(&mut self, us: u64) {
-        if self.buckets.is_empty() {
-            self.buckets = vec![0; 48];
-        }
+    /// Record one observation of `ns` nanoseconds, bucketed by whole
+    /// microseconds.
+    pub fn record_ns(&mut self, ns: u64) {
+        let us = ns / 1_000;
         let idx = if us == 0 {
             0
         } else {
@@ -48,7 +52,15 @@ impl HistogramData {
         let idx = idx.min(self.buckets.len() - 1);
         self.buckets[idx] += 1;
         self.count += 1;
-        self.total_us += us as f64;
+        self.total_ns = self
+            .total_ns
+            .checked_add(ns)
+            .expect("histogram total overflow");
+    }
+
+    /// Sum of all observations, in microseconds.
+    pub fn total_us(&self) -> f64 {
+        self.total_ns as f64 / 1e3
     }
 
     /// Mean observation (µs), or zero if empty.
@@ -56,7 +68,7 @@ impl HistogramData {
         if self.count == 0 {
             0.0
         } else {
-            self.total_us / self.count as f64
+            self.total_us() / self.count as f64
         }
     }
 
@@ -87,7 +99,10 @@ impl HistogramData {
             *a += b;
         }
         self.count += other.count;
-        self.total_us += other.total_us;
+        self.total_ns = self
+            .total_ns
+            .checked_add(other.total_ns)
+            .expect("histogram total overflow");
     }
 }
 
@@ -259,37 +274,6 @@ impl Registry {
         }
         out
     }
-
-    /// A human-readable aligned listing of every metric.
-    pub fn render_summary(&self) -> String {
-        let width = self.entries.iter().map(|(n, _)| n.len()).max().unwrap_or(0);
-        let mut out = String::new();
-        for (name, value) in &self.entries {
-            let rendered = match value {
-                MetricValue::Counter(v) => format!("{v}"),
-                MetricValue::Gauge(v) => format!("{v:.4}"),
-                MetricValue::TimeWeighted { mean } => format!("{mean:.4} (time-weighted)"),
-                MetricValue::Series {
-                    count,
-                    mean,
-                    std_dev,
-                    min,
-                    max,
-                } => format!("n={count} mean={mean:.4} sd={std_dev:.4} min={min:.4} max={max:.4}"),
-                MetricValue::Histogram(h) => format!(
-                    "n={} mean={:.1}us p50={:.0}us p95={:.0}us p99={:.0}us",
-                    h.count,
-                    h.mean_us(),
-                    h.quantile_us(0.5),
-                    h.quantile_us(0.95),
-                    h.quantile_us(0.99)
-                ),
-                MetricValue::Text(v) => v.clone(),
-            };
-            let _ = writeln!(out, "{name:width$}  {rendered}");
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -299,10 +283,10 @@ mod tests {
     fn sample_hist() -> HistogramData {
         let mut h = HistogramData::new();
         for _ in 0..5 {
-            h.record_us(1500); // bucket 10, upper edge 2048
+            h.record_ns(1_500_000); // bucket 10, upper edge 2048
         }
         for _ in 0..5 {
-            h.record_us(3000); // bucket 11, upper edge 4096
+            h.record_ns(3_000_000); // bucket 11, upper edge 4096
         }
         h
     }
@@ -355,21 +339,6 @@ mod tests {
         assert_eq!(a.lines().count(), 1 + 2 + 1 + 5 + 7 + 1);
     }
 
-    #[test]
-    fn summary_lists_every_metric() {
-        let s = sample().render_summary();
-        for name in [
-            "cache.local_hits",
-            "cache.hit_ratio",
-            "disk0.queue_len",
-            "read.time_ms",
-            "read.latency",
-            "sim.label",
-        ] {
-            assert!(s.contains(name), "{name} missing from summary:\n{s}");
-        }
-    }
-
     /// Property: merging per-source histograms is exactly the histogram
     /// of the concatenated samples — quantiles derived after a merge
     /// are as good as if one recorder had seen everything.
@@ -381,20 +350,20 @@ mod tests {
             state = state
                 .wrapping_mul(6364136223846793005)
                 .wrapping_add(1442695040888963407);
-            (state >> 33) % 1_000_000 // µs in [0, 1s)
+            (state >> 33) % 1_000_000_000 // ns in [0, 1s)
         };
         let samples: Vec<u64> = (0..1000).map(|_| next()).collect();
 
         let mut whole = HistogramData::new();
-        for &us in &samples {
-            whole.record_us(us);
+        for &ns in &samples {
+            whole.record_ns(ns);
         }
         // Split into three unequal shards and merge.
         let mut merged = HistogramData::new();
         for chunk in [&samples[..100], &samples[100..421], &samples[421..]] {
             let mut shard = HistogramData::new();
-            for &us in chunk {
-                shard.record_us(us);
+            for &ns in chunk {
+                shard.record_ns(ns);
             }
             merged.merge(&shard);
         }
@@ -413,6 +382,33 @@ mod tests {
         assert_eq!(h.quantile_us(0.5), 2048.0);
         assert_eq!(h.quantile_us(0.99), 4096.0);
         assert_eq!(HistogramData::new().quantile_us(0.5), 0.0);
+    }
+
+    /// Property: quantiles are monotone in `q` over random samples,
+    /// and every observation is counted.
+    #[test]
+    fn histogram_quantiles_are_monotone() {
+        for seed in 0..64u64 {
+            let mut state = seed ^ 0x4157;
+            let mut next = move |hi: u64| {
+                state = state
+                    .wrapping_mul(6364136223846793005)
+                    .wrapping_add(1442695040888963407);
+                (state >> 33) % hi
+            };
+            let n = 1 + next(199);
+            let mut h = HistogramData::new();
+            for _ in 0..n {
+                h.record_ns(next(1_000_000) * 1_000);
+            }
+            let mut prev = 0.0;
+            for q in [0.0, 0.1, 0.5, 0.9, 0.99, 1.0] {
+                let v = h.quantile_us(q);
+                assert!(v >= prev, "quantile({q}) regressed (seed {seed})");
+                prev = v;
+            }
+            assert_eq!(h.count, n, "seed {seed}");
+        }
     }
 
     #[test]

@@ -1,4 +1,7 @@
-//! Statistics accumulators used across the simulation.
+//! Scalar statistics accumulators used across the simulation: a
+//! streaming series and a time-weighted mean. Latency histograms are
+//! [`lapobs::HistogramData`], which the simulation records into
+//! directly.
 //!
 //! Everything here is streaming and O(1) per observation, so the hot
 //! simulation loop never allocates while recording metrics.
@@ -200,102 +203,6 @@ impl TimeWeighted {
     }
 }
 
-/// A power-of-two-bucketed histogram of durations, for latency
-/// distributions (bucket `i` holds durations in `[2^i, 2^{i+1})` µs;
-/// bucket 0 also absorbs sub-microsecond values).
-#[derive(Clone, Debug)]
-pub struct LatencyHistogram {
-    buckets: Vec<u64>,
-    count: u64,
-    total: SimDuration,
-}
-
-impl Default for LatencyHistogram {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl LatencyHistogram {
-    /// An empty histogram.
-    pub fn new() -> Self {
-        LatencyHistogram {
-            buckets: vec![0; 48],
-            count: 0,
-            total: SimDuration::ZERO,
-        }
-    }
-
-    /// Record one latency observation.
-    pub fn record(&mut self, d: SimDuration) {
-        let us = d.as_micros();
-        let idx = if us == 0 {
-            0
-        } else {
-            (63 - us.leading_zeros()) as usize
-        };
-        let idx = idx.min(self.buckets.len() - 1);
-        self.buckets[idx] += 1;
-        self.count += 1;
-        self.total += d;
-    }
-
-    /// Number of observations.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Mean latency, or zero if empty.
-    pub fn mean(&self) -> SimDuration {
-        if self.count == 0 {
-            SimDuration::ZERO
-        } else {
-            self.total / self.count
-        }
-    }
-
-    /// Approximate quantile (`q` in `[0,1]`) from bucket boundaries —
-    /// returns the upper edge of the bucket containing the quantile.
-    pub fn quantile(&self, q: f64) -> SimDuration {
-        assert!((0.0..=1.0).contains(&q), "quantile out of range: {q}");
-        if self.count == 0 {
-            return SimDuration::ZERO;
-        }
-        let target = (q * self.count as f64).ceil().max(1.0) as u64;
-        let mut seen = 0;
-        for (i, &b) in self.buckets.iter().enumerate() {
-            seen += b;
-            if seen >= target {
-                return SimDuration::from_micros(1u64 << (i + 1));
-            }
-        }
-        unreachable!("histogram counts are consistent");
-    }
-
-    /// Register the raw bucket counts under `name` in a metrics
-    /// registry; mean/p50/p95/p99 are derived at export time, so
-    /// registered histograms from different sources stay mergeable.
-    pub fn register_into(&self, reg: &mut lapobs::Registry, name: &str) {
-        reg.histogram(
-            name,
-            lapobs::HistogramData {
-                count: self.count,
-                total_us: self.total.as_nanos() as f64 / 1e3,
-                buckets: self.buckets.clone(),
-            },
-        );
-    }
-
-    /// Merge another histogram into this one.
-    pub fn merge(&mut self, other: &LatencyHistogram) {
-        for (a, b) in self.buckets.iter_mut().zip(&other.buckets) {
-            *a += b;
-        }
-        self.count += other.count;
-        self.total += other.total;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -370,45 +277,5 @@ mod tests {
         let mut tw = TimeWeighted::new(SimTime::ZERO, 1.0);
         tw.add(SimTime::from_nanos(10), 2.0);
         assert_eq!(tw.current(), 3.0);
-    }
-
-    #[test]
-    fn histogram_mean_and_count() {
-        let mut h = LatencyHistogram::new();
-        h.record(SimDuration::from_micros(100));
-        h.record(SimDuration::from_micros(300));
-        assert_eq!(h.count(), 2);
-        assert_eq!(h.mean().as_micros(), 200);
-    }
-
-    #[test]
-    fn histogram_quantile_is_monotone() {
-        let mut h = LatencyHistogram::new();
-        for us in [1u64, 2, 4, 8, 16, 32, 64, 128, 256, 512] {
-            h.record(SimDuration::from_micros(us));
-        }
-        let q50 = h.quantile(0.5);
-        let q90 = h.quantile(0.9);
-        assert!(q50 <= q90);
-        assert!(q90.as_micros() >= 256);
-    }
-
-    #[test]
-    fn histogram_merge_adds_counts() {
-        let mut a = LatencyHistogram::new();
-        let mut b = LatencyHistogram::new();
-        a.record(SimDuration::from_micros(10));
-        b.record(SimDuration::from_micros(20));
-        a.merge(&b);
-        assert_eq!(a.count(), 2);
-        assert_eq!(a.mean().as_micros(), 15);
-    }
-
-    #[test]
-    fn histogram_handles_zero_latency() {
-        let mut h = LatencyHistogram::new();
-        h.record(SimDuration::ZERO);
-        assert_eq!(h.count(), 1);
-        assert_eq!(h.mean(), SimDuration::ZERO);
     }
 }

@@ -222,26 +222,3 @@ fn time_weighted_mean_is_bounded() {
         );
     }
 }
-
-/// Histogram quantiles are monotone in q and bounded by the bucket
-/// grid.
-#[test]
-fn histogram_quantiles_are_monotone() {
-    use simkit::stats::LatencyHistogram;
-    for seed in 0..64u64 {
-        let mut rng = Rng(seed ^ 0x4157);
-        let n = rng.below(1, 200) as usize;
-        let us: Vec<u64> = (0..n).map(|_| rng.below(0, 1_000_000)).collect();
-        let mut h = LatencyHistogram::new();
-        for &u in &us {
-            h.record(SimDuration::from_micros(u));
-        }
-        let mut prev = SimDuration::ZERO;
-        for q in [0.0, 0.1, 0.5, 0.9, 0.99, 1.0] {
-            let v = h.quantile(q);
-            assert!(v >= prev, "quantile({q}) regressed (seed {seed})");
-            prev = v;
-        }
-        assert_eq!(h.count(), us.len() as u64, "seed {seed}");
-    }
-}

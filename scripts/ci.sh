@@ -23,8 +23,10 @@ run cargo test --offline --workspace
 # perfbench), where overflow checks are off: run its tests, the
 # differential fuzz among them, there too. The same holds for the disk
 # layout and station arithmetic (an oversized extent once wrapped
-# silently in release), so devmodel's and simkit's tests run there too.
-run cargo test --release --offline -p ioworkload -p devmodel -p simkit
+# silently in release), so devmodel's and simkit's tests run there too,
+# and for the latency histogram's nanosecond total and the simulator's
+# extent bound, so lapobs's and lap-core's.
+run cargo test --release --offline -p ioworkload -p devmodel -p simkit -p lapobs -p lap-core
 
 # The benchmark is a package of its own (perfbench/, outside the
 # workspace) that calls public APIs of the crates. Build and test it

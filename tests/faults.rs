@@ -27,7 +27,7 @@ fn heavy_plan() -> FaultPlan {
 
 fn hist(report: &SimReport, key: &str) -> (u64, f64) {
     match report.obs.get(key) {
-        Some(MetricValue::Histogram(h)) => (h.count, h.total_us),
+        Some(MetricValue::Histogram(h)) => (h.count, h.total_us()),
         other => panic!("{key}: expected a histogram, got {other:?}"),
     }
 }
@@ -295,4 +295,53 @@ fn requeued_jobs_keep_their_own_read_and_priority() {
         Some(FaultPlan::parse("disk-error=0.9,disk-retries=5,backoff-ms=1800,outage=2:1").unwrap());
     let r = run_simulation(cfg, wl);
     assert!(r.failovers > 0, "plan inert: no outage aborted a job");
+}
+
+/// The same plan on extent-granular runs: outages abort and requeue
+/// multi-block jobs, held queues credit failover to every member of a
+/// run, and demand promotes whole runs. No read or write is lost or
+/// double counted, tracing changes nothing, and the read time is
+/// pinned bit for bit.
+#[test]
+fn extent_runs_survive_outages_and_retries() {
+    let (mut cfg, wl) = scenario(
+        "charisma",
+        CacheSystem::Pafs,
+        PrefetchConfig::ln_agr_is_ppm(1),
+        4,
+    );
+    cfg.machine = cfg.machine.with_geometry_extent(8);
+    cfg.machine.prefetch_granularity = PrefetchGranularity::Extent;
+    cfg.check = CheckMode::On;
+    cfg.fault_plan =
+        Some(FaultPlan::parse("disk-error=0.9,disk-retries=5,backoff-ms=1800,outage=2:1").unwrap());
+    let ops = || wl.processes.iter().flat_map(|p| &p.ops);
+    let trace_reads = ops().filter(|op| matches!(op, Op::Read { .. })).count() as u64;
+    let trace_writes = ops().filter(|op| matches!(op, Op::Write { .. })).count() as u64;
+
+    let wl = Arc::new(wl);
+    let r = run_simulation(cfg.clone(), Arc::clone(&wl));
+    assert_eq!(
+        r.reads + r.warmup_reads,
+        trace_reads,
+        "reads lost or doubled"
+    );
+    assert_eq!(
+        r.writes + r.warmup_writes,
+        trace_writes,
+        "writes lost or doubled"
+    );
+    assert!(r.failovers > 0, "plan inert: no outage aborted a job");
+    assert!(r.prefetch.extent_batches > 0, "no extent run was issued");
+    let traced = Simulation::try_new(cfg, wl, TraceRecorder::new())
+        .unwrap()
+        .run()
+        .report;
+    assert_eq!(r, traced, "tracing perturbed a faulted extent run");
+    assert_eq!(
+        r.avg_read_ms.to_bits(),
+        154092.05192800952_f64.to_bits(),
+        "avg_read_ms {:?} drifted",
+        r.avg_read_ms
+    );
 }
