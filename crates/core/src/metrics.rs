@@ -11,18 +11,14 @@ use simkit::{SimDuration, SimTime};
 /// component, summing exactly to the request's end-to-end latency.
 ///
 /// The components mirror the stages a request can spend time in:
-/// `cache_lookup` (directory/coordination lookups — priced at zero by
-/// the current machine model, kept in the schema so the breakdown is
-/// stable if a lookup cost is ever added), disk-queue wait, seek,
-/// rotational wait, the on-platter transfer, the final local memory
-/// copy, the remote-delivery startup hops (`coordination`), the wire
-/// time (`network`), time re-paid on failed attempts plus backoff
-/// under an active fault plan (`retry`), and time spent waiting out a
-/// disk outage before the fetch failed over (`failover`). The last
-/// two are exactly zero without a fault plan.
+/// disk-queue wait, seek, rotational wait, the on-platter transfer,
+/// the final local memory copy, the remote-delivery startup hops
+/// (`coordination`), the wire time (`network`), time re-paid on failed
+/// attempts plus backoff under an active fault plan (`retry`), and
+/// time spent waiting out a disk outage before the fetch failed over
+/// (`failover`). The last two are exactly zero without a fault plan.
 #[derive(Clone, Copy, Default, Debug)]
 pub(crate) struct SpanBreakdown {
-    pub cache_lookup: SimDuration,
     pub queue: SimDuration,
     pub seek: SimDuration,
     pub rotation: SimDuration,
@@ -37,8 +33,7 @@ pub(crate) struct SpanBreakdown {
 impl SpanBreakdown {
     /// Sum of every component — must equal the request latency.
     pub fn total(&self) -> SimDuration {
-        self.cache_lookup
-            + self.queue
+        self.queue
             + self.seek
             + self.rotation
             + self.disk_transfer
@@ -72,7 +67,6 @@ pub(crate) enum ReadOutcome {
 /// traced and untraced paths stay identical.
 #[derive(Debug, Default)]
 pub(crate) struct SpanMetrics {
-    pub cache_lookup: HistogramData,
     pub queue: HistogramData,
     pub seek: HistogramData,
     pub rotation: HistogramData,
@@ -92,7 +86,6 @@ pub(crate) struct SpanMetrics {
 
 impl SpanMetrics {
     fn record(&mut self, b: &SpanBreakdown, outcome: ReadOutcome, slack: SimDuration) {
-        self.cache_lookup.record_ns(b.cache_lookup.as_nanos());
         self.queue.record_ns(b.queue.as_nanos());
         self.seek.record_ns(b.seek.as_nanos());
         self.rotation.record_ns(b.rotation.as_nanos());
@@ -115,7 +108,6 @@ impl SpanMetrics {
 
     fn register_into(&self, reg: &mut lapobs::Registry) {
         for (name, h) in [
-            ("span.cache_lookup_us", &self.cache_lookup),
             ("span.queue_us", &self.queue),
             ("span.seek_us", &self.seek),
             ("span.rotation_us", &self.rotation),

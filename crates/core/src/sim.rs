@@ -43,8 +43,8 @@ use coopcache::{
     CacheStats, CooperativeCache, Evicted, InsertOrigin, LocalOnlyCache, Lookup, PafsCache,
     XfsCache,
 };
-use devmodel::{DiskModel, FaultedModel};
-use faultkit::{DiskFaultCtx, FaultState, NetClass};
+use devmodel::DiskModel;
+use faultkit::{FaultState, FaultedDisk, NetClass};
 use ioworkload::{BlockId, FileId, NodeId, Op, ProcId, Workload};
 use lapobs::{Event, NoopRecorder, Obs, Recorder, StationId, NO_RID};
 use prefetch::{FilePrefetcher, FxHashMap, PrefetchStats, Request};
@@ -1052,10 +1052,10 @@ impl<R: Recorder> Simulation<R> {
         } = self;
         match faults {
             Some(fs) if fs.plan.disk_errors_active() => {
-                let mut ctx = DiskFaultCtx { state: fs, disk };
-                let mut model = FaultedModel {
+                let mut model = FaultedDisk {
                     inner: &mut disk_models[disk],
-                    faults: &mut ctx,
+                    state: fs,
+                    disk,
                 };
                 f(&mut disks[disk], &mut model, rec)
             }

@@ -16,8 +16,8 @@
 //!   `disk_error` per attempt, `burst_error` inside phased per-disk
 //!   *error-burst windows*); every failed attempt re-pays the attempt
 //!   cost plus exponential backoff. The surcharge flows through
-//!   [`devmodel::FaultedModel`] into [`simkit::ServiceCost::retry`] so
-//!   the span model can attribute it exactly.
+//!   [`FaultedDisk`] into [`simkit::ServiceCost::retry`] so the span
+//!   model can attribute it exactly.
 //! * **Disk / node outage windows** — phased periodic windows during
 //!   which a disk stops dispatching (the event loop aborts the
 //!   in-service job and re-queues it: timeout-and-failover) or a cache
@@ -34,10 +34,9 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-use devmodel::DispatchFaults;
 use ioworkload::util::Rng64;
 use lapobs::Registry;
-use simkit::{JobSpec, ServiceCost, SimDuration, SimTime};
+use simkit::{JobSpec, ServiceCost, ServiceModel, SimDuration, SimTime};
 
 /// A periodic fault window: every `period`, the affected entity is
 /// faulted for the first `len` of it (per-entity phase staggers the
@@ -667,23 +666,32 @@ impl FaultState {
     }
 }
 
-/// [`DispatchFaults`] adapter binding a [`FaultState`] to one disk, so
-/// a [`devmodel::FaultedModel`] can price that disk's dispatches.
-pub struct DiskFaultCtx<'a> {
+/// One disk's pricing model under a fault plan: prices through `inner`
+/// at dispatch time, then adds [`FaultState::disk_surcharge`] to both
+/// `total` and `retry` of the cost, so the mechanical breakdown of the
+/// successful attempt is untouched.
+pub struct FaultedDisk<'a> {
+    /// The fault-free disk pricing model.
+    pub inner: &'a mut dyn ServiceModel,
     /// The shared fault state.
     pub state: &'a mut FaultState,
     /// Which disk is dispatching.
     pub disk: usize,
 }
 
-impl DispatchFaults for DiskFaultCtx<'_> {
-    fn dispatch_surcharge(
-        &mut self,
-        now: SimTime,
-        _job: &JobSpec,
-        base: &ServiceCost,
-    ) -> SimDuration {
-        self.state.disk_surcharge(self.disk, now, base.total)
+impl ServiceModel for FaultedDisk<'_> {
+    fn position(&self) -> u64 {
+        self.inner.position()
+    }
+
+    fn service(&mut self, now: SimTime, job: &JobSpec) -> ServiceCost {
+        let mut cost = self.inner.service(now, job);
+        let extra = self.state.disk_surcharge(self.disk, now, cost.total);
+        if extra > SimDuration::ZERO {
+            cost.total += extra;
+            cost.retry += extra;
+        }
+        cost
     }
 }
 
@@ -1012,15 +1020,26 @@ mod tests {
         assert_eq!(s.stats.node_outages, 2);
     }
 
+    /// A constant-cost disk with a mechanical breakdown, so the test
+    /// can see that the surcharge leaves it alone.
+    struct Flat(ServiceCost);
+
+    impl ServiceModel for Flat {
+        fn service(&mut self, _now: SimTime, _job: &JobSpec) -> ServiceCost {
+            self.0
+        }
+    }
+
     #[test]
-    fn dispatch_faults_adapter_prices_through() {
-        let p = FaultPlan::parse("disk-error=1.0,disk-retries=1,backoff-ms=0").unwrap();
-        let mut state = FaultState::new(p, 1);
-        let mut ctx = DiskFaultCtx {
-            state: &mut state,
-            disk: 0,
-        };
-        let base = ServiceCost::flat(SimDuration::from_millis(10));
+    fn surcharge_lands_in_total_and_retry() {
+        let r = SimDuration::from_millis(10);
+        let mut inner = Flat(ServiceCost {
+            mech: Some(simkit::MechDetail {
+                seek_cylinders: 7,
+                rot_wait: SimDuration::from_micros(300),
+            }),
+            ..ServiceCost::flat(r)
+        });
         let job = JobSpec {
             op: simkit::DeviceOp::Read,
             pos: None,
@@ -1028,8 +1047,24 @@ mod tests {
             blocks: 1,
             rid: 0,
         };
-        let extra = ctx.dispatch_surcharge(SimTime::ZERO, &job, &base);
-        assert_eq!(extra, SimDuration::from_millis(10));
+        let mut price = |plan: &str| {
+            let mut state = FaultState::new(FaultPlan::parse(plan).unwrap(), 1);
+            let mut disk = FaultedDisk {
+                inner: &mut inner,
+                state: &mut state,
+                disk: 0,
+            };
+            disk.service(SimTime::ZERO, &job)
+        };
+        let clean = price("");
+        assert_eq!(clean.total, r);
+        assert_eq!(clean.retry, SimDuration::ZERO);
+        // One failed attempt re-pays the attempt plus one backoff.
+        let faulted = price("disk-error=1.0,disk-retries=1,backoff-ms=1");
+        assert_eq!(faulted.retry, r + SimDuration::from_millis(1));
+        assert_eq!(faulted.total, r + faulted.retry);
+        // The successful attempt's breakdown is untouched.
+        assert_eq!(faulted.mech, clean.mech);
     }
 
     #[test]

@@ -157,12 +157,6 @@ pub fn export<'a>(events: impl IntoIterator<Item = &'a (Nanos, Event)>) -> Strin
                 w.ensure_track(tid, &station_name(station));
                 w.span('E', t, tid, class_name(class), "");
             }
-            Event::Cancelled { station, count } => {
-                let tid = station_tid(station);
-                w.ensure_track(tid, &station_name(station));
-                let args = format!(",\"args\":{{\"count\":{count}}}");
-                w.instant(t, tid, "cancelled", &args);
-            }
             Event::SimQueueDepth { depth } => {
                 w.counter(t, "event-loop", "pending", depth);
             }

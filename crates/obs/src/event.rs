@@ -101,14 +101,6 @@ pub enum Event {
         /// Demand read the job served ([`NO_RID`] when none).
         rid: u32,
     },
-    /// Queued jobs were cancelled (e.g. in-flight prefetches absorbed
-    /// by a demand fetch).
-    Cancelled {
-        /// The station whose queue was purged.
-        station: StationId,
-        /// How many jobs were removed.
-        count: u32,
-    },
     /// Sampled depth of the central simulation event list.
     SimQueueDepth {
         /// Pending events after the sample point.

@@ -107,9 +107,6 @@ pub trait ServiceModel {
 /// Chooses which waiting job of the highest-priority class a station
 /// serves next.
 pub trait Scheduler: Send {
-    /// Short name for reports (`"fifo"`, `"sstf"`, ...).
-    fn name(&self) -> &'static str;
-
     /// Given the device's current `head` position and the queued jobs'
     /// positions in arrival order (`None` = position-independent),
     /// return the index of the job to serve next. `queue` is never
@@ -129,10 +126,6 @@ pub trait Scheduler: Send {
 pub struct FifoSched;
 
 impl Scheduler for FifoSched {
-    fn name(&self) -> &'static str {
-        "fifo"
-    }
-
     fn pick(&mut self, _head: u64, _queue: &[Option<u64>]) -> usize {
         0
     }
@@ -151,7 +144,6 @@ mod tests {
         let mut s = FifoSched;
         assert!(s.is_fifo());
         assert_eq!(s.pick(100, &[Some(900), Some(100), None]), 0);
-        assert_eq!(s.name(), "fifo");
     }
 
     #[test]

@@ -77,8 +77,6 @@ pub struct StationStats {
     pub busy: SimDuration,
     /// Total time completed-or-started jobs spent waiting in queue.
     pub waited: SimDuration,
-    /// Jobs cancelled while still waiting in queue.
-    pub cancelled: u64,
     /// Jobs served out of arrival order by the scheduler.
     pub reordered: u64,
     /// In-service jobs aborted mid-service (outage timeout); the
@@ -96,7 +94,6 @@ impl StationStats {
         reg.counter(format!("{prefix}.completed"), self.completed);
         reg.gauge(format!("{prefix}.busy_s"), self.busy.as_secs_f64());
         reg.gauge(format!("{prefix}.waited_s"), self.waited.as_secs_f64());
-        reg.counter(format!("{prefix}.cancelled"), self.cancelled);
         reg.counter(format!("{prefix}.reordered"), self.reordered);
         reg.counter(format!("{prefix}.aborted"), self.aborted);
         reg.counter(format!("{prefix}.dispatched"), self.dispatched);
@@ -391,29 +388,6 @@ impl<T> Station<T> {
         Some(self.begin_service(now, prio, cost, rid, wait, job.tag, rec))
     }
 
-    /// Remove all *waiting* jobs for which `pred` returns true at time
-    /// `now` and return their tags in queue order (highest priority
-    /// first). The in-service job is never cancelled (service is
-    /// non-preemptive).
-    pub fn cancel_where(&mut self, now: SimTime, mut pred: impl FnMut(&T) -> bool) -> Vec<T> {
-        let mut out = Vec::new();
-        for q in self.queues.values_mut() {
-            let mut kept = VecDeque::with_capacity(q.len());
-            for w in q.drain(..) {
-                if pred(&w.tag) {
-                    out.push(w.tag);
-                } else {
-                    kept.push_back(w);
-                }
-            }
-            *q = kept;
-        }
-        self.queued_len -= out.len();
-        self.stats.cancelled += out.len() as u64;
-        self.queue_track.set(now, self.queued_len as f64);
-        out
-    }
-
     /// Move all waiting jobs matching `pred` to priority `to`,
     /// preserving their relative order and appending them behind jobs
     /// already waiting at `to`. Returns how many jobs moved.
@@ -661,22 +635,6 @@ mod tests {
     }
 
     #[test]
-    fn cancel_where_removes_only_waiting_jobs() {
-        let mut s: Station<u32> = Station::new(sid());
-        arrive(&mut s, t(0), Priority::DEMAND, 10, 0).unwrap();
-        arrive(&mut s, t(1), Priority::PREFETCH, 5, 1);
-        arrive(&mut s, t(2), Priority::PREFETCH, 5, 2);
-        arrive(&mut s, t(3), Priority::PREFETCH, 5, 3);
-        let cancelled = s.cancel_where(t(4), |&tag| tag == 2);
-        assert_eq!(cancelled, vec![2]);
-        assert_eq!(s.queue_len(), 2);
-        assert_eq!(s.stats().cancelled, 1);
-        // The in-service job (tag 0) is untouched.
-        let next = complete(&mut s, t(10)).unwrap();
-        assert_eq!(next.tag, 1);
-    }
-
-    #[test]
     fn promote_moves_prefetch_to_demand_class() {
         let mut s: Station<u32> = Station::new(sid());
         arrive(&mut s, t(0), Priority::DEMAND, 10, 0).unwrap();
@@ -792,9 +750,6 @@ mod tests {
     /// A scheduler that always serves the job closest to the head.
     struct Nearest;
     impl Scheduler for Nearest {
-        fn name(&self) -> &'static str {
-            "nearest"
-        }
         fn pick(&mut self, head: u64, queue: &[Option<u64>]) -> usize {
             queue
                 .iter()

@@ -84,8 +84,8 @@ fn event_queue_is_ordered_and_stable() {
     }
 }
 
-/// The station conserves jobs: every arrival is eventually either
-/// completed or cancelled, never duplicated or lost.
+/// The station conserves jobs: every arrival is eventually completed,
+/// never duplicated or lost.
 #[test]
 fn station_conserves_jobs() {
     for seed in 0..64u64 {

@@ -25,8 +25,9 @@ run cargo test --offline --workspace
 # layout and station arithmetic (an oversized extent once wrapped
 # silently in release), so devmodel's and simkit's tests run there too,
 # and for the latency histogram's nanosecond total and the simulator's
-# extent bound, so lapobs's and lap-core's.
-run cargo test --release --offline -p ioworkload -p devmodel -p simkit -p lapobs -p lap-core
+# extent bound, so lapobs's and lap-core's, and for the retry
+# surcharge a faulted disk adds to each dispatch, so faultkit's.
+run cargo test --release --offline -p ioworkload -p devmodel -p simkit -p lapobs -p lap-core -p faultkit
 
 # The benchmark is a package of its own (perfbench/, outside the
 # workspace) that calls public APIs of the crates. Build and test it

@@ -120,11 +120,10 @@ impl MetricsFile {
     }
 }
 
-/// The ten additive read-latency components, in display order.
+/// The nine additive read-latency components, in display order.
 /// Each is a histogram whose per-read mean (in µs) is the component's
 /// contribution to the average read time.
-const SPAN_COMPONENTS: [(&str, &str); 10] = [
-    ("span.cache_lookup_us", "lookup"),
+const SPAN_COMPONENTS: [(&str, &str); 9] = [
     ("span.queue_us", "queue"),
     ("span.failover_us", "failover"),
     ("span.seek_us", "seek"),
@@ -194,7 +193,6 @@ struct DiskRow {
     utilization: f64,
     completed: f64,
     reordered: f64,
-    cancelled: f64,
     waited_s: f64,
 }
 
@@ -277,7 +275,6 @@ fn analyze(f: &MetricsFile) -> Result<ConfigReport, String> {
             utilization: f.num(&format!("disk{i}.utilization"))?,
             completed,
             reordered: f.num(&format!("disk{i}.reordered"))?,
-            cancelled: f.num(&format!("disk{i}.cancelled"))?,
             waited_s: f.num(&format!("disk{i}.waited_s"))?,
         });
     }
@@ -466,21 +463,20 @@ fn render_tables(reports: &[ConfigReport]) -> String {
     let _ = writeln!(out, "disk queues");
     let _ = writeln!(
         out,
-        "  {:<wl$} {:>5} {:>9} {:>6} {:>9} {:>9} {:>9} {:>9}",
-        "config", "disk", "completed", "util", "queue-len", "reordered", "cancelled", "waited-s"
+        "  {:<wl$} {:>5} {:>9} {:>6} {:>9} {:>9} {:>9}",
+        "config", "disk", "completed", "util", "queue-len", "reordered", "waited-s"
     );
     for r in reports {
         for d in &r.disks {
             let _ = writeln!(
                 out,
-                "  {:<wl$} {:>5} {:>9} {:>6.4} {:>9.4} {:>9} {:>9} {:>9.4}",
+                "  {:<wl$} {:>5} {:>9} {:>6.4} {:>9.4} {:>9} {:>9.4}",
                 format!("{}@{}", r.label, r.workload),
                 d.index,
                 d.completed as u64,
                 d.utilization,
                 d.queue_len,
                 d.reordered as u64,
-                d.cancelled as u64,
                 d.waited_s
             );
         }
@@ -554,14 +550,13 @@ fn render_json(reports: &[ConfigReport]) -> String {
         for (j, d) in r.disks.iter().enumerate() {
             let _ = write!(
                 out,
-                "{}{{\"disk\":{},\"completed\":{},\"utilization\":{},\"queue_len\":{},\"reordered\":{},\"cancelled\":{},\"waited_s\":{}}}",
+                "{}{{\"disk\":{},\"completed\":{},\"utilization\":{},\"queue_len\":{},\"reordered\":{},\"waited_s\":{}}}",
                 if j > 0 { "," } else { "" },
                 d.index,
                 d.completed as u64,
                 d.utilization,
                 d.queue_len,
                 d.reordered as u64,
-                d.cancelled as u64,
                 d.waited_s
             );
         }

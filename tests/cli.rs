@@ -437,6 +437,24 @@ fn lapsim_rejects_overflowing_numeric_flags() {
     }
 }
 
+/// `--scale` takes only `small` or `paper` in both tools, whatever the
+/// workload: a workload that has no scale does not ignore a bad one,
+/// and a bad one is reported as a bad `--scale`, not as a bad spec.
+#[test]
+fn cli_rejects_unknown_scale() {
+    for (mut tool, args) in [
+        (lapgen(), "web --scale bogus --stats"),
+        (lapsim(), "--workload web --scale bogus"),
+        (lapsim(), "--workload charisma --scale bogus"),
+    ] {
+        let out = tool.args(args.split(' ')).output().expect("run tool");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args}: {err}");
+        assert!(err.contains("bad --scale: bogus"), "{args}: {err}");
+        assert!(out.stdout.is_empty(), "{args}: nothing ran");
+    }
+}
+
 /// Trace captures whose offsets or sizes run past 2^64 bytes are parse
 /// errors on their line (exit 2): not a panic in the workload check and
 /// not an offset silently wrapped to 0.

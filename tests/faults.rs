@@ -4,7 +4,7 @@
 //! replay is bit-identical — while a *zero* plan is indistinguishable
 //! from having no fault layer at all; and the new span components
 //! (`span.retry_us`, `span.failover_us`) are populated exactly when
-//! faults are active, without ever breaking the ten-component sum.
+//! faults are active, without ever breaking the nine-component sum.
 
 use std::sync::Arc;
 
@@ -104,13 +104,12 @@ fn zero_fault_plan_is_identical_to_no_plan() {
 /// Span attribution under stress: the retry and failover components
 /// cover every post-warmup read (schema: count == reads even when the
 /// value is zero), are nonzero exactly when the plan is active, and
-/// the ten components still sum to the mean read time — faults are
+/// the nine components still sum to the mean read time — faults are
 /// attributed, never lost or invented. Demand reads themselves are
 /// neither lost nor double counted.
 #[test]
 fn retry_and_failover_are_attributed_exactly() {
-    const SPAN_KEYS: [&str; 10] = [
-        "span.cache_lookup_us",
+    const SPAN_KEYS: [&str; 9] = [
         "span.queue_us",
         "span.failover_us",
         "span.seek_us",

@@ -34,8 +34,7 @@ fn metrics_map(report: &SimReport) -> HashMap<String, f64> {
         .collect()
 }
 
-const SPAN_KEYS: [&str; 8] = [
-    "span.cache_lookup_us",
+const SPAN_KEYS: [&str; 7] = [
     "span.queue_us",
     "span.seek_us",
     "span.rotation_us",

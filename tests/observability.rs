@@ -8,7 +8,7 @@ use lap::lapobs::{chrome, Event, StationKind};
 use lap::prelude::*;
 
 mod common;
-use common::{small_pm, small_workload};
+use common::{scenario, small_pm, small_workload};
 
 /// A tiny fully hand-built workload whose trace is small and rich:
 /// sequential reads (walk + prefetch), an off-path jump (mispredict),
@@ -274,4 +274,91 @@ fn metrics_registry_covers_all_layers() {
     // Same run, same CSV bytes.
     let report2 = traced_tiny().report;
     assert_eq!(csv, report2.obs.to_csv());
+}
+
+/// Every `Event` variant has a producer: four small runs (geometry +
+/// SSTF + the faults ablation's heavy plan on xFS, OBA on Sprite/xFS,
+/// extent-granular PAFS under disk errors and outages, Markov on
+/// Sprite/PAFS) together emit every kind. `kind` matches exhaustively,
+/// so a new variant does not compile until it is numbered here (the
+/// next index, with `KINDS` bumped), and then fails until something
+/// emits it.
+#[test]
+fn every_event_variant_has_a_producer() {
+    const KINDS: usize = 32;
+    fn kind(e: &Event) -> usize {
+        match e {
+            Event::QueuePush { .. } => 0,
+            Event::QueuePop { .. } => 1,
+            Event::ServiceBegin { .. } => 2,
+            Event::ServiceEnd { .. } => 3,
+            Event::SimQueueDepth { .. } => 4,
+            Event::DiskService { .. } => 5,
+            Event::QueueReorder { .. } => 6,
+            Event::CacheHitLocal { .. } => 7,
+            Event::CacheHitRemote { .. } => 8,
+            Event::CacheMiss { .. } => 9,
+            Event::CacheInsert { .. } => 10,
+            Event::CacheEvict { .. } => 11,
+            Event::CacheForward { .. } => 12,
+            Event::CacheForwardDrop { .. } => 13,
+            Event::CacheInvalidate { .. } => 14,
+            Event::WalkStart { .. } => 15,
+            Event::WalkRestart { .. } => 16,
+            Event::WalkStop { .. } => 17,
+            Event::Mispredict { .. } => 18,
+            Event::PrefetchIssue { .. } => 19,
+            Event::ExtentIssue { .. } => 20,
+            Event::PrefetchAbsorbed { .. } => 21,
+            Event::WriteBack { .. } => 22,
+            Event::SweepStart { .. } => 23,
+            Event::FaultInjected { .. } => 24,
+            Event::Failover { .. } => 25,
+            Event::DiskOutage { .. } => 26,
+            Event::DegradedEnter { .. } => 27,
+            Event::DegradedExit { .. } => 28,
+            Event::NetFault { .. } => 29,
+            Event::ReadDone { .. } => 30,
+            Event::WriteDone { .. } => 31,
+        }
+    }
+    struct Kinds([bool; KINDS]);
+    impl Recorder for Kinds {
+        fn enabled(&self) -> bool {
+            true
+        }
+        fn record(&mut self, _t: u64, ev: Event) {
+            self.0[kind(&ev)] = true;
+        }
+    }
+
+    fn plan(s: &str) -> Option<FaultPlan> {
+        Some(FaultPlan::parse(s).unwrap())
+    }
+    type Setup = fn(&mut SimConfig);
+    let runs: [(&str, CacheSystem, &str, u64, Setup); 4] = [
+        ("charisma", CacheSystem::Xfs, "ln_agr_is_ppm:1", 1, |cfg| {
+            cfg.machine = cfg.machine.with_geometry();
+            cfg.machine.disk_sched = DiskSched::Sstf;
+            cfg.fault_plan = plan(
+                "seed=7,disk-error=0.02,disk-retries=5,backoff-ms=5,burst=10:2,\
+                 outage=30:3,node-outage=45:5,net-loss=0.02,net-delay=0.05:2",
+            );
+        }),
+        ("sprite", CacheSystem::Xfs, "ln_agr_oba", 1, |_| {}),
+        ("charisma", CacheSystem::Pafs, "ln_agr_is_ppm:1", 4, |cfg| {
+            cfg.machine = cfg.machine.with_geometry_extent(8);
+            cfg.machine.prefetch_granularity = PrefetchGranularity::Extent;
+            cfg.fault_plan = plan("disk-error=0.9,disk-retries=5,backoff-ms=1800,outage=2:1");
+        }),
+        ("sprite", CacheSystem::Pafs, "ln_agr_markov:1", 1, |_| {}),
+    ];
+    let mut seen = Kinds([false; KINDS]);
+    for (workload, system, algo, mb, setup) in runs {
+        let (mut cfg, wl) = scenario(workload, system, PrefetchConfig::parse(algo).unwrap(), mb);
+        setup(&mut cfg);
+        seen = Simulation::try_new(cfg, wl, seen).unwrap().run().rec;
+    }
+    let missing: Vec<usize> = (0..KINDS).filter(|&k| !seen.0[k]).collect();
+    assert!(missing.is_empty(), "no run emits event kinds {missing:?}");
 }
