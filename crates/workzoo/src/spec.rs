@@ -78,25 +78,36 @@ pub struct WorkloadSpec {
     pub kind: ZooKind,
 }
 
-/// The rejection of a workload spec string. Its `Display` includes the
-/// full registry listing so CLI users see every valid name and an
-/// example spelling on failure.
+/// The rejection of a workload spec string or of the CLI scale. A bad
+/// spec's `Display` includes the full registry listing so CLI users see
+/// every valid name and an example spelling on failure.
 #[derive(Clone, Debug, PartialEq, Eq)]
-pub struct ZooSpecError {
-    spec: String,
+pub enum ZooSpecError {
+    /// The spec names no workload or has bad parameters.
+    Spec(String),
+    /// The `--scale` value given to [`WorkloadSpec::parse_cli`] is
+    /// neither `small` nor `paper`.
+    Scale(String),
 }
 
 impl ZooSpecError {
-    /// The rejected input string.
+    /// The rejected input string: the spec, or the scale.
     pub fn spec(&self) -> &str {
-        &self.spec
+        match self {
+            ZooSpecError::Spec(s) | ZooSpecError::Scale(s) => s,
+        }
     }
 }
 
 impl fmt::Display for ZooSpecError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        writeln!(f, "unknown workload spec {:?}", self.spec)?;
-        f.write_str(&registry_help())
+        match self {
+            ZooSpecError::Spec(s) => {
+                writeln!(f, "unknown workload spec {s:?}")?;
+                f.write_str(&registry_help())
+            }
+            ZooSpecError::Scale(s) => writeln!(f, "bad --scale: {s} (expected small or paper)"),
+        }
     }
 }
 
@@ -182,9 +193,7 @@ impl WorkloadSpec {
     /// Parse a CLI workload spec. See [`registry_help`] for the
     /// accepted grammar.
     pub fn parse(s: &str) -> Result<Self, ZooSpecError> {
-        let err = || ZooSpecError {
-            spec: s.to_string(),
-        };
+        let err = || ZooSpecError::Spec(s.to_string());
         let (base, params) = match s.split_once(':') {
             Some((b, p)) => (b, Some(p)),
             None => (s, None),
@@ -258,8 +267,12 @@ impl WorkloadSpec {
     /// Parse a CLI spec with a CLI-level default scale: the bare
     /// built-in names `charisma` and `sprite` pick up `default_scale`
     /// (the `--scale` flag), while explicit parameters win. Zoo
-    /// generators and traces ignore the scale.
+    /// generators and traces ignore the scale, but a scale other than
+    /// `small` or `paper` is rejected for every spec.
     pub fn parse_cli(s: &str, default_scale: &str) -> Result<Self, ZooSpecError> {
+        if !matches!(default_scale, "small" | "paper") {
+            return Err(ZooSpecError::Scale(default_scale.to_string()));
+        }
         match s {
             "charisma" | "sprite" => Self::parse(&format!("{s}:{default_scale}")),
             _ => Self::parse(s),
@@ -530,11 +543,18 @@ mod tests {
         // Explicit parameters win over the CLI default.
         let s = WorkloadSpec::parse_cli("charisma:small", "paper").unwrap();
         assert_eq!(s.kind, ZooKind::Charisma { paper: false });
-        // Zoo kinds ignore the scale entirely.
+        // Zoo kinds ignore a valid scale.
         let s = WorkloadSpec::parse_cli("mltrain", "paper").unwrap();
         assert!(matches!(s.kind, ZooKind::MlTrain { .. }));
-        // A bad scale surfaces as a bad spec, menu attached.
-        assert!(WorkloadSpec::parse_cli("charisma", "huge").is_err());
+        // A bad scale is rejected as a scale, whatever the spec.
+        for spec in ["charisma", "charisma:small", "mltrain"] {
+            let e = WorkloadSpec::parse_cli(spec, "huge").unwrap_err();
+            assert_eq!(e, ZooSpecError::Scale("huge".into()));
+            assert_eq!(
+                e.to_string(),
+                "bad --scale: huge (expected small or paper)\n"
+            );
+        }
     }
 
     #[test]
