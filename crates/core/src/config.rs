@@ -77,14 +77,6 @@ pub enum PrefetchGranularity {
 }
 
 impl PrefetchGranularity {
-    /// Name used in reports and the CLI.
-    pub fn name(&self) -> &'static str {
-        match self {
-            PrefetchGranularity::Block => "block",
-            PrefetchGranularity::Extent => "extent",
-        }
-    }
-
     /// Parse a CLI spelling.
     pub fn parse(s: &str) -> Option<Self> {
         match s {
@@ -574,7 +566,6 @@ mod tests {
             Some(PrefetchGranularity::Extent)
         );
         assert_eq!(PrefetchGranularity::parse("extents"), None);
-        assert_eq!(PrefetchGranularity::Extent.name(), "extent");
     }
 
     #[test]

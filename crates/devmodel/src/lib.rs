@@ -95,7 +95,7 @@ impl DiskSched {
 
     /// Parse a CLI spelling (`fifo`, `sstf`, `clook`/`c-look`).
     pub fn parse(s: &str) -> Option<Self> {
-        match s.to_ascii_lowercase().as_str() {
+        match s {
             "fifo" => Some(DiskSched::Fifo),
             "sstf" => Some(DiskSched::Sstf),
             "clook" | "c-look" => Some(DiskSched::Clook),
@@ -110,8 +110,8 @@ impl DiskSched {
     pub fn build(&self) -> Box<dyn Scheduler> {
         match self {
             DiskSched::Fifo => Box::new(FifoSched),
-            DiskSched::Sstf => Box::new(Sstf::new()),
-            DiskSched::Clook => Box::new(Clook::new()),
+            DiskSched::Sstf => Box::new(Sstf),
+            DiskSched::Clook => Box::new(Clook),
         }
     }
 }
@@ -125,7 +125,9 @@ mod tests {
         for s in DiskSched::ALL {
             assert_eq!(DiskSched::parse(s.name()), Some(s));
         }
-        assert_eq!(DiskSched::parse("C-LOOK"), Some(DiskSched::Clook));
+        assert_eq!(DiskSched::parse("c-look"), Some(DiskSched::Clook));
+        // Spellings are case-sensitive, like every other CLI choice.
+        assert_eq!(DiskSched::parse("C-LOOK"), None);
         assert_eq!(DiskSched::parse("elevator"), None);
         // LOOK is a different algorithm from C-LOOK.
         assert_eq!(DiskSched::parse("look"), None);

@@ -115,7 +115,7 @@ fn sstf_max_wait_stays_bounded_under_sustained_skew() {
         let span = SimDuration::from_nanos(arrivals.last().unwrap().0);
 
         let (fifo_worst, fifo_done) = max_wait(Box::new(FifoSched), &arrivals);
-        let (sstf_worst, sstf_done) = max_wait(Box::new(Sstf::new()), &arrivals);
+        let (sstf_worst, sstf_done) = max_wait(Box::new(Sstf), &arrivals);
         assert_eq!(fifo_done, n, "seed {seed}: FIFO lost jobs");
         assert_eq!(sstf_done, n, "seed {seed}: SSTF lost jobs");
 

@@ -133,7 +133,7 @@ impl PrefetchConfig {
     }
 
     /// Any registry predictor with an optional aggressive driver —
-    /// the generic constructor behind `lapsim --predictor` and the
+    /// the generic constructor behind [`parse`](Self::parse) and the
     /// predictor-zoo ablation.
     pub const fn with_predictor(kind: AlgorithmKind, aggressive: Option<AggressiveLimit>) -> Self {
         PrefetchConfig {

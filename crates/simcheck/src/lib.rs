@@ -13,7 +13,7 @@
 //! * **Read conservation** — every issued read id completes exactly
 //!   once: no loss across outage abort-and-reissue, no
 //!   double-completion from stale `done_seq` events.
-//! * **Span accounting** — the 10 span components of a read sum
+//! * **Span accounting** — the nine span components of a read sum
 //!   exactly to its recorded latency (the event loop computes both
 //!   sides and asks [`Oracle::check_span`] to compare).
 //! * **Linear limit** — a prefetch engine's in-flight units never
@@ -60,15 +60,6 @@ impl CheckMode {
             CheckMode::Auto => cfg!(debug_assertions),
             CheckMode::On => true,
             CheckMode::Off => false,
-        }
-    }
-
-    /// Name used in reports and the CLI.
-    pub fn name(self) -> &'static str {
-        match self {
-            CheckMode::Auto => "auto",
-            CheckMode::On => "on",
-            CheckMode::Off => "off",
         }
     }
 
@@ -121,11 +112,6 @@ impl Oracle {
             last_time: None,
             stuck_events: 0,
         }
-    }
-
-    /// Reads issued so far.
-    pub fn reads_issued(&self) -> usize {
-        self.completions.len()
     }
 
     /// Called once per popped event with its timestamp: enforces
@@ -310,7 +296,6 @@ mod tests {
         assert_eq!(CheckMode::parse("off"), Some(CheckMode::Off));
         assert_eq!(CheckMode::parse("auto"), Some(CheckMode::Auto));
         assert_eq!(CheckMode::parse("maybe"), None);
-        assert_eq!(CheckMode::Auto.name(), "auto");
     }
 
     #[test]

@@ -121,7 +121,7 @@ pub trait Scheduler: Send {
 }
 
 /// Arrival-order service — the default discipline of every station and
-/// the baseline the reordering schedulers must degrade to.
+/// the control arm of the disk-scheduling ablation.
 #[derive(Clone, Copy, Default, Debug)]
 pub struct FifoSched;
 

@@ -181,6 +181,20 @@ for f in $(grep -ohE -- '--[a-z][a-z-]+' DESIGN.md EXPERIMENTS.md README.md docs
     fi
 done
 [ "$drift" -eq 0 ] || exit 1
+# A flag on a doc line that runs lapsim (backslash continuations
+# joined; up to a closing backtick, comment or pipe) must be one that
+# lapsim itself prints: another tool printing it is not enough.
+echo "==> lapsim doc-flag drift"
+lapsim_help="$(./target/debug/lapsim --help 2>&1 || true)"
+for f in $(awk '/\\$/ { sub(/\\$/, ""); printf "%s ", $0; next } { print }' \
+        DESIGN.md EXPERIMENTS.md README.md docs/CALIBRATION.md docs/PERFORMANCE.md \
+        | grep -oE 'lapsim [^`#|;]*' | grep -oE -- '--[a-z][a-z-]+' | sort -u); do
+    if ! printf '%s' "$lapsim_help" | grep -qE -- "$f([^a-z-]|\$)"; then
+        echo "doc-flag drift: $f is on a doc line that runs lapsim but lapsim --help does not print it" >&2
+        drift=1
+    fi
+done
+[ "$drift" -eq 0 ] || exit 1
 
 # Doc-subcommand drift, same idea for `lapreport X`: every subcommand
 # the docs mention must appear in lapreport's usage text.

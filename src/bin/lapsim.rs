@@ -22,12 +22,11 @@ struct Args {
     machine: String,
     system: CacheSystem,
     algo: String,
-    predictor: Option<String>,
     cache_mb: u64,
-    seed: u64,
-    scale: String,
+    seed: Option<u64>,
+    scale: Option<String>,
     warmup_secs: u64,
-    disk_model: String,
+    disk_model: Option<String>,
     disk_sched: DiskSched,
     prefetch_gran: PrefetchGranularity,
     extent_blocks: u64,
@@ -43,7 +42,7 @@ struct Args {
 fn usage() -> ! {
     eprintln!("usage: lapsim [--trace FILE | --workload SPEC]");
     eprintln!("              [--machine pm|now] [--system pafs|xfs|local]");
-    eprintln!("              [--algo NAME] [--predictor SPEC] [--cache-mb N] [--seed N]");
+    eprintln!("              [--algo NAME] [--cache-mb N] [--seed N]");
     eprintln!("              [--scale small|paper] [--warmup SECS] [-v]");
     eprintln!("              [--disk-model fixed|geom] [--disk-sched fifo|sstf|clook]");
     eprintln!("              [--prefetch-gran block|extent] [--extent-blocks N]");
@@ -68,9 +67,7 @@ fn usage() -> ! {
     eprintln!();
     eprintln!("algorithms: --algo takes an optional ln_agr_ prefix (the linear");
     eprintln!("            aggressive driver) and a predictor spec, e.g. np, oba,");
-    eprintln!("            ln_agr_is_ppm:3; --predictor swaps the predictor of");
-    eprintln!("            --algo's configuration while keeping its aggressiveness");
-    eprintln!("            mode; the registry is:");
+    eprintln!("            ln_agr_is_ppm:3, ln_agr_mithril; the registry is:");
     eprint!("{}", lap::prefetch::registry_help());
     eprintln!();
     eprintln!("disk models: fixed = the paper's constant service times (default);");
@@ -80,6 +77,13 @@ fn usage() -> ! {
     eprintln!("         layout extents; --prefetch-gran extent lets the aggressive");
     eprintln!("         walker fetch one extent per linear-limit unit as a single");
     eprintln!("         multi-block disk job (default: block, the paper's rule)");
+    exit(2);
+}
+
+/// Reject two flags given together when the first would silently drop
+/// or override the second.
+fn conflict(flag: &str, other: &str, why: &str) -> ! {
+    eprintln!("{flag} conflicts with {other}: {why}");
     exit(2);
 }
 
@@ -96,12 +100,11 @@ fn parse_args() -> Args {
         machine: "pm".into(),
         system: CacheSystem::Pafs,
         algo: "ln_agr_is_ppm:1".into(),
-        predictor: None,
         cache_mb: 4,
-        seed: 42,
-        scale: "small".into(),
+        seed: None,
+        scale: None,
         warmup_secs: 0,
-        disk_model: "fixed".into(),
+        disk_model: None,
         disk_sched: DiskSched::Fifo,
         prefetch_gran: PrefetchGranularity::Block,
         extent_blocks: 1,
@@ -118,7 +121,12 @@ fn parse_args() -> Args {
         match a.as_str() {
             "--trace" => out.trace = Some(args.next().unwrap_or_else(|| usage())),
             "--workload" => out.workload = Some(args.next().unwrap_or_else(|| usage())),
-            "--machine" => out.machine = args.next().unwrap_or_else(|| usage()),
+            "--machine" => {
+                out.machine = match args.next().as_deref() {
+                    Some(m @ ("pm" | "now")) => m.into(),
+                    _ => usage(),
+                }
+            }
             "--system" => {
                 out.system = match args.next().as_deref() {
                     Some("pafs") => CacheSystem::Pafs,
@@ -128,7 +136,6 @@ fn parse_args() -> Args {
                 }
             }
             "--algo" => out.algo = args.next().unwrap_or_else(|| usage()),
-            "--predictor" => out.predictor = Some(args.next().unwrap_or_else(|| usage())),
             "--cache-mb" => {
                 out.cache_mb = args
                     .next()
@@ -145,13 +152,8 @@ fn parse_args() -> Args {
                     );
                 }
             }
-            "--seed" => {
-                out.seed = args
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or_else(|| usage())
-            }
-            "--scale" => out.scale = args.next().unwrap_or_else(|| usage()),
+            "--seed" => out.seed = args.next().and_then(|s| s.parse().ok()).or_else(|| usage()),
+            "--scale" => out.scale = Some(args.next().unwrap_or_else(|| usage())),
             "--warmup" => {
                 out.warmup_secs = args
                     .next()
@@ -167,7 +169,7 @@ fn parse_args() -> Args {
             }
             "--disk-model" => {
                 out.disk_model = match args.next().as_deref() {
-                    Some(m @ ("fixed" | "geom")) => m.into(),
+                    Some(m @ ("fixed" | "geom")) => Some(m.into()),
                     _ => usage(),
                 }
             }
@@ -224,8 +226,23 @@ fn parse_args() -> Args {
             _ => usage(),
         }
     }
-    if out.trace.is_none() && out.workload.is_none() {
+    if out.trace.is_some() {
+        let why = "a trace file fixes the workload";
+        for (other, given) in [
+            ("--workload", out.workload.is_some()),
+            ("--scale", out.scale.is_some()),
+            ("--seed", out.seed.is_some()),
+        ] {
+            if given {
+                conflict("--trace", other, why);
+            }
+        }
+    } else if out.workload.is_none() {
         usage();
+    }
+    if out.extent_blocks > 1 && out.disk_model.as_deref() == Some("fixed") {
+        let why = "multi-block extents exist only in the geometry model";
+        conflict("--extent-blocks", "--disk-model fixed", why);
     }
     out
 }
@@ -246,7 +263,8 @@ fn main() {
         // The workload registry: bare `charisma`/`sprite` pick up
         // --scale; everything else is a full spec (`web:64,0.8,256`,
         // `strace:FILE`, ...).
-        let spec = match WorkloadSpec::parse_cli(args.workload.as_deref().unwrap(), &args.scale) {
+        let scale = args.scale.as_deref().unwrap_or("small");
+        let spec = match WorkloadSpec::parse_cli(args.workload.as_deref().unwrap(), scale) {
             Ok(s) => s,
             Err(e) => {
                 // A bad spec's Display carries the full registry listing.
@@ -254,7 +272,7 @@ fn main() {
                 exit(2);
             }
         };
-        match spec.build(args.seed) {
+        match spec.build(args.seed.unwrap_or(42)) {
             Ok(wl) => wl,
             Err(e) => {
                 eprintln!("bad --workload: {e}");
@@ -263,30 +281,17 @@ fn main() {
         }
     };
 
-    let Some(mut prefetch) = PrefetchConfig::parse(&args.algo) else {
+    let Some(prefetch) = PrefetchConfig::parse(&args.algo) else {
         eprintln!("unknown algorithm {:?}", args.algo);
-        eprintln!("--algo takes an optional ln_agr_ prefix and a predictor spec;");
-        eprintln!("--predictor takes the spec alone:");
+        eprintln!("--algo takes an optional ln_agr_ prefix and a predictor spec:");
         eprint!("{}", lap::prefetch::registry_help());
         exit(2);
     };
-    // --predictor swaps the predictor while keeping --algo's
-    // aggressiveness mode (simple vs Ln_Agr etc.).
-    if let Some(spec) = &args.predictor {
-        match PredictorSpec::parse(spec) {
-            Ok(s) => prefetch.algorithm = s.kind,
-            Err(e) => {
-                // The error's Display carries the full registry listing.
-                eprint!("bad --predictor: {e}");
-                exit(2);
-            }
-        }
-    }
 
-    let mut config = match args.machine.as_str() {
-        "pm" => SimConfig::pm(args.system, prefetch, args.cache_mb),
-        "now" => SimConfig::now(args.system, prefetch, args.cache_mb),
-        _ => usage(),
+    let mut config = if args.machine == "now" {
+        SimConfig::now(args.system, prefetch, args.cache_mb)
+    } else {
+        SimConfig::pm(args.system, prefetch, args.cache_mb)
     };
     // Shrink the machine to the workload if the trace needs fewer nodes.
     config.fit_to_workload(&workload);
@@ -301,7 +306,7 @@ fn main() {
             bad_value("--extent-blocks", args.extent_blocks, &why);
         }
         config.machine = config.machine.with_geometry_extent(args.extent_blocks);
-    } else if args.disk_model == "geom" {
+    } else if args.disk_model.as_deref() == Some("geom") {
         config.machine = config.machine.with_geometry();
     }
     config.machine.disk_sched = args.disk_sched;

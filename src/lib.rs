@@ -23,8 +23,8 @@
 //!   modern synthetic generators (`web`, `db`, `mltrain`), and
 //!   strace/blktrace text-trace ingestion.
 //! * [`devmodel`] — device models: geometry-aware disks (seek curve,
-//!   rotational latency, extent layout), segmented network links, and
-//!   the SSTF/C-LOOK request schedulers.
+//!   rotational latency, extent layout) and the SSTF/C-LOOK request
+//!   schedulers.
 //! * [`faultkit`] — deterministic fault injection: seeded disk-error
 //!   bursts with retry-and-backoff, disk/node outage windows, and
 //!   network loss/delay with per-class retry budgets.

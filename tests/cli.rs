@@ -133,9 +133,8 @@ fn lapsim_rejects_unknown_algorithm() {
     assert!(!out.status.success());
     let err = String::from_utf8_lossy(&out.stderr);
     assert!(err.contains("unknown algorithm"), "stderr: {err}");
-    // The failure also advertises the predictor registry as the way
-    // out (`--algo` names are a fixed set; `--predictor` is open).
-    assert!(err.contains("--predictor"), "stderr: {err}");
+    // The failure also lists the predictor registry `--algo` draws on.
+    assert!(err.contains("ln_agr_ prefix"), "stderr: {err}");
     assert!(err.contains("valid predictor specs"), "stderr: {err}");
 }
 
@@ -193,36 +192,28 @@ fn lapsim_rejects_bad_fault_plan_with_key_menu() {
     }
 }
 
+/// Every registry predictor spec runs under the aggressive driver
+/// (`ln_agr_np` has nothing to fetch, so NP runs as plain `np`).
 #[test]
 fn lapsim_supports_every_registry_predictor_spec() {
-    for spec in [
+    for algo in [
         "np",
-        "oba",
-        "is_ppm:3",
-        "is_ppm_backoff:2",
-        "markov:1",
-        "markov:2+oba",
-        "mithril",
-        "mithril:8,3+oba",
+        "ln_agr_oba",
+        "ln_agr_is_ppm:3",
+        "ln_agr_is_ppm_backoff:2",
+        "ln_agr_markov:1",
+        "ln_agr_markov:2+oba",
+        "ln_agr_mithril",
+        "ln_agr_mithril:8,3+oba",
     ] {
         let out = lapsim()
-            .args([
-                "--workload",
-                "sprite",
-                "--system",
-                "local",
-                "--algo",
-                "ln_agr_is_ppm:1",
-                "--predictor",
-                spec,
-                "--cache-mb",
-                "1",
-            ])
+            .args(["--workload", "sprite", "--system", "local", "--algo"])
+            .args([algo, "--cache-mb", "1"])
             .output()
             .expect("run lapsim");
         assert!(
             out.status.success(),
-            "predictor {spec}: {}",
+            "algo {algo}: {}",
             String::from_utf8_lossy(&out.stderr)
         );
     }
@@ -231,13 +222,15 @@ fn lapsim_supports_every_registry_predictor_spec() {
 #[test]
 fn lapsim_rejects_bad_predictor_spec_with_registry_listing() {
     let out = lapsim()
-        .args(["--workload", "sprite", "--predictor", "markov:7"])
+        .args(["--workload", "sprite", "--algo", "markov:7"])
         .output()
         .expect("run lapsim");
-    assert!(!out.status.success());
+    assert_eq!(out.status.code(), Some(2));
     let err = String::from_utf8_lossy(&out.stderr);
-    assert!(err.contains("bad --predictor"), "stderr: {err}");
-    assert!(err.contains("unknown predictor spec"), "stderr: {err}");
+    assert!(
+        err.contains("unknown algorithm \"markov:7\""),
+        "stderr: {err}"
+    );
     for name in ["np", "oba", "is_ppm", "is_ppm_backoff", "markov", "mithril"] {
         assert!(err.contains(name), "registry listing misses {name}: {err}");
     }
@@ -437,6 +430,56 @@ fn lapsim_rejects_overflowing_numeric_flags() {
     }
 }
 
+/// A flag that lapsim would drop or let another override is an error
+/// naming both flags, not a run of something else: a trace file fixes
+/// the workload, and multi-block extents need the geometry model.
+#[test]
+fn lapsim_rejects_flags_it_would_drop() {
+    for (args, flags) in [
+        ("--trace t --workload sprite", ["--trace", "--workload"]),
+        ("--trace t --scale paper", ["--trace", "--scale"]),
+        ("--seed 7 --trace t", ["--trace", "--seed"]),
+        (
+            "--workload sprite --disk-model fixed --extent-blocks 4",
+            ["--extent-blocks", "--disk-model fixed"],
+        ),
+    ] {
+        let out = lapsim().args(args.split(' ')).output().expect("run lapsim");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args}: {err}");
+        for flag in flags {
+            assert!(err.contains(flag), "{args}: {err}");
+        }
+        assert!(out.stdout.is_empty(), "{args}: nothing ran");
+    }
+}
+
+/// Choice flags are checked as they are read, case-sensitively, before
+/// any workload is read: a bad value exits 2 with usage even when the
+/// trace file does not exist. So does the removed `--predictor` flag.
+#[test]
+fn lapsim_rejects_bad_choice_values() {
+    for args in [
+        "--machine pmx",
+        "--machine PM",
+        "--machine",
+        "--disk-sched SSTF",
+        "--disk-sched C-LOOK",
+        "--predictor mithril",
+    ] {
+        let out = lapsim()
+            .args(["--trace", "no-such.trace"])
+            .args(args.split(' '))
+            .output()
+            .expect("run lapsim");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args}: {err}");
+        assert!(err.contains("usage: lapsim"), "{args}: {err}");
+        assert!(!err.contains("panicked"), "{args}: {err}");
+        assert!(out.stdout.is_empty(), "{args}: nothing ran");
+    }
+}
+
 /// `--scale` takes only `small` or `paper` in both tools, whatever the
 /// workload: a workload that has no scale does not ignore a bad one,
 /// and a bad one is reported as a bad `--scale`, not as a bad spec.
@@ -598,8 +641,9 @@ fn spec_grammars() -> [(&'static str, SpecCheck, &'static str); 5] {
         format!("{prefix}{}", c.predictor_name())
     }
     [
+        // A bare predictor spec is `--algo`'s simple-mode spelling.
         (
-            "--predictor",
+            "--algo",
             |s| round_trips(PredictorSpec::parse, PredictorSpec::canonical, s),
             "np is_ppm:3 is_ppm_backoff markov:2+oba mithril:32,3+oba",
         ),
